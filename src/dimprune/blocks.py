@@ -11,7 +11,7 @@ score-masked models agree exactly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,12 +251,20 @@ def mlp_forward(x: Tensor, p: MlpParams, alpha: Tensor | None = None) -> Tensor:
 
 def block_forward(x: Tensor, bp: BlockParams, spec: WindowSpec,
                   alpha_attn: Tensor | None = None,
-                  alpha_mlp: Tensor | None = None) -> Tensor:
-    """Pre-norm residual block: attention sub-layer then MLP sub-layer."""
+                  alpha_mlp: Tensor | None = None,
+                  site_ids: tuple = ("attn", "mlp")) -> Tensor:
+    """Pre-norm residual block: attention sub-layer then MLP sub-layer.
+
+    Each sub-layer runs in a ``T.mac_scope`` named by ``site_ids`` (the
+    attention and MLP site ids), so counters can split its MACs per site.
+    """
+    attn_site, mlp_site = site_ids
     normed = T.layer_norm(x, bp.norm1_gain, bp.norm1_bias)
-    x = T.add(x, wmsa_forward(normed, bp.attn, spec, alpha_attn))
+    with T.mac_scope(attn_site):
+        x = T.add(x, wmsa_forward(normed, bp.attn, spec, alpha_attn))
     normed = T.layer_norm(x, bp.norm2_gain, bp.norm2_bias)
-    return T.add(x, mlp_forward(normed, bp.mlp, alpha_mlp))
+    with T.mac_scope(mlp_site):
+        return T.add(x, mlp_forward(normed, bp.mlp, alpha_mlp))
 
 
 def patchify(image, patch_size: int) -> np.ndarray:
@@ -406,6 +414,59 @@ def stage_geometry(config: BackboneConfig) -> list:
     return geoms
 
 
+@dataclass(frozen=True)
+class Site:
+    """One prunable site: the attention or MLP sub-layer of one block.
+
+    full is the unpruned width its score vector spans: the per-head width
+    for attention, the hidden width for the MLP.
+    """
+
+    id: str
+    stage: int
+    block: int
+    kind: str  # "attn" or "mlp"
+    full: int
+
+
+def block_id(stage: int, block: int) -> str:
+    """Name of one block; its site ids and parameter names start with it."""
+    return f"stage{stage}.block{block}"
+
+
+@functools.lru_cache(maxsize=None)
+def block_sites(config: BackboneConfig) -> tuple:
+    """The (attention, MLP) site pair of every block, one tuple per stage.
+
+    This is the site registry: every site id, score key and site parameter
+    name is derived from it.
+    """
+    return tuple(
+        tuple((Site(f"{block_id(g.index, b)}.attn", g.index, b, "attn", g.head_dim),
+               Site(f"{block_id(g.index, b)}.mlp", g.index, b, "mlp", g.hidden))
+              for b in range(config.depths[g.index]))
+        for g in stage_geometry(config))
+
+
+@functools.lru_cache(maxsize=None)
+def sites(config: BackboneConfig) -> tuple:
+    """Every site of a config in forward order: per block, attention then MLP."""
+    return tuple(site for stage in block_sites(config) for pair in stage for site in pair)
+
+
+def check_site_dims(config: BackboneConfig, site_dims: dict) -> dict:
+    """Validate a partial site-width map against the registry; returns it
+    with int widths. A key that names no site of this config, or a width
+    outside [1, full], raises ConfigError."""
+    full = {site.id: site.full for site in sites(config)}
+    for key, width in site_dims.items():
+        if key not in full:
+            raise ConfigError(f"site_dims key {key!r} names no site of this config")
+        if not 1 <= int(width) <= full[key]:
+            raise ConfigError(f"site {key} width {int(width)} outside [1, {full[key]}]")
+    return {key: int(width) for key, width in site_dims.items()}
+
+
 def block_shift(config: BackboneConfig, grid: int, block_index: int) -> int:
     """Alternating shift schedule; no shift when one window covers the grid."""
     if block_index % 2 == 0 or grid <= config.window:
@@ -416,14 +477,17 @@ def block_shift(config: BackboneConfig, grid: int, block_index: int) -> int:
 class Backbone:
     """Patch embedding, windowed-attention stages, merge layers and head.
 
-    site_dims maps "stage{s}.block{b}.attn" to the per-head width and
-    ".mlp" to the hidden width, allowing pruned variants of a config.
+    site_dims maps site ids (see ``sites``) to kept widths: the per-head
+    width of an attention site, the hidden width of an MLP site. Sites it
+    leaves out keep their full width, so pruned variants of a config need
+    only name the sites they cut.
     """
 
     def __init__(self, config: BackboneConfig, site_dims: dict | None = None,
                  rng: np.random.Generator | None = None):
         self.config = config
-        self.site_dims = dict(site_dims or {})
+        given = check_site_dims(config, site_dims or {})
+        self.site_dims = {site.id: given.get(site.id, site.full) for site in sites(config)}
         self.scores_attached = False
 
         def weight(shape):
@@ -442,16 +506,11 @@ class Backbone:
         self.patch_embed = weight((patch_width, config.base_dim))
         self.stages = []
         span = (2 * config.window - 1) ** 2
-        for geom in stage_geometry(config):
+        for geom, pairs in zip(stage_geometry(config), block_sites(config)):
             blocks = []
-            for b in range(config.depths[geom.index]):
-                attn_key = f"stage{geom.index}.block{b}.attn"
-                mlp_key = f"stage{geom.index}.block{b}.mlp"
-                k = int(self.site_dims.setdefault(attn_key, geom.head_dim))
-                km = int(self.site_dims.setdefault(mlp_key, geom.hidden))
-                if not 1 <= k <= geom.head_dim or not 1 <= km <= geom.hidden:
-                    raise ConfigError(
-                        f"invalid pruned widths for {attn_key}/{mlp_key}: {k}, {km}")
+            for b, (attn_site, mlp_site) in enumerate(pairs):
+                k = self.site_dims[attn_site.id]
+                km = self.site_dims[mlp_site.id]
                 rpb = None
                 rpb_index = None
                 if config.use_relative_position_bias:
@@ -484,24 +543,26 @@ class Backbone:
         self.head = weight((last, config.num_classes))
 
     def named_parameters(self) -> list:
+        """(name, tensor) pairs; a site's weights are named "<site id>.<weight>"."""
         out = [("patch_embed", self.patch_embed)]
-        for s, stage in enumerate(self.stages):
-            for b, blk in enumerate(stage.blocks):
-                base = f"stage{s}.block{b}"
+        for s, (stage, pairs) in enumerate(zip(self.stages, block_sites(self.config))):
+            for b, (blk, (attn_site, mlp_site)) in enumerate(zip(stage.blocks, pairs)):
+                base = block_id(s, b)
+                attn, mlp = attn_site.id, mlp_site.id
                 out.append((f"{base}.norm1.gain", blk.norm1_gain))
                 out.append((f"{base}.norm1.bias", blk.norm1_bias))
                 for j in range(blk.attn.heads):
-                    out.append((f"{base}.attn.wq{j}", blk.attn.wq[j]))
-                    out.append((f"{base}.attn.wk{j}", blk.attn.wk[j]))
-                    out.append((f"{base}.attn.wv{j}", blk.attn.wv[j]))
-                out.append((f"{base}.attn.wo", blk.attn.wo))
+                    out.append((f"{attn}.wq{j}", blk.attn.wq[j]))
+                    out.append((f"{attn}.wk{j}", blk.attn.wk[j]))
+                    out.append((f"{attn}.wv{j}", blk.attn.wv[j]))
+                out.append((f"{attn}.wo", blk.attn.wo))
                 if blk.attn.rpb is not None:
                     for j in range(blk.attn.heads):
-                        out.append((f"{base}.attn.rpb{j}", blk.attn.rpb[j]))
+                        out.append((f"{attn}.rpb{j}", blk.attn.rpb[j]))
                 out.append((f"{base}.norm2.gain", blk.norm2_gain))
                 out.append((f"{base}.norm2.bias", blk.norm2_bias))
-                out.append((f"{base}.mlp.w1", blk.mlp.w1))
-                out.append((f"{base}.mlp.w2", blk.mlp.w2))
+                out.append((f"{mlp}.w1", blk.mlp.w1))
+                out.append((f"{mlp}.w2", blk.mlp.w2))
             if stage.merge is not None:
                 out.append((f"stage{s}.merge", stage.merge))
         out.append(("final_norm.gain", self.final_gain))
@@ -530,14 +591,11 @@ def _logits_row(model: Backbone, image, scores: dict | None):
     features = []
     grid = cfg.image_size // cfg.patch_size
     scores = scores or {}
-    for s, stage in enumerate(model.stages):
-        for b, blk in enumerate(stage.blocks):
+    for stage, pairs in zip(model.stages, block_sites(cfg)):
+        for blk, (attn, mlp) in zip(stage.blocks, pairs):
             spec = WindowSpec(grid, grid, cfg.window, blk.shift)
-            x = block_forward(
-                x, blk, spec,
-                scores.get(f"stage{s}.block{b}.attn"),
-                scores.get(f"stage{s}.block{b}.mlp"),
-            )
+            x = block_forward(x, blk, spec, scores.get(attn.id), scores.get(mlp.id),
+                              site_ids=(attn.id, mlp.id))
         features.append(x)
         if stage.merge is not None:
             x = patch_merge(x, grid, grid, stage.merge)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import Backbone, BackboneConfig
 from .errors import FormatError, UsageError
-from .scoring import ScoredModel, ScoreVector, attach_scores
+from .scoring import ScoredModel, attach_scores
 from .tensor import Tensor
 
 MAGIC = b"DIMPRUNE"

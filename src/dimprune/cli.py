@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .blocks import build_backbone, stage_geometry
+from .blocks import build_backbone, sites
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import config_echo, load_config, make_dataset
 from .costmodel import (Convention, calibrate_mac_factor, measured_cost,
@@ -122,15 +122,8 @@ def cmd_finetune(args) -> int:
 
 def _rho_of(ckpt) -> float:
     """Smallest keep fraction across sites; 1.0 for an unpruned model."""
-    fractions = [1.0]
-    for geom in stage_geometry(ckpt.config):
-        for b in range(ckpt.config.depths[geom.index]):
-            attn = ckpt.site_dims.get(f"stage{geom.index}.block{b}.attn",
-                                      geom.head_dim)
-            mlp = ckpt.site_dims.get(f"stage{geom.index}.block{b}.mlp", geom.hidden)
-            fractions.append(attn / geom.head_dim)
-            fractions.append(mlp / geom.hidden)
-    return min(fractions)
+    return min([1.0] + [ckpt.site_dims.get(site.id, site.full) / site.full
+                        for site in sites(ckpt.config)])
 
 
 def cmd_eval(args) -> int:

@@ -6,6 +6,10 @@ count matmul multiply-accumulates only; softmax, norms and elementwise work
 are excluded by convention. Counting conventions are decoupled from runtime
 execution: a Convention can include reference extras (biases, position
 tables) that the runtime blocks never materialize.
+
+The measured cross-check runs the model's real forward once inside
+``count_macs`` and reads each site's MACs from the site scopes that
+``block_forward`` enters, so it shares no code path with the closed forms.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as T
-from .blocks import Backbone, BackboneConfig, WindowSpec, mlp_forward, patch_embed, \
-    patch_merge, stage_geometry, wmsa_forward
+from .blocks import Backbone, BackboneConfig, check_site_dims, sites, stage_geometry
+# Not used here: benchmarks/spans.py patches these names on this module.
+from .blocks import mlp_forward, patch_embed, patch_merge, wmsa_forward  # noqa: F401
 from .errors import ConfigError
 from .pruner import keep_count
 from .tensor import count_macs
@@ -29,7 +33,6 @@ class Convention:
     mac_factor: int = 1
     include_bias: bool = False
     include_rpb: bool = False
-    include_norms_and_head: bool = True
 
     def __post_init__(self):
         if self.mac_factor not in (1, 2):
@@ -76,32 +79,30 @@ class CostReport:
     def backbone_params(self) -> int:
         return self.total_params - self.head_params
 
-    def site(self, site_id: str) -> SiteCost:
-        for s in self.sites:
-            if s.site_id == site_id:
-                return s
-        raise KeyError(site_id)
 
-
-def _attn_site_cost(n, d, h, window, kq, conv: Convention):
+def _attn_cost(n, d, h, kq, attended, table, conv: Convention):
+    """h heads of width kq over n tokens, each query attending to `attended`
+    tokens; `table` relative-position entries per head (0 for none)."""
     hk = h * kq
     params = 4 * d * hk
     if conv.include_bias:
         params += 3 * hk + d          # qkv bias on kept columns, proj bias
     if conv.include_rpb:
-        params += (2 * window - 1) ** 2 * h
-    flops = conv.mac_factor * (4 * n * d * hk + 2 * n * window * window * hk)
+        params += table * h
+    flops = conv.mac_factor * (4 * n * d * hk + 2 * n * attended * hk)
     return params, flops
+
+
+def _mlp_cost(n, d, km, conv: Convention):
+    params = 2 * d * km + ((km + d) if conv.include_bias else 0)
+    return params, conv.mac_factor * 2 * n * d * km
 
 
 def msa_cost(n, d, h, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
     """Global attention over n tokens: params 4*rho*d^2, flops 4*rho*n*d^2 + 2*rho*n^2*d."""
     if d % h:
         raise ConfigError(f"dim {d} not divisible by {h} heads")
-    kq = keep_count(d // h, rho)
-    hk = h * kq
-    params = 4 * d * hk + ((3 * hk + d) if conv.include_bias else 0)
-    flops = conv.mac_factor * (4 * n * d * hk + 2 * n * n * hk)
+    params, flops = _attn_cost(n, d, h, keep_count(d // h, rho), n, 0, conv)
     return {"params": params, "flops": flops}
 
 
@@ -111,14 +112,13 @@ def wmsa_cost(n, d, h, window, rho, conv: Convention = RUNTIME_CONVENTION) -> di
         raise ConfigError(f"dim {d} not divisible by {h} heads")
     if n % (window * window):
         raise ConfigError(f"{n} tokens do not tile into {window}x{window} windows")
-    params, flops = _attn_site_cost(n, d, h, window, keep_count(d // h, rho), conv)
+    params, flops = _attn_cost(n, d, h, keep_count(d // h, rho), window * window,
+                               (2 * window - 1) ** 2, conv)
     return {"params": params, "flops": flops}
 
 
 def mlp_cost(n, d, d_m, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
-    km = keep_count(d_m, rho)
-    params = 2 * d * km + ((km + d) if conv.include_bias else 0)
-    flops = conv.mac_factor * 2 * n * d * km
+    params, flops = _mlp_cost(n, d, keep_count(d_m, rho), conv)
     return {"params": params, "flops": flops}
 
 
@@ -129,112 +129,66 @@ def model_cost(config: BackboneConfig, rho: float = 1.0,
 
     site_dims (same keys as Backbone.site_dims) overrides the uniform keep
     ratio per site, so reports can be produced for surgically pruned models.
+    It may name only some sites; a key that names no site raises ConfigError.
     """
-    site_dims = site_dims or {}
+    site_dims = check_site_dims(config, site_dims or {})
     report = CostReport(config=config, rho=rho, convention=conv)
+    geoms = stage_geometry(config)
+    window = config.window
 
-    def kept(key, full):
-        if key in site_dims:
-            k = int(site_dims[key])
-            if not 1 <= k <= full:
-                raise ConfigError(f"site {key} width {k} outside [1, {full}]")
-            return k
-        return keep_count(full, rho)
+    for site in sites(config):
+        g = geoms[site.stage]
+        k = site_dims[site.id] if site.id in site_dims else keep_count(site.full, rho)
+        if site.kind == "attn":
+            p, f = _attn_cost(g.tokens, g.dim, g.heads, k, window * window,
+                              (2 * window - 1) ** 2, conv)
+        else:
+            p, f = _mlp_cost(g.tokens, g.dim, k, conv)
+        report.sites.append(SiteCost(site.id, p, f))
 
-    overhead_p = 0
-    overhead_f = 0
     patch_width = config.in_channels * config.patch_size ** 2
-    n0 = (config.image_size // config.patch_size) ** 2
-    overhead_p += patch_width * config.base_dim
-    overhead_f += conv.mac_factor * n0 * patch_width * config.base_dim
+    overhead_p = patch_width * config.base_dim
+    overhead_f = conv.mac_factor * geoms[0].tokens * patch_width * config.base_dim
     if conv.include_bias:
         overhead_p += 3 * config.base_dim   # embed bias plus embed norm
-
-    for geom in stage_geometry(config):
-        n = geom.tokens
-        for b in range(config.depths[geom.index]):
-            base = f"stage{geom.index}.block{b}"
-            if conv.include_norms_and_head:
-                overhead_p += 4 * geom.dim
-            kq = kept(f"{base}.attn", geom.head_dim)
-            p, f = _attn_site_cost(n, geom.dim, geom.heads, config.window, kq, conv)
-            report.sites.append(SiteCost(f"{base}.attn", p, f))
-            km = kept(f"{base}.mlp", geom.hidden)
-            p = 2 * geom.dim * km + ((km + geom.dim) if conv.include_bias else 0)
-            f = conv.mac_factor * 2 * n * geom.dim * km
-            report.sites.append(SiteCost(f"{base}.mlp", p, f))
-        if geom.index < config.num_stages - 1:
-            overhead_p += 8 * geom.dim * geom.dim
+    for g in geoms:
+        overhead_p += config.depths[g.index] * 4 * g.dim   # two norms per block
+        if g.index < config.num_stages - 1:
+            overhead_p += 8 * g.dim * g.dim
             if conv.include_bias:
-                overhead_p += 8 * geom.dim
-            overhead_f += conv.mac_factor * 2 * n * geom.dim * geom.dim
+                overhead_p += 8 * g.dim
+            overhead_f += conv.mac_factor * 2 * g.tokens * g.dim * g.dim
 
     last = config.stage_dim(config.num_stages - 1)
-    if conv.include_norms_and_head:
-        overhead_p += 2 * last
-        head = last * config.num_classes + (config.num_classes if conv.include_bias else 0)
-        overhead_p += head
-        overhead_f += conv.mac_factor * last * config.num_classes
-        report.head_params = head
-    report.overhead_params = overhead_p
-    report.overhead_flops = overhead_f
+    report.head_params = last * config.num_classes + (
+        config.num_classes if conv.include_bias else 0)
+    report.overhead_params = overhead_p + 2 * last + report.head_params
+    report.overhead_flops = overhead_f + conv.mac_factor * last * config.num_classes
     return report
 
 
 def measured_cost(model: Backbone, mac_factor: int = 1) -> CostReport:
-    """Count parameters by enumerating tensors and FLOPs by instrumenting
-    matmuls in one forward pass, split per site."""
+    """Count parameters by enumerating tensors and FLOPs by one counted
+    forward pass, split per site by the forward's site scopes."""
     cfg = model.config
     report = CostReport(config=cfg, rho=float("nan"),
                         convention=runtime_convention(cfg, mac_factor))
-
-    site_params = {}
-    overhead_p = 0
+    # A site's weights are named "<site id>.<weight>"; everything else is overhead.
+    site_params = {site.id: 0 for site in sites(cfg)}
     for name, t in model.named_parameters():
-        parts = name.split(".")
-        if len(parts) >= 3 and parts[0].startswith("stage") \
-                and parts[1].startswith("block") and parts[2] in ("attn", "mlp"):
-            key = ".".join(parts[:3])
-            site_params[key] = site_params.get(key, 0) + t.size
+        key = name.rpartition(".")[0]
+        if key in site_params:
+            site_params[key] += t.size
         else:
-            overhead_p += t.size
-            if name == "head":
-                report.head_params = t.size
+            report.overhead_params += t.size
+    report.head_params = model.head.size
 
-    site_flops = {}
-    overhead_macs = 0
     img = np.zeros((cfg.in_channels, cfg.image_size, cfg.image_size), dtype=np.float32)
-    with count_macs() as embed_macs:
-        x = patch_embed(img, cfg.patch_size, model.patch_embed)
-    overhead_macs += embed_macs.macs
-    grid = cfg.image_size // cfg.patch_size
-    for s, stage in enumerate(model.stages):
-        for b, blk in enumerate(stage.blocks):
-            spec = WindowSpec(grid, grid, cfg.window, blk.shift)
-            normed = T.layer_norm(x, blk.norm1_gain, blk.norm1_bias)
-            with count_macs() as mc:
-                attn_out = wmsa_forward(normed, blk.attn, spec)
-            site_flops[f"stage{s}.block{b}.attn"] = mac_factor * mc.macs
-            x = T.add(x, attn_out)
-            normed = T.layer_norm(x, blk.norm2_gain, blk.norm2_bias)
-            with count_macs() as mc:
-                mlp_out = mlp_forward(normed, blk.mlp)
-            site_flops[f"stage{s}.block{b}.mlp"] = mac_factor * mc.macs
-            x = T.add(x, mlp_out)
-        if stage.merge is not None:
-            with count_macs() as mc:
-                x = patch_merge(x, grid, grid, stage.merge)
-            overhead_macs += mc.macs
-            grid //= 2
-    x = T.layer_norm(x, model.final_gain, model.final_bias)
-    with count_macs() as mc:
-        T.matmul(T.mean_rows(x), model.head)
-    overhead_macs += mc.macs
-
-    for key in site_params:
-        report.sites.append(SiteCost(key, site_params[key], site_flops[key]))
-    report.overhead_params = overhead_p
-    report.overhead_flops = mac_factor * overhead_macs
+    with count_macs() as counter:
+        model.forward(img)
+    for key, params in site_params.items():
+        report.sites.append(SiteCost(key, params, mac_factor * counter.scopes[key]))
+    report.overhead_flops = mac_factor * (counter.macs - sum(counter.scopes.values()))
     return report
 
 

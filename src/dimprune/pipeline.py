@@ -107,8 +107,9 @@ def _append_log(path, record: dict):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _stats(dataset: Dataset, settings: TrainSettings):
-    if settings.normalize:
+def _stats(dataset: Dataset, normalize: bool):
+    """Per-channel (mean, std) for preprocessing; identity stats when off."""
+    if normalize:
         return dataset.channel_stats()
     c = dataset.images.shape[1]
     return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
@@ -122,7 +123,7 @@ def _train(model: Backbone, scored, dataset: Dataset, settings: TrainSettings,
     m, v, step = resume if resume is not None else (None, None, 0)
     opt = AdamW(holder.named_parameters(), lr=settings.lr,
                 weight_decay=settings.weight_decay, m=m, v=v, step=step)
-    mean, std = _stats(dataset, settings)
+    mean, std = _stats(dataset, settings.normalize)
     score_map = scored.score_map() if scored is not None else None
     scores = scored.scores if scored is not None else []
 
@@ -154,6 +155,13 @@ def _train(model: Backbone, scored, dataset: Dataset, settings: TrainSettings,
     return opt
 
 
+def _resume_state(start):
+    """(opt_m, opt_v, step) of a checkpoint that carries optimizer state, else None."""
+    if isinstance(start, Checkpoint) and (start.opt_m or start.opt_v or start.step):
+        return start.opt_m, start.opt_v, start.step
+    return None
+
+
 def run_search(start, dataset: Dataset, settings: TrainSettings) -> Checkpoint:
     """Train weights and scores jointly under the l1-regularized objective."""
     if isinstance(start, Checkpoint):
@@ -167,11 +175,8 @@ def run_search(start, dataset: Dataset, settings: TrainSettings) -> Checkpoint:
         scored = attach_scores(model)
     else:
         raise UsageError(f"run_search needs a Backbone or Checkpoint, got {type(start)}")
-    resume = None
-    if isinstance(start, Checkpoint) and (start.opt_m or start.opt_v or start.step):
-        resume = (start.opt_m, start.opt_v, start.step)
     opt = _train(model, scored, dataset, settings, gamma=settings.gamma,
-                 stage="search", resume=resume)
+                 stage="search", resume=_resume_state(start))
     return checkpoint_from_model(model, scored, step=opt.step_count,
                                  seed=settings.seed, opt_m=opt.m, opt_v=opt.v)
 
@@ -193,11 +198,8 @@ def run_finetune(ckpt: Checkpoint, dataset: Dataset,
         raise UsageError("finetune expects a pruned checkpoint without scores; "
                          "run prune first")
     model = model_from_checkpoint(ckpt)
-    resume = None
-    if ckpt.opt_m or ckpt.opt_v or ckpt.step:
-        resume = (ckpt.opt_m, ckpt.opt_v, ckpt.step)
     opt = _train(model, None, dataset, settings, gamma=0.0, stage="finetune",
-                 resume=resume)
+                 resume=_resume_state(ckpt))
     return checkpoint_from_model(model, step=opt.step_count, seed=settings.seed,
                                  opt_m=opt.m, opt_v=opt.v)
 
@@ -215,11 +217,7 @@ def evaluate(source, dataset: Dataset, batch_size: int = 64,
     else:
         model = source
         score_map = None
-    if normalize:
-        mean, std = dataset.channel_stats()
-    else:
-        c = dataset.images.shape[1]
-        mean, std = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+    mean, std = _stats(dataset, normalize)
     hits = 0
     total = 0.0
     for images, labels in iterate_batches(dataset, batch_size):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import AttentionParams, Backbone, MlpParams
+from .blocks import AttentionParams, Backbone, MlpParams, sites
 from .errors import ConfigError, DimensionError
 from .scoring import ScoredModel
 from .tensor import Tensor
@@ -138,26 +138,19 @@ def prune_model(scored: ScoredModel, rho: float):
 
     site_dims = {site: len(ks) for site, ks in keeps.items()}
     out = Backbone(src.config, site_dims=site_dims, rng=None)
-    out.patch_embed.data[:] = src.patch_embed.data
-    for s, (stage_src, stage_out) in enumerate(zip(src.stages, out.stages)):
-        for b, (blk_src, blk_out) in enumerate(zip(stage_src.blocks, stage_out.blocks)):
-            blk_out.norm1_gain.data[:] = blk_src.norm1_gain.data
-            blk_out.norm1_bias.data[:] = blk_src.norm1_bias.data
-            blk_out.norm2_gain.data[:] = blk_src.norm2_gain.data
-            blk_out.norm2_bias.data[:] = blk_src.norm2_bias.data
-            attn_key = f"stage{s}.block{b}.attn"
-            mlp_key = f"stage{s}.block{b}.mlp"
-            new_attn = prune_attention(blk_src.attn, keeps[attn_key],
-                                       scored.score(attn_key).alpha)
-            new_mlp = prune_mlp(blk_src.mlp, keeps[mlp_key],
-                                scored.score(mlp_key).alpha)
-            blk_out.attn = new_attn
-            blk_out.mlp = new_mlp
-        if stage_src.merge is not None:
-            stage_out.merge.data[:] = stage_src.merge.data
-    out.final_gain.data[:] = src.final_gain.data
-    out.final_bias.data[:] = src.final_bias.data
-    out.head.data[:] = src.head.data
+    # Weights outside the sites (embed, norms, merges, head) carry over as is.
+    targets = dict(out.named_parameters())
+    for name, t in src.named_parameters():
+        if name.rpartition(".")[0] not in keeps:
+            targets[name].data[:] = t.data
+    for site in sites(src.config):
+        blk_src = src.stages[site.stage].blocks[site.block]
+        blk_out = out.stages[site.stage].blocks[site.block]
+        alpha = scored.score(site.id).alpha
+        if site.kind == "attn":
+            blk_out.attn = prune_attention(blk_src.attn, keeps[site.id], alpha)
+        else:
+            blk_out.mlp = prune_mlp(blk_src.mlp, keeps[site.id], alpha)
 
     report.post_params = out.parameter_count()
     return out, report

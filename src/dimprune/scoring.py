@@ -13,19 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import Backbone
+from .blocks import Backbone, sites
 from .errors import ConfigError, UsageError
 from .tensor import Tensor
 
 
 @dataclass
 class ScoreVector:
-    """Scores for one site: stage/block location plus the alpha tensor."""
+    """Scores for one site: its site id plus the alpha tensor."""
 
     site_id: str
-    stage: int
-    block: int
-    kind: str  # "attn" or "mlp"
     alpha: Tensor
 
     @property
@@ -75,12 +72,7 @@ class ScoredModel:
 
 def site_ids(config) -> list:
     """Enumerate prunable site ids for a config in forward order."""
-    ids = []
-    for s in range(config.num_stages):
-        for b in range(config.depths[s]):
-            ids.append(f"stage{s}.block{b}.attn")
-            ids.append(f"stage{s}.block{b}.mlp")
-    return ids
+    return [site.id for site in sites(config)]
 
 
 def attach_scores(model: Backbone) -> ScoredModel:
@@ -88,16 +80,9 @@ def attach_scores(model: Backbone) -> ScoredModel:
     if model.scores_attached:
         raise UsageError("scores are already attached to this model")
     scores = []
-    for s, stage in enumerate(model.stages):
-        for b, blk in enumerate(stage.blocks):
-            scores.append(ScoreVector(
-                site_id=f"stage{s}.block{b}.attn", stage=s, block=b, kind="attn",
-                alpha=Tensor(np.ones(blk.attn.head_dim, dtype=np.float32),
-                             requires_grad=True)))
-            scores.append(ScoreVector(
-                site_id=f"stage{s}.block{b}.mlp", stage=s, block=b, kind="mlp",
-                alpha=Tensor(np.ones(blk.mlp.hidden, dtype=np.float32),
-                             requires_grad=True)))
+    for site in sites(model.config):
+        alpha = Tensor(np.ones(model.site_dims[site.id], dtype=np.float32), requires_grad=True)
+        scores.append(ScoreVector(site.id, alpha))
     model.scores_attached = True
     return ScoredModel(model, scores)
 

@@ -143,10 +143,15 @@ def backward(loss: Tensor, tape: Tape):
 
 
 class MacCounter:
-    """Accumulates multiply-accumulate counts from matmul calls."""
+    """Accumulates multiply-accumulate counts from matmul calls.
+
+    ``scopes`` maps each ``mac_scope`` name entered while the counter was
+    active to the MACs counted inside it.
+    """
 
     def __init__(self):
         self.macs = 0
+        self.scopes = {}
 
 
 @contextmanager
@@ -158,6 +163,17 @@ def count_macs():
         yield counter
     finally:
         _counters().pop()
+
+
+@contextmanager
+def mac_scope(name: str):
+    """Attribute the MACs counted inside the block to ``name`` in every active
+    counter. Attribution happens at the scope's boundaries, so matmul does no
+    per-call bookkeeping for it."""
+    start = [(c, c.macs) for c in _counters()]
+    yield
+    for c, macs in start:
+        c.scopes[name] = c.scopes.get(name, 0) + c.macs - macs
 
 
 def _check_2d(t: Tensor, name: str):
@@ -173,13 +189,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_2d(b, "matmul rhs")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    _finite_or_raise(a.data, "matmul lhs")
-    _finite_or_raise(b.data, "matmul rhs")
     m, k = a.shape
     p = b.shape[1]
     for c in _counters():
         c.macs += m * k * p
     out_data = (a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(np.float32)
+    # Every input entry reaches some output entry (inf * 0 is NaN), so one
+    # check of the output also catches non-finite inputs and float32 overflow.
+    _finite_or_raise(out_data, "matmul output")
     out = Tensor(out_data, requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         a64 = a.data.astype(np.float64)

@@ -212,3 +212,14 @@ def test_pruning_halves_prunable_flops():
     prunable_full = full.total_flops - full.overhead_flops
     prunable_half = half.total_flops - half.overhead_flops
     assert prunable_half == prunable_full // 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg, dims: model_cost(cfg, site_dims=dims),
+    lambda cfg, dims: Backbone(cfg, site_dims=dims),
+], ids=["model_cost", "Backbone"])
+def test_site_dims_key_naming_no_site_rejected(build):
+    cfg = BackboneConfig()
+    build(cfg, {"stage0.block0.attn": 3})  # a partial map is fine
+    with pytest.raises(ConfigError, match="stage0.blok0.mlp"):
+        build(cfg, {"stage0.block0.attn": 3, "stage0.blok0.mlp": 5})

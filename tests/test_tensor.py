@@ -82,6 +82,12 @@ def test_matmul_rejects_non_finite():
         T.matmul(Tensor(bad), Tensor(np.ones((2, 2))))
 
 
+def test_matmul_rejects_float32_overflow_from_finite_inputs():
+    big = Tensor(np.full((1, 2), 3e38, dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        T.matmul(big, T.transpose(big))
+
+
 def test_mac_counter_counts_mkp():
     with T.count_macs() as c:
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
