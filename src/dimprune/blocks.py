@@ -1,9 +1,12 @@
 """Windowed-attention transformer blocks and the staged backbone.
 
-Tokens live in row-major [n x d] layout for an H x W grid. Window
-partitioning, cyclic shifting and patch merging are all realised as row
-permutations so gradients flow through exact index bookkeeping. Attention
-logits are scaled by the square root of the original (pre-pruning) per-head
+Tokens live in row-major [n x d] layout for an H x W grid, and a batch of B
+images is carried as their [B*n x d] rows stacked. Window partitioning,
+cyclic shifting and patch merging are all realised as row permutations
+(offset per image) so gradients flow through exact index bookkeeping. Every
+window of every image and every head of an attention site runs as one
+batched product with [B, windows, heads, M^2, M^2] logits. Attention logits
+are scaled by the square root of the original (pre-pruning) per-head
 dimension; the scale is kept fixed after pruning so that pruned and
 score-masked models agree exactly.
 """
@@ -11,6 +14,7 @@ score-masked models agree exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +101,31 @@ def _window_masks(height, width, window, shift):
 
 
 @functools.lru_cache(maxsize=None)
+def _shift_mask(height, width, window, shift, heads):
+    """The window masks as one [num_windows, heads, M^2, M^2] constant."""
+    masks = np.stack(_window_masks(height, width, window, shift))
+    return Tensor(np.repeat(masks[:, None], heads, axis=1))
+
+
+def _stack(order, images):
+    """One image's row order repeated for ``images`` stacked images, each
+    offset by the image's row count, and its inverse; both read-only."""
+    n = order.shape[0]
+    perm = (np.arange(images, dtype=np.int64)[:, None] * n + order).reshape(-1)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    perm.setflags(write=False)
+    inverse.setflags(write=False)
+    return perm, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _stacked_partition(images, height, width, window, shift):
+    """(order, inverse) grouping the shifted windows of stacked grids."""
+    return _stack(_partition_permutation(height, width, window, shift), images)
+
+
+@functools.lru_cache(maxsize=None)
 def _relative_index(window):
     """Flat [M^2 * M^2] lookup into a (2M-1)^2 relative-offset table."""
     coords = [(r, c) for r in range(window) for c in range(window)]
@@ -123,9 +152,9 @@ def window_reverse(windows: Tensor, spec: WindowSpec) -> Tensor:
     if lw != spec.num_windows or m2 != spec.window * spec.window:
         raise DimensionError(
             f"window tensor {windows.shape} does not match spec {spec}")
-    perm = _partition_permutation(spec.height, spec.width, spec.window, spec.shift)
+    _, inverse = _stacked_partition(1, spec.height, spec.width, spec.window, spec.shift)
     flat = T.reshape(windows, (spec.tokens, d))
-    return T.permute_rows(flat, np.argsort(perm))
+    return T.permute_rows(flat, inverse)
 
 
 # ---------------------------------------------------------------- parameters
@@ -185,14 +214,19 @@ class StageParams:
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int,
                          mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(scale_dim) [+ mask]) v."""
+    """softmax(q k^T / sqrt(scale_dim) [+ mask]) v over the last two axes.
+
+    q, k and v are [..., m, k] stacks with equal leading axes. mask, an
+    array or Tensor, must equal the trailing axes of the [..., m, m] logits.
+    """
     if q.shape != k.shape:
         raise DimensionError(f"q and k shapes differ: {q.shape} vs {k.shape}")
-    if v.shape[0] != q.shape[0]:
-        raise DimensionError(f"v has {v.shape[0]} rows, expected {q.shape[0]}")
+    if v.shape[:-1] != q.shape[:-1]:
+        raise DimensionError(f"v has shape {v.shape}, expected {q.shape[:-1]} rows")
     if scale_dim < 1:
         raise ConfigError(f"scale_dim must be >= 1, got {scale_dim}")
-    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / float(np.sqrt(scale_dim)))
+    swap = (*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2)
+    logits = T.scale(T.matmul(q, T.transpose(k, swap)), 1.0 / float(np.sqrt(scale_dim)))
     if mask is not None:
         if not isinstance(mask, Tensor):
             mask = Tensor(mask)
@@ -200,45 +234,64 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int,
     return T.matmul(T.softmax_rows(logits), v)
 
 
+def _attention(x: Tensor, p: AttentionParams, groups: tuple,
+               alpha: Tensor | None = None, mask: Tensor | None = None) -> Tensor:
+    """Multi-head attention inside each group of contiguous rows of x.
+
+    x holds prod(groups) groups of m rows; the logits are [*groups, heads,
+    m, m], and mask must equal their trailing axes. Q, K and V are one
+    matmul each against the site's per-head weights joined column-wise.
+    """
+    rows = x.shape[0]
+    m = rows // math.prod(groups)
+    h, k = p.heads, p.head_dim
+    lead = len(groups)
+    heads_first = (*range(lead), lead + 1, lead, lead + 2)  # swaps rows and heads
+
+    def project(weights):
+        y = T.reshape(T.matmul(x, T.concat(weights, axis=1)), (*groups, m, h, k))
+        if alpha is not None:
+            y = T.scale_columns(y, alpha)
+        return T.transpose(y, heads_first)
+
+    if p.rpb is not None:
+        table = T.concat(p.rpb, axis=1)  # [span, heads]
+        bias = T.reshape(T.transpose(T.gather_rows(table, p.rpb_index)), (h, m, m))
+        mask = bias if mask is None else T.add(mask, bias)
+    out = scaled_dot_attention(project(p.wq), project(p.wk), project(p.wv),
+                               p.scale_dim, mask)
+    merged = T.reshape(T.transpose(out, heads_first), (rows, h * k))
+    return T.matmul(merged, p.wo)
+
+
 def msa_forward(x: Tensor, p: AttentionParams, alpha: Tensor | None = None,
                 mask=None) -> Tensor:
-    """Multi-head attention; alpha scales each per-head Q/K/V column."""
-    n = x.shape[0]
-    heads = []
-    for j in range(p.heads):
-        q = T.matmul(x, p.wq[j])
-        k = T.matmul(x, p.wk[j])
-        v = T.matmul(x, p.wv[j])
-        if alpha is not None:
-            q = T.scale_columns(q, alpha)
-            k = T.scale_columns(k, alpha)
-            v = T.scale_columns(v, alpha)
-        extra = None
-        if mask is not None:
-            extra = mask if isinstance(mask, Tensor) else Tensor(mask)
-        if p.rpb is not None:
-            bias = T.reshape(T.gather_rows(p.rpb[j], p.rpb_index), (n, n))
-            extra = bias if extra is None else T.add(extra, bias)
-        heads.append(scaled_dot_attention(q, k, v, p.scale_dim, extra))
-    return T.matmul(T.concat(heads, axis=-1), p.wo)
+    """Multi-head attention over all rows of x; alpha scales each per-head
+    Q/K/V column, and an [n x n] mask is added to every head's logits."""
+    if mask is not None:
+        mask = Tensor(np.broadcast_to(mask.data if isinstance(mask, Tensor) else mask,
+                                      (p.heads, x.shape[0], x.shape[0])))
+    return _attention(x, p, (), alpha, mask)
 
 
 def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
                  alpha: Tensor | None = None) -> Tensor:
-    """Window-partitioned attention with optional cyclic shift masking."""
-    if x.shape[0] != spec.tokens:
-        raise DimensionError(f"expected {spec.tokens} token rows, got {x.shape}")
-    perm = _partition_permutation(spec.height, spec.width, spec.window, spec.shift)
-    masks = None
+    """Window-partitioned attention with optional cyclic shift masking.
+
+    x stacks the [tokens x d] rows of one or more images; all their windows
+    run through one batched attention core.
+    """
+    images, extra = divmod(x.shape[0], spec.tokens)
+    if images < 1 or extra:
+        raise DimensionError(f"expected a multiple of {spec.tokens} token rows, got {x.shape}")
+    perm, inverse = _stacked_partition(images, spec.height, spec.width, spec.window,
+                                       spec.shift)
+    mask = None
     if spec.shift:
-        masks = _window_masks(spec.height, spec.width, spec.window, spec.shift)
+        mask = _shift_mask(spec.height, spec.width, spec.window, spec.shift, p.heads)
     grouped = T.permute_rows(x, perm)
-    m2 = spec.window * spec.window
-    outs = []
-    for w in range(spec.num_windows):
-        piece = T.slice_rows(grouped, w * m2, (w + 1) * m2)
-        outs.append(msa_forward(piece, p, alpha, masks[w] if masks else None))
-    return T.permute_rows(T.concat(outs, axis=0), np.argsort(perm))
+    out = _attention(grouped, p, (images, spec.num_windows), alpha, mask)
+    return T.permute_rows(out, inverse)
 
 
 def mlp_forward(x: Tensor, p: MlpParams, alpha: Tensor | None = None) -> Tensor:
@@ -268,23 +321,25 @@ def block_forward(x: Tensor, bp: BlockParams, spec: WindowSpec,
 
 
 def patchify(image, patch_size: int) -> np.ndarray:
-    """Flatten non-overlapping P x P patches of a [C, H, W] image row-major."""
+    """Flatten non-overlapping P x P patches row-major, channel-major within a
+    patch: a [C, H, W] image gives [n x C*P^2] rows, a [B, C, H, W] stack its
+    images' rows one image after another."""
     img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
-    if img.ndim != 3:
-        raise DimensionError(f"image must be [C, H, W], got shape {img.shape}")
-    c, h, w = img.shape
+    if img.ndim not in (3, 4):
+        raise DimensionError(f"image must be [C, H, W] or [B, C, H, W], got shape {img.shape}")
+    b, c, h, w = img.shape if img.ndim == 4 else (1, *img.shape)
     if h % patch_size or w % patch_size:
         raise DimensionError(
             f"image {h}x{w} is not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    # [C, gh, P, gw, P] -> patch-major rows, channel-major features
-    view = img.reshape(c, gh, patch_size, gw, patch_size)
-    rows = view.transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * patch_size * patch_size)
+    # [B, C, gh, P, gw, P] -> patch-major rows, channel-major features
+    view = img.reshape(b, c, gh, patch_size, gw, patch_size)
+    rows = view.transpose(0, 2, 4, 1, 3, 5).reshape(b * gh * gw, c * patch_size * patch_size)
     return np.ascontiguousarray(rows, dtype=np.float32)
 
 
 def patch_embed(image, patch_size: int, weight: Tensor) -> Tensor:
-    """Linear embedding of flattened patches: [n x C*P^2] @ [C*P^2 x d]."""
+    """Linear embedding of flattened patches: [B*n x C*P^2] @ [C*P^2 x d]."""
     rows = patchify(image, patch_size)
     if rows.shape[1] != weight.shape[0]:
         raise DimensionError(
@@ -306,16 +361,22 @@ def _merge_permutation(height, width):
     return np.array(order, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _stacked_merge(images, height, width):
+    return _stack(_merge_permutation(height, width), images)[0]
+
+
 def patch_merge(x: Tensor, height: int, width: int, weight: Tensor) -> Tensor:
-    """Concatenate each 2x2 cell (tl, bl, tr, br) and reduce 4d -> 2d."""
-    n, d = x.shape
-    if n != height * width or height % 2 or width % 2:
+    """Concatenate each 2x2 cell (tl, bl, tr, br) and reduce 4d -> 2d; x
+    stacks the [height*width x d] rows of one or more images."""
+    rows, d = x.shape
+    if height < 2 or width < 2 or height % 2 or width % 2 or rows % (height * width):
         raise DimensionError(
-            f"cannot merge {n} rows as an even {height}x{width} grid")
+            f"cannot merge {rows} rows as even {height}x{width} grids")
     if weight.shape[0] != 4 * d:
         raise DimensionError(f"merge weight {weight.shape} does not match 4*{d} inputs")
-    grouped = T.permute_rows(x, _merge_permutation(height, width))
-    stacked = T.reshape(grouped, (n // 4, 4 * d))
+    grouped = T.permute_rows(x, _stacked_merge(rows // (height * width), height, width))
+    stacked = T.reshape(grouped, (rows // 4, 4 * d))
     return T.matmul(stacked, weight)
 
 
@@ -585,11 +646,18 @@ def build_backbone(config: BackboneConfig, seed: int) -> Backbone:
     return Backbone(config, rng=np.random.default_rng(seed))
 
 
-def _logits_row(model: Backbone, image, scores: dict | None):
+def _forward(model: Backbone, images, scores: dict | None):
+    """Logits [B x num_classes] of a [B, C, H, W] stack, run as one pass over
+    the stacked [B*n x d] token rows, and each stage's output rows."""
     cfg = model.config
-    x = patch_embed(image, cfg.patch_size, model.patch_embed)
+    images = np.asarray(images, dtype=np.float32)
+    side = cfg.image_size
+    if images.ndim != 4 or images.shape[2:] != (side, side):
+        raise DimensionError(f"expected [B, C, {side}, {side}] images, got shape {images.shape}")
+    count = images.shape[0]
+    x = patch_embed(images, cfg.patch_size, model.patch_embed)
     features = []
-    grid = cfg.image_size // cfg.patch_size
+    grid = side // cfg.patch_size
     scores = scores or {}
     for stage, pairs in zip(model.stages, block_sites(cfg)):
         for blk, (attn, mlp) in zip(stage.blocks, pairs):
@@ -601,17 +669,21 @@ def _logits_row(model: Backbone, image, scores: dict | None):
             x = patch_merge(x, grid, grid, stage.merge)
             grid //= 2
     x = T.layer_norm(x, model.final_gain, model.final_bias)
-    pooled = T.mean_rows(x)
-    return T.matmul(pooled, model.head), features
+    pooled = T.mean_rows(T.reshape(x, (count, grid * grid, x.shape[1])))
+    return T.matmul(T.reshape(pooled, (count, x.shape[1])), model.head), features
 
 
 def backbone_forward(model: Backbone, image, scores: dict | None = None):
-    """Run the full backbone on one image: (logits[num_classes], features)."""
-    row, features = _logits_row(model, image, scores)
-    return T.reshape(row, (model.config.num_classes,)), features
+    """Run the full backbone on one [C, H, W] image: (logits[num_classes],
+    features), the B=1 case of ``forward_batch``."""
+    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
+    if img.ndim != 3:
+        raise DimensionError(f"image must be [C, H, W], got shape {img.shape}")
+    logits, features = _forward(model, img[None], scores)
+    return T.reshape(logits, (model.config.num_classes,)), features
 
 
 def forward_batch(model: Backbone, images, scores: dict | None = None) -> Tensor:
-    """Stack per-image logit rows into a [B x num_classes] tensor."""
-    rows = [_logits_row(model, img, scores)[0] for img in images]
-    return T.concat(rows, axis=0)
+    """[B x num_classes] logits of a [B, C, H, W] image stack, in one pass;
+    row i equals ``backbone_forward`` of image i."""
+    return _forward(model, images, scores)[0]

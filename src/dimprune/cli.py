@@ -279,3 +279,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, DimensionError, NumericError,
             FormatError, OSError) as exc:
         return _fail(exc)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

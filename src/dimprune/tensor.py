@@ -7,7 +7,10 @@ active ``Tape`` context record how to pull gradients back to their inputs;
 and can be consumed by exactly one backward pass.
 
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
-allowed is row-vector bias addition in ``add``.
+allowed is ``add`` of a tensor equal to the other's trailing axes (a row
+bias is the 1-D case). Ops that act on rows act on the last axis of any
+rank, and ``matmul`` multiplies the last two axes of stacks with equal
+leading axes, so a batch of attention groups is one call.
 """
 
 from __future__ import annotations
@@ -184,41 +187,57 @@ def _check_2d(t: Tensor, name: str):
 # ---------------------------------------------------------------- arithmetic
 
 
+def _to_float32(arr64, what: str):
+    """Round a float64 result to float32 and reject non-finite entries.
+
+    The cast runs with overflow warnings off: an overflow becomes inf, which
+    the check turns into NumericError without a stray RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        out = arr64.astype(np.float32)
+    _finite_or_raise(out, what)
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_2d(a, "matmul lhs")
-    _check_2d(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading axes must be equal (no
+    broadcasting). Counts batch*m*k*p MACs and accumulates in float64."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"matmul needs equal leading axes: {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    m, k = a.shape
-    p = b.shape[1]
+    *lead, m, k = a.shape
+    p = b.shape[-1]
+    macs = math.prod(lead) * m * k * p
     for c in _counters():
-        c.macs += m * k * p
-    out_data = (a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(np.float32)
+        c.macs += macs
+    a64 = a.data.astype(np.float64)
+    b64 = b.data.astype(np.float64)
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    _finite_or_raise(out_data, "matmul output")
-    out = Tensor(out_data, requires_grad=_wants_grad(a, b))
+    out = Tensor(_to_float32(a64 @ b64, "matmul output"), requires_grad=_wants_grad(a, b))
     if out.requires_grad:
-        a64 = a.data.astype(np.float64)
-        b64 = b.data.astype(np.float64)
         _record(out, [
-            (a, lambda g: (g.astype(np.float64) @ b64.T).astype(np.float32)),
-            (b, lambda g: (a64.T @ g.astype(np.float64)).astype(np.float32)),
+            (a, lambda g: _to_float32(g.astype(np.float64) @ b64.swapaxes(-1, -2),
+                                      "matmul lhs gradient")),
+            (b, lambda g: _to_float32(a64.swapaxes(-1, -2) @ g.astype(np.float64),
+                                      "matmul rhs gradient")),
         ])
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a row-vector bias for a 2-D lhs."""
+    """Elementwise sum; ``b`` may also equal ``a``'s trailing axes (a row bias
+    is the 1-D case), and its gradient then sums over the leading axes."""
     if a.shape == b.shape:
         out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
         _record(out, [(a, lambda g: g), (b, lambda g: g)])
         return out
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data[None, :], requires_grad=_wants_grad(a, b))
+    lead = a.data.ndim - b.data.ndim
+    if b.data.ndim >= 1 and lead > 0 and a.shape[lead:] == b.shape:
+        out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
         _record(out, [
             (a, lambda g: g),
-            (b, lambda g: g.astype(np.float64).sum(axis=0).astype(np.float32)),
+            (b, lambda g: g.astype(np.float64).sum(axis=tuple(range(lead))).astype(np.float32)),
         ])
         return out
     raise DimensionError(f"add shapes are incompatible: {a.shape} vs {b.shape}")
@@ -233,24 +252,31 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def scale_columns(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply column i of a 2-D tensor by v[i] (right-multiply by diag(v))."""
-    _check_2d(x, "scale_columns input")
-    if v.data.ndim != 1 or v.shape[0] != x.shape[1]:
-        raise DimensionError(f"scale_columns needs v of length {x.shape[1]}, got {v.shape}")
-    out = Tensor(x.data * v.data[None, :], requires_grad=_wants_grad(x, v))
+    """Multiply entry i of x's last axis by v[i] (right-multiply by diag(v))."""
+    if v.data.ndim != 1 or v.shape[0] != x.shape[-1]:
+        raise DimensionError(f"scale_columns needs v of length {x.shape[-1]}, got {v.shape}")
+    out = Tensor(x.data * v.data, requires_grad=_wants_grad(x, v))
     if out.requires_grad:
         xd, vd = x.data, v.data
+        lead = tuple(range(x.data.ndim - 1))
         _record(out, [
-            (x, lambda g: g * vd[None, :]),
-            (v, lambda g: (g.astype(np.float64) * xd.astype(np.float64)).sum(axis=0).astype(np.float32)),
+            (x, lambda g: g * vd),
+            (v, lambda g: (g.astype(np.float64) * xd.astype(np.float64)).sum(axis=lead).astype(np.float32)),
         ])
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    _check_2d(a, "transpose input")
-    out = Tensor(a.data.T, requires_grad=_wants_grad(a))
-    _record(out, [(a, lambda g: g.T)])
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Reorder axes as ``np.transpose`` does; the default swaps a 2-D tensor."""
+    if axes is None:
+        _check_2d(a, "transpose input")
+        axes = (1, 0)
+    axes = tuple(int(ax) for ax in axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"transpose axes {axes} do not reorder shape {a.shape}")
+    back = tuple(np.argsort(axes))
+    out = Tensor(a.data.transpose(axes), requires_grad=_wants_grad(a))
+    _record(out, [(a, lambda g: g.transpose(back))])
     return out
 
 
@@ -364,12 +390,13 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Column means of a 2-D tensor, kept as a single row."""
-    _check_2d(x, "mean_rows input")
-    n = x.shape[0]
-    out_data = x.data.mean(axis=0, dtype=np.float64).astype(np.float32)[None, :]
+    """Mean over axis -2 (the rows of each trailing matrix), kept as one row."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"mean_rows input must have at least 2 axes, got shape {x.shape}")
+    n = x.shape[-2]
+    out_data = x.data.mean(axis=-2, keepdims=True, dtype=np.float64).astype(np.float32)
     out = Tensor(out_data, requires_grad=_wants_grad(x))
-    _record(out, [(x, lambda g: np.repeat(g / np.float32(n), n, axis=0))])
+    _record(out, [(x, lambda g: np.repeat(g / np.float32(n), n, axis=-2))])
     return out
 
 
@@ -386,20 +413,19 @@ def l1_norm(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilised by the row max."""
-    _check_2d(x, "softmax input")
+    """Softmax over the last axis, stabilised by its max."""
     _finite_or_raise(x.data, "softmax input")
     shifted = x.data.astype(np.float64)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out64 = e / e.sum(axis=1, keepdims=True)
+    out64 = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(out64.astype(np.float32), requires_grad=_wants_grad(x))
     if out.requires_grad:
         y = out.data
         def pull(g):
             g64 = g.astype(np.float64)
             y64 = y.astype(np.float64)
-            dot = (g64 * y64).sum(axis=1, keepdims=True)
+            dot = (g64 * y64).sum(axis=-1, keepdims=True)
             return ((g64 - dot) * y64).astype(np.float32)
         _record(out, [(x, pull)])
     return out

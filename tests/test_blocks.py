@@ -3,6 +3,7 @@ import pytest
 
 from dimprune import tensor as T
 from dimprune.errors import ConfigError, DimensionError
+from dimprune.scoring import attach_scores, total_loss
 from dimprune.tensor import Tape, Tensor, backward
 from dimprune import blocks as B
 from dimprune.blocks import (
@@ -538,3 +539,53 @@ def test_scores_of_ones_leave_model_output_bitwise():
     plain, _ = backbone_forward(model, img)
     scored, _ = backbone_forward(model, img, scores=ones)
     assert np.array_equal(plain.data, scored.data)
+
+
+# ------------------------------------------------------- batched attention core
+
+
+def ref_position_bias(table, window):
+    """[M^2 x M^2] bias: entry (i, j) reads the table at token i's offset from j."""
+    coords = [(r, c) for r in range(window) for c in range(window)]
+    span = 2 * window - 1
+    return np.array([[table[(ri - rj + window - 1) * span + (ci - cj + window - 1)]
+                      for (rj, cj) in coords] for (ri, ci) in coords])
+
+
+def test_wmsa_stacked_images_shifted_with_bias_match_reference():
+    r = rng(34)
+    p = make_attn(r, d=4, heads=2, k=2, rpb_window=2)
+    spec = WindowSpec(4, 4, 2, 1)
+    x = r.normal(size=(2 * 16, 4)).astype(np.float32)
+    alpha = r.normal(1.0, 0.3, size=2).astype(np.float32)
+    got = wmsa_forward(Tensor(x), p, spec, Tensor(alpha)).data
+    wq, wk, wv, wo = attn_arrays(p)
+    biases = [ref_position_bias(t.data[:, 0], 2) for t in p.rpb]
+    order = ref_partition_order(4, 4, 2, 1)
+    masks = ref_window_masks(4, 4, 2, 1)
+    want = np.empty((32, 4))
+    for image in range(2):
+        rows_x = x[image * 16:(image + 1) * 16]
+        for widx in range(4):
+            rows = order[widx * 4:(widx + 1) * 4]
+            want[image * 16 + rows] = ref_msa(rows_x[rows], wq, wk, wv, wo, scale_dim=2,
+                                              alpha=alpha, mask=masks[widx], rpb=biases)
+    assert np.abs(got - want).max() < 1e-5
+
+
+def search_step_tape_records(batch, heads, image_size):
+    cfg = BackboneConfig(image_size=image_size, depths=(2, 2), heads=heads)
+    scored = attach_scores(build_backbone(cfg, seed=0))
+    imgs = rng(35).random((batch, 3, image_size, image_size)).astype(np.float32)
+    with Tape() as tape:
+        logits = forward_batch(scored.model, imgs, scores=scored.score_map())
+        total_loss(logits, np.arange(batch) % cfg.num_classes, scored.scores, 1e-3)
+    return len(tape._nodes)
+
+
+def test_search_step_tape_size_is_independent_of_batch_heads_and_windows():
+    counts = {(batch, heads, size): search_step_tape_records(batch, heads, size)
+              for batch, heads, size in [(1, (2, 4), 32), (8, (2, 4), 32),
+                                         (8, (4, 8), 32), (8, (2, 4), 64)]}
+    assert len(set(counts.values())) == 1, counts
+    assert counts[(8, (2, 4), 32)] <= 200

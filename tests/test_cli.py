@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +264,28 @@ def test_search_resume_continues_from_checkpoint(capsys, tiny_cfg, tmp_path):
     assert rc == 0
     resumed = load_checkpoint(os.path.join(out_b, "search.ckpt"))
     assert resumed.step == 2 * load_checkpoint(first["checkpoint"]).step
+
+
+def python_m(module, argv):
+    """Run ``python -m <module> argv`` with this checkout's package importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["dimprune", "dimprune.cli"])
+def test_python_m_runs_main_and_keeps_exit_codes(capsys, tmp_path, module):
+    argv = ["cost", "--json", "--rho", "1.0,0.5"]
+    rc, out, _ = run_cli(capsys, argv)
+    proc = python_m(module, argv)
+    assert rc == 0 and out.strip()
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model.bogus = 1\n")
+    proc = python_m(module, ["cost", "--config", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json_lines(proc.stderr)[0]["error"] == "ConfigError"
+    assert len(proc.stderr.strip().splitlines()) == 1

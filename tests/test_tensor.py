@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,3 +464,126 @@ def test_grad_cross_entropy():
     z = leaf(rng(63).normal(size=(4, 5)))
     labels = rng(64).integers(0, 5, size=4)
     fd_check(lambda: T.cross_entropy_with_logits(z, labels), [z], 65)
+
+
+# ------------------------------------------------------------------- N-D ops
+
+
+def test_matmul_overflow_raises_without_warning():
+    big = Tensor(np.full((1, 2), 3e38, dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            T.matmul(big, T.transpose(big))
+
+
+def test_matmul_gradient_overflow_raises_without_warning():
+    a = leaf(np.full((1, 2), 1e-20))
+    b = leaf(np.full((2, 1), 3e38))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            # the forward stays finite (6e19); d/da = 10 * 3e38 overflows
+            loss = T.sum_all(T.scale(T.matmul(a, b), 10.0))
+        with pytest.raises(NumericError):
+            backward(loss, tape)
+
+
+def test_batched_matmul_matches_per_slice_naive_loops():
+    a = rng(70).normal(size=(2, 3, 4, 5)).astype(np.float32)
+    b = rng(71).normal(size=(2, 3, 5, 2)).astype(np.float32)
+    got = T.matmul(Tensor(a), Tensor(b)).data
+    assert got.shape == (2, 3, 4, 2)
+    for i in range(2):
+        for j in range(3):
+            assert np.abs(got[i, j] - naive_matmul(a[i, j], b[i, j])).max() < 1e-5
+
+
+def test_mac_counter_counts_batched_product():
+    with T.count_macs() as c:
+        T.matmul(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((2, 3, 5, 6))))
+    assert c.macs == (2 * 3) * 4 * 5 * 6
+
+
+def test_matmul_rejects_mismatched_leading_axes():
+    with pytest.raises(DimensionError):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(DimensionError):   # no broadcasting of a 2-D rhs
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+    with pytest.raises(DimensionError):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
+
+
+def test_add_trailing_axes_values_and_rejections():
+    x = Tensor(rng(72).normal(size=(2, 3, 4)))
+    b = Tensor(rng(73).normal(size=(3, 4)))
+    assert np.array_equal(T.add(x, b).data, x.data + b.data[None])
+    with pytest.raises(DimensionError):
+        T.add(x, Tensor(np.ones((2, 4))))
+    with pytest.raises(DimensionError):
+        T.add(x, Tensor(np.float32(1.0)))
+
+
+def test_transpose_axes_values_and_rejections():
+    x = Tensor(rng(74).normal(size=(2, 3, 4)))
+    assert np.array_equal(T.transpose(x, (2, 0, 1)).data, x.data.transpose(2, 0, 1))
+    with pytest.raises(DimensionError):
+        T.transpose(x)                   # the default needs a 2-D tensor
+    with pytest.raises(DimensionError):
+        T.transpose(x, (0, 1, 1))
+
+
+def test_nd_rows_ops_match_per_matrix_results():
+    x = rng(75).normal(size=(2, 3, 4, 5)).astype(np.float32)
+    v = rng(76).normal(size=5).astype(np.float32)
+    soft = T.softmax_rows(Tensor(x)).data
+    scaled = T.scale_columns(Tensor(x), Tensor(v)).data
+    means = T.mean_rows(Tensor(x)).data
+    assert means.shape == (2, 3, 1, 5)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(soft[i, j], T.softmax_rows(Tensor(x[i, j])).data)
+            assert np.array_equal(scaled[i, j], T.scale_columns(Tensor(x[i, j]), Tensor(v)).data)
+            assert np.array_equal(means[i, j], T.mean_rows(Tensor(x[i, j])).data)
+
+
+def flat_loss(out, seed):
+    """proj_loss of an N-D tensor viewed as [rows x last axis]."""
+    cols = out.shape[-1]
+    flat = T.reshape(out, (out.size // cols, cols))
+    c1 = Tensor(rng(seed).normal(size=(cols, 1)))
+    c2 = Tensor(rng(seed + 1).normal(size=(flat.shape[0], 1)))
+    return proj_loss(flat, c1, c2)
+
+
+def test_grad_batched_matmul():
+    a = leaf(rng(77).normal(size=(2, 3, 4, 5)))
+    b = leaf(rng(78).normal(size=(2, 3, 5, 2)))
+    fd_check(lambda: flat_loss(T.matmul(a, b), 79), [a, b], 81)
+
+
+def test_grad_transpose_axes():
+    x = leaf(rng(82).normal(size=(2, 3, 4)))
+    fd_check(lambda: flat_loss(T.transpose(x, (2, 0, 1)), 83), [x], 85)
+
+
+def test_grad_add_trailing_axes():
+    x = leaf(rng(86).normal(size=(2, 3, 4)))
+    b = leaf(rng(87).normal(size=(3, 4)))
+    fd_check(lambda: flat_loss(T.add(x, b), 88), [x, b], 90)
+
+
+def test_grad_softmax_4d():
+    x = leaf(rng(91).normal(size=(2, 2, 3, 4)))
+    fd_check(lambda: flat_loss(T.softmax_rows(x), 92), [x], 94)
+
+
+def test_grad_scale_columns_nd():
+    x = leaf(rng(95).normal(size=(2, 3, 4)))
+    v = leaf(rng(96).normal(size=4))
+    fd_check(lambda: flat_loss(T.scale_columns(x, v), 97), [x, v], 99)
+
+
+def test_grad_mean_rows_nd():
+    x = leaf(rng(100).normal(size=(2, 3, 4)))
+    fd_check(lambda: flat_loss(T.mean_rows(x), 101), [x], 103)
