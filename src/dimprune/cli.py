@@ -69,7 +69,8 @@ def cmd_search(args) -> int:
     ckpt = run_search(start, dataset, cfg.train)
     out = args.out or os.path.join(cfg.output_dir, "search.ckpt")
     save_checkpoint(out, ckpt)
-    metrics = evaluate(ckpt, dataset, normalize=cfg.train.normalize)
+    metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
+                       normalize=cfg.train.normalize)
     model = model_from_checkpoint(ckpt)
     record = {"stage": "search", "rho": 1.0, "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
@@ -110,7 +111,8 @@ def cmd_finetune(args) -> int:
     tuned = run_finetune(ckpt, dataset, cfg.train)
     out = args.out or os.path.join(cfg.output_dir, "finetune.ckpt")
     save_checkpoint(out, tuned)
-    metrics = evaluate(tuned, dataset, normalize=cfg.train.normalize)
+    metrics = evaluate(tuned, dataset, batch_size=cfg.train.batch_size,
+                       normalize=cfg.train.normalize)
     model = model_from_checkpoint(tuned)
     record = {"stage": "finetune", "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
@@ -130,7 +132,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
     ckpt = _load_checkpoint_checked(args.checkpoint)
     dataset = make_dataset(cfg)
-    metrics = evaluate(ckpt, dataset, normalize=cfg.train.normalize)
+    metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
+                       normalize=cfg.train.normalize)
     record = {"stage": "eval", "checkpoint": args.checkpoint, **metrics}
     _emit(record)
     if args.summary:

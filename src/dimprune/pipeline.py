@@ -9,6 +9,7 @@ and communicate through Checkpoint objects only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +57,38 @@ class AdamW:
                         table[name].shape).copy()
 
     def step(self):
+        """One update in float32 array arithmetic; the bias corrections and
+        the learning rate are folded into two scalars. The moments are rebound
+        to fresh arrays, so a Checkpoint built from ``m``/``v`` keeps its values."""
         self.step_count += 1
         t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        # mhat / (sqrt(vhat) + eps) == m * sqrt(1-b2^t)/(1-b1^t) / (sqrt(v) + eps_hat)
+        root2 = math.sqrt(1.0 - b2 ** t)
+        step_size = self.lr * root2 / (1.0 - b1 ** t)
+        eps_hat = self.eps * root2
+        shrink = 1.0 - self.lr * self.weight_decay
         for name, p in self.params:
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 raise UsageError(f"parameter {name} has no gradient; "
                                  "run backward before stepping")
-            g = p.grad.astype(np.float64)
-            m = self.beta1 * self.m[name].astype(np.float64) + (1 - self.beta1) * g
-            v = self.beta2 * self.v[name].astype(np.float64) + (1 - self.beta2) * g * g
-            self.m[name] = m.astype(np.float32)
-            self.v[name] = v.astype(np.float32)
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            # One scratch buffer serves every temporary of this parameter.
+            update = g * (1.0 - b1)
+            m = b1 * self.m[name]
+            m += update
+            np.multiply(g, g, out=update)
+            update *= 1.0 - b2
+            v = b2 * self.v[name]
+            v += update
+            self.m[name], self.v[name] = m, v
+            np.sqrt(v, out=update)
+            update += eps_hat
+            np.divide(m, update, out=update)
+            update *= step_size
             if self.weight_decay and not decay_exempt(name):
-                update = update + self.weight_decay * p.data.astype(np.float64)
-            p.data[:] = (p.data.astype(np.float64) - self.lr * update).astype(np.float32)
+                p.data *= shrink
+            p.data -= update
 
     def zero_grads(self):
         for _, p in self.params:

@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Values are stored as 32-bit floats; reductions and matmul inner loops
-accumulate in 64 bits before casting back. Operations executed inside an
-active ``Tape`` context record how to pull gradients back to their inputs;
-``backward`` replays the records in reverse. A tape belongs to one thread
-and can be consumed by exactly one backward pass.
+Values are stored as 32-bit floats. GEMMs and reductions accumulate in 64
+bits before casting back; elementwise ops (GELU among them) run in 32 bits,
+as does the optimizer. Operations executed inside an active ``Tape`` context
+record how to pull gradients back to their inputs; ``backward`` replays the
+records in reverse. A tape belongs to one thread and can be consumed by
+exactly one backward pass.
 
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
@@ -25,6 +26,10 @@ from .errors import DimensionError, NumericError, UsageError
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+# Beyond this |x| the GELU tanh is exactly +-1 in float32 (its argument
+# exceeds 9), so clipping x there in the cubic changes no value or gradient
+# and keeps x**3 and x**2 from overflowing.
+_GELU_SATURATED = 10.0
 
 _state = threading.local()
 
@@ -107,7 +112,9 @@ class Tape:
 
 def _finite_or_raise(arr, what: str):
     if not np.isfinite(arr).all():
-        raise NumericError(f"{what} contains non-finite values")
+        site = getattr(_state, "site", None)
+        where = f" in site {site}" if site is not None else ""
+        raise NumericError(f"{what} contains non-finite values{where}")
 
 
 def _record(out: Tensor, pulls):
@@ -171,10 +178,15 @@ def count_macs():
 @contextmanager
 def mac_scope(name: str):
     """Attribute the MACs counted inside the block to ``name`` in every active
-    counter. Attribution happens at the scope's boundaries, so matmul does no
-    per-call bookkeeping for it."""
+    counter, and name it in a NumericError raised inside. Attribution happens
+    at the scope's boundaries, so matmul does no per-call bookkeeping for it."""
     start = [(c, c.macs) for c in _counters()]
-    yield
+    outer = getattr(_state, "site", None)
+    _state.site = name
+    try:
+        yield
+    finally:
+        _state.site = outer
     for c, macs in start:
         c.scopes[name] = c.scopes.get(name, 0) + c.macs - macs
 
@@ -187,13 +199,14 @@ def _check_2d(t: Tensor, name: str):
 # ---------------------------------------------------------------- arithmetic
 
 
-def _to_float32(arr64, what: str):
-    """Round a float64 result to float32 and reject non-finite entries.
+def _product32(a64, b64, what: str):
+    """float64 product rounded to float32, rejecting non-finite entries.
 
-    The cast runs with overflow warnings off: an overflow becomes inf, which
-    the check turns into NumericError without a stray RuntimeWarning."""
-    with np.errstate(over="ignore"):
-        out = arr64.astype(np.float32)
+    The product and the cast run with overflow and invalid-value warnings
+    off: an inf input or an overflow becomes inf or NaN, which the check
+    turns into NumericError without a stray RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (a64 @ b64).astype(np.float32)
     _finite_or_raise(out, what)
     return out
 
@@ -214,13 +227,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     b64 = b.data.astype(np.float64)
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    out = Tensor(_to_float32(a64 @ b64, "matmul output"), requires_grad=_wants_grad(a, b))
+    out = Tensor(_product32(a64, b64, "matmul output"), requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         _record(out, [
-            (a, lambda g: _to_float32(g.astype(np.float64) @ b64.swapaxes(-1, -2),
-                                      "matmul lhs gradient")),
-            (b, lambda g: _to_float32(a64.swapaxes(-1, -2) @ g.astype(np.float64),
-                                      "matmul rhs gradient")),
+            (a, lambda g: _product32(g.astype(np.float64), b64.swapaxes(-1, -2),
+                                     "matmul lhs gradient")),
+            (b, lambda g: _product32(a64.swapaxes(-1, -2), g.astype(np.float64),
+                                     "matmul rhs gradient")),
         ])
     return out
 
@@ -237,7 +250,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
         _record(out, [
             (a, lambda g: g),
-            (b, lambda g: g.astype(np.float64).sum(axis=tuple(range(lead))).astype(np.float32)),
+            (b, lambda g: g.sum(axis=tuple(range(lead)), dtype=np.float64).astype(np.float32)),
         ])
         return out
     raise DimensionError(f"add shapes are incompatible: {a.shape} vs {b.shape}")
@@ -261,7 +274,7 @@ def scale_columns(x: Tensor, v: Tensor) -> Tensor:
         lead = tuple(range(x.data.ndim - 1))
         _record(out, [
             (x, lambda g: g * vd),
-            (v, lambda g: (g.astype(np.float64) * xd.astype(np.float64)).sum(axis=lead).astype(np.float32)),
+            (v, lambda g: (g * xd).sum(axis=lead, dtype=np.float64).astype(np.float32)),
         ])
     return out
 
@@ -413,67 +426,98 @@ def l1_norm(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilised by its max."""
+    """Softmax over the last axis, stabilised by its max; float32 with the
+    row sums accumulated in float64."""
     _finite_or_raise(x.data, "softmax input")
-    shifted = x.data.astype(np.float64)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out64 = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(out64.astype(np.float32), requires_grad=_wants_grad(x))
+    with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
+        e = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    out = Tensor(e, requires_grad=_wants_grad(x))
     if out.requires_grad:
         y = out.data
+
         def pull(g):
-            g64 = g.astype(np.float64)
-            y64 = y.astype(np.float64)
-            dot = (g64 * y64).sum(axis=-1, keepdims=True)
-            return ((g64 - dot) * y64).astype(np.float32)
+            gy = g * y
+            dot = gy.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+            gy -= dot * y
+            return gy
+
         _record(out, [(x, pull)])
     return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalisation of a 2-D tensor with learned gain and bias."""
+    """Per-row normalisation of a 2-D tensor with learned gain and bias.
+
+    Row statistics (squares included) accumulate in float64, and x - mean is
+    formed in float64 and rounded once, so a large row mean costs no
+    precision and a large row does not overflow; the rest is float32."""
     _check_2d(x, "layer_norm input")
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    x64 = x.data.astype(np.float64)
-    mu = x64.mean(axis=1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv
-    out = Tensor((xhat * gain.data + bias.data).astype(np.float32),
-                 requires_grad=_wants_grad(x, gain, bias))
+    xd = x.data
+    mu = xd.mean(axis=1, keepdims=True, dtype=np.float64)
+    xhat = np.empty_like(xd)
+    np.subtract(xd, mu, out=xhat, casting="same_kind")
+    var = np.square(xhat, dtype=np.float64).mean(axis=1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    xhat *= inv
+    out = Tensor(xhat * gain.data + bias.data, requires_grad=_wants_grad(x, gain, bias))
     if out.requires_grad:
-        g64 = gain.data.astype(np.float64)
+        gd = gain.data
 
         def pull_x(g):
-            gy = g.astype(np.float64) * g64
-            m1 = gy.mean(axis=1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=1, keepdims=True)
-            return (inv * (gy - m1 - xhat * m2)).astype(np.float32)
+            gy = g * gd
+            m1 = gy.mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+            m2 = (gy * xhat).mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+            gy -= m1
+            gy -= xhat * m2
+            gy *= inv
+            return gy
 
         _record(out, [
             (x, pull_x),
-            (gain, lambda g: (g.astype(np.float64) * xhat).sum(axis=0).astype(np.float32)),
-            (bias, lambda g: g.astype(np.float64).sum(axis=0).astype(np.float32)),
+            (gain, lambda g: (g * xhat).sum(axis=0, dtype=np.float64).astype(np.float32)),
+            (bias, lambda g: g.sum(axis=0, dtype=np.float64).astype(np.float32)),
         ])
     return out
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    x64 = x.data.astype(np.float64)
-    u = _SQRT_2_OVER_PI * (x64 + _GELU_CUBIC * x64 ** 3)
-    t = np.tanh(u)
-    out = Tensor((0.5 * x64 * (1.0 + t)).astype(np.float32), requires_grad=_wants_grad(x))
+    """Gaussian error linear unit, tanh approximation, in float32.
+
+    Both directions work in place on fresh float32 buffers: a temporary per
+    term would cost more than the arithmetic on large hidden layers."""
+    xd = x.data
+    t = np.clip(xd, -_GELU_SATURATED, _GELU_SATURATED)
+    cubic = t * t
+    cubic *= t
+    cubic *= _GELU_CUBIC
+    t += cubic
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5                        # before x: x * 2 overflows near float32 max
+    y *= xd
+    out = Tensor(y, requires_grad=_wants_grad(x))
     if out.requires_grad:
         def pull(g):
-            sech2 = 1.0 - t ** 2
-            du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_CUBIC * x64 ** 2)
-            local = 0.5 * (1.0 + t) + 0.5 * x64 * sech2 * du
-            return (g.astype(np.float64) * local).astype(np.float32)
+            du = np.clip(xd, -_GELU_SATURATED, _GELU_SATURATED)
+            np.square(du, out=du)
+            du *= 3.0 * _GELU_CUBIC * _SQRT_2_OVER_PI
+            du += _SQRT_2_OVER_PI
+            local = t * t
+            np.subtract(1.0, local, out=local)
+            local *= xd                 # zero wherever tanh saturated
+            local *= du
+            local += t
+            local += 1.0
+            local *= 0.5
+            local *= g
+            return local
         _record(out, [(x, pull)])
     return out
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from dimprune import cli
-from dimprune.blocks import build_backbone
+from dimprune.blocks import build_backbone, forward_batch
 from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
 from dimprune.config import load_config
+from dimprune.errors import NumericError
 from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, model_cost,
                                 swin_t_config)
 
@@ -152,6 +153,24 @@ def test_numeric_failure_exits_4(capsys, tiny_cfg, tmp_path):
                                   "--checkpoint", path])
     assert rc == 4
     assert json.loads(err)["error"] == "NumericError"
+
+
+def test_numeric_failure_names_the_site(capsys, tiny_cfg, tmp_path):
+    overrides = ["--set", "model.depths=2,1"]
+    cfg = load_config(tiny_cfg, ["model.depths=2,1"])
+    model = build_backbone(cfg.model, seed=0)
+    dict(model.named_parameters())["stage0.block1.mlp.w1"].data[0, 0] = np.inf
+    images = np.zeros((1, 1, 8, 8), dtype=np.float32)
+    with pytest.raises(NumericError, match=r"stage0\.block1\.mlp\b"):
+        forward_batch(model, images)
+    path = str(tmp_path / "broken.ckpt")
+    save_checkpoint(path, checkpoint_from_model(model))
+    rc, _, err = run_cli(capsys, ["eval", "--config", tiny_cfg, *overrides,
+                                  "--checkpoint", path])
+    assert rc == 4
+    record = json.loads(err)
+    assert record["error"] == "NumericError"
+    assert "stage0.block1.mlp" in record["message"]
 
 
 def test_report_on_empty_dir_exits_3(capsys, tmp_path):

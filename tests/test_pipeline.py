@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimprune.blocks import BackboneConfig, build_backbone
-from dimprune.checkpoint import load_checkpoint, save_checkpoint
+from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
 from dimprune.errors import ConfigError, NumericError, UsageError
 from dimprune.data import synth_dataset
 from dimprune.pipeline import (
@@ -124,6 +124,57 @@ def test_adamw_moment_resume_is_exact():
     assert np.array_equal(a.data, b.data)
 
 
+def adamw_reference(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """One AdamW step in float64 from the textbook formula."""
+    p, g, m, v = (np.asarray(a, dtype=np.float64) for a in (p, g, m, v))
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    return p - lr * (mhat / (np.sqrt(vhat) + eps) + wd * p), m, v
+
+
+def test_adamw_float32_step_matches_float64_reference():
+    r = np.random.default_rng(3)
+    shape = (64, 48)
+    p0 = r.normal(size=shape).astype(np.float32)
+    g = r.normal(scale=1e-2, size=shape).astype(np.float32)
+    m0 = r.normal(scale=1e-2, size=shape).astype(np.float32)
+    v0 = r.uniform(1e-6, 1e-4, size=shape).astype(np.float32)
+    p = Tensor(p0.copy(), requires_grad=True)
+    opt = AdamW([("w", p)], lr=0.003, weight_decay=0.05,
+                m={"w": m0}, v={"w": v0}, step=6)
+    p.grad = g.copy()
+    opt.step()
+    want_p, want_m, want_v = adamw_reference(p0, g, m0, v0, 7, 0.003, 0.05)
+    for got, want in ((p.data, want_p), (opt.m["w"], want_m), (opt.v["w"], want_v)):
+        assert got.dtype == np.float32
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-6
+
+
+def test_adamw_step_leaves_built_checkpoint_unchanged():
+    model = build_backbone(tiny_config(), seed=4)
+    opt = AdamW(model.named_parameters(), lr=0.01, weight_decay=0.1)
+    r = np.random.default_rng(4)
+
+    def step():
+        for _, p in opt.params:
+            p.grad = r.normal(size=p.shape).astype(np.float32)
+        opt.step()
+
+    step()
+    ckpt = checkpoint_from_model(model, step=opt.step_count, opt_m=opt.m, opt_v=opt.v)
+    before = {key: {name: arr.copy() for name, arr in table.items()}
+              for key, table in (("params", ckpt.params), ("opt_m", ckpt.opt_m),
+                                 ("opt_v", ckpt.opt_v))}
+    step()
+    for key, table in before.items():
+        now = getattr(ckpt, key)
+        assert now.keys() == table.keys()
+        for name, arr in table.items():
+            assert np.array_equal(now[name], arr), f"{key}[{name}] changed"
+
+
 # --------------------------------------------------------------------- stages
 
 
@@ -237,6 +288,17 @@ def test_evaluate_contract():
     assert 0.0 <= out["accuracy"] <= 1.0
     # near-zero logits from the small init give chance-level cross entropy
     assert abs(out["loss"] - np.log(4)) < 0.3
+
+
+def test_evaluate_batch_size_does_not_change_result():
+    data = tiny_data(seed=10, n_per_class=8)
+    ckpt = run_search(build_backbone(tiny_config(), seed=10), data,
+                      settings(epochs=1, gamma=0.001, seed=10))
+    one = evaluate(ckpt, data, batch_size=1)
+    full = evaluate(ckpt, data, batch_size=64)
+    assert one["count"] == full["count"] == 32
+    assert one["accuracy"] == full["accuracy"]
+    assert abs(one["loss"] - full["loss"]) <= 1e-6 * abs(full["loss"])
 
 
 def test_non_finite_loss_raises_numeric_error():

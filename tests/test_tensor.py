@@ -275,6 +275,34 @@ def test_gelu_monotone_right_of_dip():
     assert np.all(np.diff(ys) > 0)
 
 
+@pytest.mark.parametrize("value", [30.0, 1e13, 1e20, 3e38, -30.0, -1e13, -1e20, -3e38])
+def test_gelu_extremes_finite_without_warning(value):
+    x = leaf([value])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            y = T.gelu(x)
+            loss = T.sum_all(y)
+        backward(loss, tape)
+    assert y.data[0] == np.float32(ref_gelu(x.data)[0])
+    grad = float(x.grad[0])
+    assert np.isfinite(grad) and grad in (0.0, 1.0)
+
+
+def test_softmax_and_layer_norm_extremes_without_warning():
+    logits = np.array([[3e38, -3e38, 0.0], [-3e38, -3e38, 1.0]], dtype=np.float32)
+    rows = np.array([[1e30, -1e30, 5e29, 0.0], [3e4, 3e4 + 1, 3e4 + 2, 3e4 + 3]],
+                    dtype=np.float32)
+    g = rng(14).normal(size=4).astype(np.float32)
+    b = rng(15).normal(size=4).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = T.softmax_rows(Tensor(logits)).data
+        normed = T.layer_norm(Tensor(rows), Tensor(g), Tensor(b)).data
+    assert np.array_equal(probs, ref_softmax(logits).astype(np.float32))
+    assert np.abs(normed - ref_layer_norm(rows, g, b)).max() < 1e-5
+
+
 def test_cross_entropy_frozen_example():
     loss = T.cross_entropy_with_logits(Tensor([[1.0, 2.0], [3.0, 0.0]]), [0, 1])
     assert abs(loss.item() - 2.18092452) < 1e-6
