@@ -411,45 +411,18 @@ class BackboneConfig:
             raise ConfigError("depths and heads must be non-empty lists of equal length")
         if any(d < 1 for d in self.depths) or any(h < 1 for h in self.heads):
             raise ConfigError("depths and heads entries must be >= 1")
+        if self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        grid = self.image_size // self.patch_size
-        for s, h in enumerate(self.heads):
-            dim = self.base_dim * (1 << s)
-            if dim % h:
-                raise ConfigError(f"stage {s} dim {dim} not divisible by {h} heads")
-            hidden = self.mlp_ratio * dim
-            if hidden != int(hidden) or hidden < 1:
-                raise ConfigError(
-                    f"stage {s} hidden width {hidden} is not a positive integer")
-            if s > 0:
-                if grid % 2:
-                    raise ConfigError(
-                        f"stage {s - 1} grid {grid} cannot be halved for merging")
-                grid //= 2
-            if grid % self.window:
-                raise ConfigError(
-                    f"stage {s} grid {grid} not divisible by window {self.window}")
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.depths)
-
-    def stage_dim(self, s: int) -> int:
-        return self.base_dim * (1 << s)
-
-    def stage_hidden(self, s: int) -> int:
-        return int(self.mlp_ratio * self.stage_dim(s))
-
-    def stage_grid(self, s: int) -> int:
-        return (self.image_size // self.patch_size) >> s
-
-    def head_width(self, s: int) -> int:
-        return self.stage_dim(s) // self.heads[s]
+        stage_geometry(self)
 
 
 @dataclass(frozen=True)
 class StageGeometry:
+    """One stage's shapes: token width, heads, per-head and MLP hidden
+    widths, and the side and row count of its square token grid."""
+
     index: int
     dim: int
     heads: int
@@ -459,20 +432,35 @@ class StageGeometry:
     tokens: int
 
 
-def stage_geometry(config: BackboneConfig) -> list:
+@functools.lru_cache(maxsize=None)
+def stage_geometry(config: BackboneConfig) -> tuple:
+    """Every stage's shapes, in order; the one place they are worked out.
+
+    Stage s is base_dim * 2^s wide, and its grid is the patch grid halved
+    once per merge before it. A shape that does not divide raises
+    ConfigError, so ``BackboneConfig`` rejects it on construction.
+    """
     geoms = []
-    for s in range(config.num_stages):
-        grid = config.stage_grid(s)
-        geoms.append(StageGeometry(
-            index=s,
-            dim=config.stage_dim(s),
-            heads=config.heads[s],
-            head_dim=config.head_width(s),
-            hidden=config.stage_hidden(s),
-            grid=grid,
-            tokens=grid * grid,
-        ))
-    return geoms
+    grid = config.image_size // config.patch_size
+    for s, heads in enumerate(config.heads):
+        dim = config.base_dim * (1 << s)
+        if dim % heads:
+            raise ConfigError(f"stage {s} dim {dim} not divisible by {heads} heads")
+        hidden = config.mlp_ratio * dim
+        if hidden != int(hidden) or hidden < 1:
+            raise ConfigError(
+                f"stage {s} hidden width {hidden} is not a positive integer")
+        if s > 0:
+            if grid % 2:
+                raise ConfigError(
+                    f"stage {s - 1} grid {grid} cannot be halved for merging")
+            grid //= 2
+        if grid % config.window:
+            raise ConfigError(
+                f"stage {s} grid {grid} not divisible by window {config.window}")
+        geoms.append(StageGeometry(index=s, dim=dim, heads=heads, head_dim=dim // heads,
+                                   hidden=int(hidden), grid=grid, tokens=grid * grid))
+    return tuple(geoms)
 
 
 @dataclass(frozen=True)
@@ -567,7 +555,8 @@ class Backbone:
         self.patch_embed = weight((patch_width, config.base_dim))
         self.stages = []
         span = (2 * config.window - 1) ** 2
-        for geom, pairs in zip(stage_geometry(config), block_sites(config)):
+        geoms = stage_geometry(config)
+        for geom, pairs in zip(geoms, block_sites(config)):
             blocks = []
             for b, (attn_site, mlp_site) in enumerate(pairs):
                 k = self.site_dims[attn_site.id]
@@ -595,10 +584,10 @@ class Backbone:
                     shift=block_shift(config, geom.grid, b),
                 ))
             merge = None
-            if geom.index < config.num_stages - 1:
+            if geom.index < len(geoms) - 1:
                 merge = weight((4 * geom.dim, 2 * geom.dim))
             self.stages.append(StageParams(blocks=blocks, merge=merge))
-        last = config.stage_dim(config.num_stages - 1)
+        last = geoms[-1].dim
         self.final_gain = ones(last)
         self.final_bias = zeros(last)
         self.head = weight((last, config.num_classes))
@@ -657,19 +646,18 @@ def _forward(model: Backbone, images, scores: dict | None):
     count = images.shape[0]
     x = patch_embed(images, cfg.patch_size, model.patch_embed)
     features = []
-    grid = side // cfg.patch_size
     scores = scores or {}
-    for stage, pairs in zip(model.stages, block_sites(cfg)):
+    geoms = stage_geometry(cfg)
+    for geom, stage, pairs in zip(geoms, model.stages, block_sites(cfg)):
         for blk, (attn, mlp) in zip(stage.blocks, pairs):
-            spec = WindowSpec(grid, grid, cfg.window, blk.shift)
+            spec = WindowSpec(geom.grid, geom.grid, cfg.window, blk.shift)
             x = block_forward(x, blk, spec, scores.get(attn.id), scores.get(mlp.id),
                               site_ids=(attn.id, mlp.id))
         features.append(x)
         if stage.merge is not None:
-            x = patch_merge(x, grid, grid, stage.merge)
-            grid //= 2
+            x = patch_merge(x, geom.grid, geom.grid, stage.merge)
     x = T.layer_norm(x, model.final_gain, model.final_bias)
-    pooled = T.mean_rows(T.reshape(x, (count, grid * grid, x.shape[1])))
+    pooled = T.mean_rows(T.reshape(x, (count, geoms[-1].tokens, x.shape[1])))
     return T.matmul(T.reshape(pooled, (count, x.shape[1])), model.head), features
 
 

@@ -22,8 +22,6 @@ from .tensor import Tensor
 MAGIC = b"DIMPRUNE"
 VERSION = 1
 
-_PREFIXES = ("param", "score", "optm", "optv")
-
 
 @dataclass
 class Checkpoint:

@@ -15,10 +15,10 @@ import os
 import sys
 
 from .blocks import build_backbone, sites
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_echo, load_config, make_dataset
-from .costmodel import (Convention, calibrate_mac_factor, measured_cost,
-                        model_cost, swin_t_config)
+from .costmodel import (Convention, calibrate_mac_factor, model_cost,
+                        runtime_convention, swin_t_config)
 from .errors import ConfigError, DimensionError, FormatError, NumericError, UsageError
 from .pipeline import evaluate, run_finetune, run_prune, run_search
 
@@ -47,8 +47,11 @@ def _write_summary(output_dir: str, name: str, record: dict):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _model_counts(model) -> dict:
-    rep = measured_cost(model)
+def _model_counts(ckpt) -> dict:
+    """Parameters and FLOPs of a checkpoint's model, by the formula ``dimprune
+    cost`` prints; criterion 5 holds it equal to a counted forward."""
+    rep = model_cost(ckpt.config, conv=runtime_convention(ckpt.config),
+                     site_dims=ckpt.site_dims)
     return {"params": rep.total_params, "flops": rep.total_flops}
 
 
@@ -71,10 +74,9 @@ def cmd_search(args) -> int:
     save_checkpoint(out, ckpt)
     metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
                        normalize=cfg.train.normalize)
-    model = model_from_checkpoint(ckpt)
     record = {"stage": "search", "rho": 1.0, "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
-              **_model_counts(model), "config": config_echo(cfg)}
+              **_model_counts(ckpt), "config": config_echo(cfg)}
     _write_summary(cfg.output_dir, "search", record)
     _emit({k: v for k, v in record.items() if k != "config"})
     return EXIT_OK
@@ -94,9 +96,8 @@ def cmd_prune(args) -> int:
                      f"indices {','.join(str(i) for i in ks.indices)}")
     with open(os.path.join(out_dir, "prune_report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    model = model_from_checkpoint(pruned)
     record = {"stage": "prune", "rho": args.rho, "checkpoint": out,
-              "pre_params": report.pre_params, **_model_counts(model)}
+              "pre_params": report.pre_params, **_model_counts(pruned)}
     _emit(record)
     return EXIT_OK
 
@@ -113,10 +114,9 @@ def cmd_finetune(args) -> int:
     save_checkpoint(out, tuned)
     metrics = evaluate(tuned, dataset, batch_size=cfg.train.batch_size,
                        normalize=cfg.train.normalize)
-    model = model_from_checkpoint(tuned)
     record = {"stage": "finetune", "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
-              **_model_counts(model)}
+              **_model_counts(tuned)}
     _write_summary(cfg.output_dir, "finetune", record)
     _emit(record)
     return EXIT_OK

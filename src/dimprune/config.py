@@ -32,6 +32,11 @@ class DataSpec:
             raise ConfigError(f"data.kind {self.kind} requires data.path")
         if self.n_per_class < 1:
             raise ConfigError("data.n_per_class must be >= 1")
+        if self.split not in ("train", "test"):
+            raise ConfigError(f"data.split must be train or test, got {self.split!r}")
+        if self.kind == "synth" and self.split == "test":
+            raise ConfigError("data.split = test needs a cifar dataset; "
+                              "the synth task has one split")
 
 
 @dataclass
@@ -152,11 +157,7 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
     train.validate()
     data = DataSpec(**sections["data"])
     data.validate()
-    run = sections["run"]
-    cfg = RunConfig(model=model, train=train, data=data,
-                    rho=run.get("rho", 0.6),
-                    output_dir=run.get("output_dir", "runs"),
-                    model_seed=run.get("model_seed", 0))
+    cfg = RunConfig(model=model, train=train, data=data, **sections["run"])
     if not 0.0 < cfg.rho <= 1.0:
         raise ConfigError(f"prune.rho must lie in (0, 1], got {cfg.rho}")
     return cfg
@@ -166,13 +167,8 @@ def config_echo(cfg: RunConfig) -> dict:
     """Flat dotted-key view of a RunConfig, for logs and reports."""
     out = {}
     for key, (section, attr, _) in SCHEMA.items():
-        if section == "run":
-            mapping = {"rho": cfg.rho, "output_dir": cfg.output_dir,
-                       "model_seed": cfg.model_seed}
-            out[key] = mapping[attr]
-        else:
-            value = getattr(getattr(cfg, section), attr)
-            out[key] = list(value) if isinstance(value, tuple) else value
+        value = getattr(cfg if section == "run" else getattr(cfg, section), attr)
+        out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -184,7 +180,7 @@ def make_dataset(cfg: RunConfig) -> Dataset:
         return synth_dataset(seed=d.seed, num_classes=m.num_classes,
                              n_per_class=d.n_per_class, height=m.image_size,
                              width=m.image_size, channels=m.in_channels,
-                             noise_sigma=d.noise_sigma, split=d.split)
+                             noise_sigma=d.noise_sigma)
     ds = load_cifar(d.path, d.kind, split=d.split)
     if m.in_channels != 3:
         raise ConfigError(f"cifar images have 3 channels, model wants {m.in_channels}")
@@ -193,5 +189,5 @@ def make_dataset(cfg: RunConfig) -> Dataset:
                           f"configured for {m.num_classes}")
     if m.image_size != ds.images.shape[2]:
         ds = Dataset(images=resize_nearest(ds.images, m.image_size),
-                     labels=ds.labels, num_classes=ds.num_classes, split=ds.split)
+                     labels=ds.labels, num_classes=ds.num_classes)
     return ds

@@ -153,13 +153,13 @@ def model_cost(config: BackboneConfig, rho: float = 1.0,
         overhead_p += 3 * config.base_dim   # embed bias plus embed norm
     for g in geoms:
         overhead_p += config.depths[g.index] * 4 * g.dim   # two norms per block
-        if g.index < config.num_stages - 1:
+        if g.index < len(geoms) - 1:
             overhead_p += 8 * g.dim * g.dim
             if conv.include_bias:
                 overhead_p += 8 * g.dim
             overhead_f += conv.mac_factor * 2 * g.tokens * g.dim * g.dim
 
-    last = config.stage_dim(config.num_stages - 1)
+    last = geoms[-1].dim
     report.head_params = last * config.num_classes + (
         config.num_classes if conv.include_bias else 0)
     report.overhead_params = overhead_p + 2 * last + report.head_params

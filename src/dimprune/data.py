@@ -24,7 +24,6 @@ class Dataset:
     images: np.ndarray  # [N, C, H, W] float32 in [0, 1]
     labels: np.ndarray  # [N] int64
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.float32)
@@ -59,11 +58,19 @@ class Dataset:
         return mean.astype(np.float32), std.astype(np.float32)
 
 
-def _cifar_files(path):
+def _cifar_files(path, test_name: str, split: str):
+    """The record files of one split. In a directory, the variant's test file
+    is the test split and every other .bin file, in name order, the train
+    split; a file path is read as given."""
     if os.path.isdir(path):
-        names = sorted(f for f in os.listdir(path) if f.endswith(".bin"))
+        if split == "test":
+            if not os.path.isfile(os.path.join(path, test_name)):
+                raise FormatError(f"no {test_name} found in {path}")
+            return [os.path.join(path, test_name)]
+        names = sorted(f for f in os.listdir(path)
+                       if f.endswith(".bin") and f != test_name)
         if not names:
-            raise FormatError(f"no .bin files found in {path}")
+            raise FormatError(f"no train .bin files found in {path}")
         return [os.path.join(path, f) for f in names]
     if not os.path.exists(path):
         raise FormatError(f"dataset path does not exist: {path}")
@@ -73,15 +80,17 @@ def _cifar_files(path):
 def load_cifar(path, variant: str = "cifar10", split: str = "train") -> Dataset:
     """Read CIFAR binary records: label byte(s) then channel-planar RGB."""
     if variant == "cifar10":
-        record, num_classes = CIFAR10_RECORD, 10
+        record, num_classes, test_name = CIFAR10_RECORD, 10, "test_batch.bin"
     elif variant == "cifar100":
-        record, num_classes = CIFAR100_RECORD, 100
+        record, num_classes, test_name = CIFAR100_RECORD, 100, "test.bin"
     else:
         raise ConfigError(f"unknown cifar variant: {variant!r}")
+    if split not in ("train", "test"):
+        raise ConfigError(f"split must be train or test, got {split!r}")
 
     images = []
     labels = []
-    for fname in _cifar_files(path):
+    for fname in _cifar_files(path, test_name, split):
         raw = np.fromfile(fname, dtype=np.uint8)
         if raw.size == 0 or raw.size % record:
             raise FormatError(
@@ -93,13 +102,12 @@ def load_cifar(path, variant: str = "cifar10", split: str = "train") -> Dataset:
         images.append(pixels.reshape(-1, 3, 32, 32))
     imgs = np.concatenate(images).astype(np.float32) / 255.0
     return Dataset(images=imgs, labels=np.concatenate(labels),
-                   num_classes=num_classes, split=split)
+                   num_classes=num_classes)
 
 
 def synth_dataset(seed: int, num_classes: int = 4, n_per_class: int = 16,
                   height: int = 32, width: int = 32, channels: int = 3,
-                  noise_sigma: float = 0.05, split: str = "train",
-                  max_retries: int = 100) -> Dataset:
+                  noise_sigma: float = 0.05, max_retries: int = 100) -> Dataset:
     """Prototype-plus-noise classification task, deterministic in seed."""
     if num_classes < 2 or n_per_class < 1:
         raise ConfigError("need at least 2 classes and 1 sample per class")
@@ -128,7 +136,7 @@ def synth_dataset(seed: int, num_classes: int = 4, n_per_class: int = 16,
         batch = np.clip(protos[c] + noise, 0.0, 1.0)
         images[c * n_per_class:(c + 1) * n_per_class] = batch
         labels[c * n_per_class:(c + 1) * n_per_class] = c
-    return Dataset(images=images, labels=labels, num_classes=num_classes, split=split)
+    return Dataset(images=images, labels=labels, num_classes=num_classes)
 
 
 def resize_nearest(images: np.ndarray, size: int) -> np.ndarray:

@@ -90,10 +90,6 @@ class AdamW:
                 p.data *= shrink
             p.data -= update
 
-    def zero_grads(self):
-        for _, p in self.params:
-            p.grad = None
-
 
 @dataclass
 class TrainSettings:
@@ -131,14 +127,31 @@ def _stats(dataset: Dataset, normalize: bool):
     return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
 
 
-def _train(model: Backbone, scored, dataset: Dataset, settings: TrainSettings,
-           gamma: float, stage: str, resume=None):
+def _restore(source):
+    """(model, scored) of a stage input: a Checkpoint rebuilt with its score
+    table when it has one, or a Backbone as given; scored is None when
+    there is no score table."""
+    if isinstance(source, Checkpoint):
+        if source.has_scores():
+            return scored_from_checkpoint(source)
+        return model_from_checkpoint(source), None
+    if isinstance(source, Backbone):
+        return source, None
+    raise UsageError(f"expected a Backbone or Checkpoint, got {type(source)}")
+
+
+def _train(model: Backbone, scored, start, dataset: Dataset, settings: TrainSettings,
+           gamma: float, stage: str) -> Checkpoint:
+    """Train ``scored`` (or ``model`` when it is None) and return the result
+    as a Checkpoint; AdamW resumes from the optimizer state of ``start``
+    when it is a Checkpoint."""
     settings.validate()
     rng = np.random.default_rng(settings.seed)
     holder = scored if scored is not None else model
-    m, v, step = resume if resume is not None else (None, None, 0)
+    resume = start if isinstance(start, Checkpoint) else Checkpoint(model.config)
     opt = AdamW(holder.named_parameters(), lr=settings.lr,
-                weight_decay=settings.weight_decay, m=m, v=v, step=step)
+                weight_decay=settings.weight_decay, m=resume.opt_m, v=resume.opt_v,
+                step=resume.step)
     mean, std = _stats(dataset, settings.normalize)
     score_map = scored.score_map() if scored is not None else None
     scores = scored.scores if scored is not None else []
@@ -168,33 +181,18 @@ def _train(model: Backbone, scored, dataset: Dataset, settings: TrainSettings,
             record["scores_below_0.1"] = int(sum(
                 row["below_threshold"] for row in score_summary(scores, 0.1)))
         _append_log(settings.log_path, record)
-    return opt
-
-
-def _resume_state(start):
-    """(opt_m, opt_v, step) of a checkpoint that carries optimizer state, else None."""
-    if isinstance(start, Checkpoint) and (start.opt_m or start.opt_v or start.step):
-        return start.opt_m, start.opt_v, start.step
-    return None
+    return checkpoint_from_model(model, scored, step=opt.step_count, seed=settings.seed,
+                                 opt_m=opt.m, opt_v=opt.v)
 
 
 def run_search(start, dataset: Dataset, settings: TrainSettings) -> Checkpoint:
-    """Train weights and scores jointly under the l1-regularized objective."""
-    if isinstance(start, Checkpoint):
-        if start.has_scores():
-            model, scored = scored_from_checkpoint(start)
-        else:
-            model = model_from_checkpoint(start)
-            scored = attach_scores(model)
-    elif isinstance(start, Backbone):
-        model = start
+    """Train weights and scores jointly under the l1-regularized objective;
+    a start without a score table gets fresh scores of 1."""
+    model, scored = _restore(start)
+    if scored is None:
         scored = attach_scores(model)
-    else:
-        raise UsageError(f"run_search needs a Backbone or Checkpoint, got {type(start)}")
-    opt = _train(model, scored, dataset, settings, gamma=settings.gamma,
-                 stage="search", resume=_resume_state(start))
-    return checkpoint_from_model(model, scored, step=opt.step_count,
-                                 seed=settings.seed, opt_m=opt.m, opt_v=opt.v)
+    return _train(model, scored, start, dataset, settings, gamma=settings.gamma,
+                  stage="search")
 
 
 def run_prune(ckpt: Checkpoint, rho: float):
@@ -213,26 +211,15 @@ def run_finetune(ckpt: Checkpoint, dataset: Dataset,
     if ckpt.has_scores():
         raise UsageError("finetune expects a pruned checkpoint without scores; "
                          "run prune first")
-    model = model_from_checkpoint(ckpt)
-    opt = _train(model, None, dataset, settings, gamma=0.0, stage="finetune",
-                 resume=_resume_state(ckpt))
-    return checkpoint_from_model(model, step=opt.step_count, seed=settings.seed,
-                                 opt_m=opt.m, opt_v=opt.v)
+    return _train(model_from_checkpoint(ckpt), None, ckpt, dataset, settings,
+                  gamma=0.0, stage="finetune")
 
 
 def evaluate(source, dataset: Dataset, batch_size: int = 64,
              normalize: bool = True) -> dict:
     """Deterministic accuracy/loss pass; never mutates parameters."""
-    if isinstance(source, Checkpoint):
-        if source.has_scores():
-            model, scored = scored_from_checkpoint(source)
-            score_map = scored.score_map()
-        else:
-            model = model_from_checkpoint(source)
-            score_map = None
-    else:
-        model = source
-        score_map = None
+    model, scored = _restore(source)
+    score_map = scored.score_map() if scored is not None else None
     mean, std = _stats(dataset, normalize)
     hits = 0
     total = 0.0

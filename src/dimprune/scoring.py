@@ -41,10 +41,6 @@ class ScoredModel:
             raise UsageError(f"duplicate site ids in score table: {ids}")
         self._by_id = {s.site_id: s for s in scores}
 
-    @property
-    def config(self):
-        return self.model.config
-
     def score(self, site_id: str) -> ScoreVector:
         return self._by_id[site_id]
 
@@ -54,10 +50,6 @@ class ScoredModel:
 
     def forward(self, image):
         return self.model.forward(image, scores=self.score_map())
-
-    def forward_batch(self, images):
-        from .blocks import forward_batch
-        return forward_batch(self.model, images, scores=self.score_map())
 
     def named_parameters(self) -> list:
         """Backbone weights followed by score vectors, stable order."""

@@ -72,9 +72,6 @@ class Tensor:
             raise UsageError(f"item() needs a single-element tensor, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -90,7 +87,6 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._consumed = False
-        self._active = False
 
     def __enter__(self):
         if _tape() is not None:
@@ -98,12 +94,10 @@ class Tape:
         if self._consumed:
             raise UsageError("tape was already consumed by backward")
         _state.tape = self
-        self._active = True
         return self
 
     def __exit__(self, exc_type, exc, tb):
         _state.tape = None
-        self._active = False
         return False
 
     def _record(self, out: Tensor, pulls):

@@ -427,6 +427,23 @@ def test_backbone_config_validation():
         BackboneConfig(mlp_ratio=0.3)          # hidden width not integral
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(base_dim=15, window=3), "stage 0 dim 15 not divisible by 2 heads"),
+    (dict(mlp_ratio=0.3, window=3), "stage 0 hidden width 4.8 is not a positive integer"),
+    (dict(image_size=36, window=3, heads=(2, 3)), "stage 1 dim 32 not divisible by 3 heads"),
+    (dict(image_size=36, window=3), "stage 0 grid 9 cannot be halved for merging"),
+    (dict(window=3, heads=(2, 3)), "stage 0 grid 8 not divisible by window 3"),
+    (dict(image_size=16, depths=(1, 1, 1, 1), heads=(2, 4, 8, 16), window=1),
+     "stage 2 grid 1 cannot be halved for merging"),
+    (dict(window=0), "window must be >= 1, got 0"),
+    (dict(window=-2), "window must be >= 1, got -2"),
+])
+def test_backbone_config_reports_the_first_bad_stage_shape(kw, message):
+    with pytest.raises(ConfigError) as err:
+        BackboneConfig(**kw)
+    assert str(err.value) == message
+
+
 def test_stage_geometry_doubles_dims_and_halves_grid():
     cfg = BackboneConfig()
     geoms = stage_geometry(cfg)

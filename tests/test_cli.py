@@ -10,11 +10,13 @@ import pytest
 
 from dimprune import cli
 from dimprune.blocks import build_backbone, forward_batch
-from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
-from dimprune.config import load_config
+from dimprune.checkpoint import (checkpoint_from_model, load_checkpoint,
+                                 model_from_checkpoint, save_checkpoint)
+from dimprune.config import load_config, make_dataset
 from dimprune.errors import NumericError
-from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, model_cost,
-                                swin_t_config)
+from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, measured_cost,
+                                model_cost, swin_t_config)
+from dimprune.pipeline import evaluate
 
 TINY = """
 model.image_size = 8
@@ -141,6 +143,23 @@ def test_missing_checkpoint_exits_3(capsys, tiny_cfg, tmp_path):
     record = json.loads(err)
     assert record["error"] == "FormatError"
     assert "no.ckpt" in record["message"]
+
+
+def test_data_split_errors_exit_with_their_codes(capsys, tiny_cfg, tmp_path):
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg,
+                                    "--set", "data.split=test"])
+    assert (rc, out) == (2, "") and json.loads(err)["error"] == "ConfigError"
+    (tmp_path / "data_batch_1.bin").write_bytes(bytes(3073))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, checkpoint_from_model(build_backbone(load_config(tiny_cfg).model,
+                                                               seed=0)))
+    rc, out, err = run_cli(capsys, ["eval", "--config", tiny_cfg, "--checkpoint", path,
+                                    "--set", "data.kind=cifar10",
+                                    "--set", f"data.path={tmp_path}",
+                                    "--set", "data.split=test"])
+    assert (rc, out) == (3, "")
+    record = json.loads(err)
+    assert record["error"] == "FormatError" and "test_batch.bin" in record["message"]
 
 
 def test_numeric_failure_exits_4(capsys, tiny_cfg, tmp_path):
@@ -283,6 +302,98 @@ def test_search_resume_continues_from_checkpoint(capsys, tiny_cfg, tmp_path):
     assert rc == 0
     resumed = load_checkpoint(os.path.join(out_b, "search.ckpt"))
     assert resumed.step == 2 * load_checkpoint(first["checkpoint"]).step
+
+
+def test_search_resume_from_pruned_checkpoint_attaches_fresh_scores(
+        capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    rc, out, _ = run_cli(capsys, ["search", "--config", tiny_cfg, *setting])
+    assert rc == 0
+    search_path = json_lines(out)[-1]["checkpoint"]
+    pruned_path = os.path.join(out_dir, "pruned.ckpt")
+    rc, out, _ = run_cli(capsys, ["prune", "--checkpoint", search_path,
+                                  "--rho", "0.5", "--out", pruned_path])
+    assert rc == 0
+    prune_rec = json_lines(out)[-1]
+    resumed_path = os.path.join(out_dir, "resumed.ckpt")
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, *setting,
+                                    "--resume", pruned_path, "--out", resumed_path])
+    assert rc == 0 and err == ""
+    rec = json_lines(out)[-1]
+    assert (rec["params"], rec["flops"]) == (prune_rec["params"], prune_rec["flops"])
+    pruned = load_checkpoint(pruned_path)
+    resumed = load_checkpoint(resumed_path)
+    assert not pruned.has_scores() and pruned.step == 0
+    assert resumed.site_dims == pruned.site_dims
+    # one fresh score per kept dimension of every site
+    assert {site: arr.shape for site, arr in resumed.scores.items()} == \
+        {site: (width,) for site, width in pruned.site_dims.items()}
+    # the pruned checkpoint holds no optimizer state, so AdamW starts over
+    assert resumed.step == load_checkpoint(search_path).step
+    assert set(resumed.opt_m) == set(resumed.params) | {f"score.{site}" for site in
+                                                         resumed.scores}
+
+
+def test_eval_summary_writes_the_printed_record(capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    rc, out, _ = run_cli(capsys, ["search", "--config", tiny_cfg, *setting])
+    assert rc == 0
+    ckpt = json_lines(out)[-1]["checkpoint"]
+    summary = os.path.join(out_dir, "eval.summary.json")
+    rc, out, err = run_cli(capsys, ["eval", "--config", tiny_cfg, *setting,
+                                    "--checkpoint", ckpt])
+    assert rc == 0 and err == ""
+    assert not os.path.exists(summary)
+    rc, out, err = run_cli(capsys, ["eval", "--config", tiny_cfg, *setting,
+                                    "--checkpoint", ckpt, "--summary"])
+    assert rc == 0 and err == ""
+    rec = json_lines(out)[-1]
+    assert rec["stage"] == "eval" and rec["count"] == 16
+    with open(summary) as fh:
+        assert json.load(fh) == rec
+    rc, out, _ = run_cli(capsys, ["report", "--dir", out_dir, "--json"])
+    assert rc == 0
+    assert [r["stage"] for r in json_lines(out)] == ["search", "eval"]
+
+
+def test_search_without_normalize_trains_and_evaluates_on_raw_pixels(
+        capsys, tiny_cfg, tmp_path):
+    records, ckpts = {}, {}
+    for flag in ("true", "false"):
+        rc, out, err = run_cli(capsys, [
+            "search", "--config", tiny_cfg, "--set", f"train.normalize={flag}",
+            "--set", f"run.output_dir={tmp_path / flag}"])
+        assert rc == 0 and err == ""
+        records[flag] = json_lines(out)[-1]
+        ckpts[flag] = load_checkpoint(records[flag]["checkpoint"])
+    assert not np.array_equal(ckpts["true"].params["patch_embed"],
+                              ckpts["false"].params["patch_embed"])
+    dataset = make_dataset(load_config(tiny_cfg))
+    raw = evaluate(ckpts["false"], dataset, batch_size=8, normalize=False)
+    normed = evaluate(ckpts["false"], dataset, batch_size=8, normalize=True)
+    assert records["false"]["loss"] == raw["loss"] != normed["loss"]
+
+
+def test_rpb_search_and_prune_records_match_measured_cost(capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "rpb")
+    overrides = ["--set", f"run.output_dir={out_dir}",
+                 "--set", "model.use_relative_position_bias=true",
+                 "--set", "model.depths=2,2"]
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, *overrides])
+    assert rc == 0 and err == ""
+    search_rec = json_lines(out)[-1]
+    rc, out, err = run_cli(capsys, ["prune", "--checkpoint", search_rec["checkpoint"],
+                                    "--rho", "0.5"])
+    assert rc == 0 and err == ""
+    prune_rec = json_lines(out)[-1]
+    assert prune_rec["params"] < prune_rec["pre_params"] == search_rec["params"]
+    for rec in (search_rec, prune_rec):
+        model = model_from_checkpoint(load_checkpoint(rec["checkpoint"]))
+        assert model.stages[0].blocks[0].attn.rpb is not None
+        rep = measured_cost(model)
+        assert (rec["params"], rec["flops"]) == (rep.total_params, rep.total_flops)
 
 
 def python_m(module, argv):

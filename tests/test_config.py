@@ -200,6 +200,24 @@ def test_make_dataset_cifar_checks_and_resizes(tmp_path):
         make_dataset(bad_channels)
 
 
+def test_make_dataset_cifar_split_reads_the_test_file(tmp_path):
+    path = _write_cifar10_dir(tmp_path)
+    (tmp_path / "test_batch.bin").write_bytes(bytes([9]) + bytes(3072))
+    base = ["data.kind=cifar10", f"data.path={path}", "model.num_classes=10",
+            "model.base_dim=8", "model.heads=2,4"]
+    assert len(make_dataset(load_config(None, base))) == 6
+    test = make_dataset(load_config(None, base + ["data.split=test"]))
+    assert list(test.labels) == [9]
+
+
+def test_data_split_is_train_or_test():
+    with pytest.raises(ConfigError, match="data.split"):
+        load_config(None, ["data.split=validation"])
+    with pytest.raises(ConfigError, match="synth"):
+        load_config(None, ["data.split=test"])
+    DataSpec(kind="cifar100", path="somewhere", split="test").validate()
+
+
 def test_dataspec_direct_validation():
     with pytest.raises(ConfigError):
         DataSpec(kind="synth", n_per_class=0).validate()

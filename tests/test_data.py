@@ -84,6 +84,49 @@ def test_cifar_directory_concatenates_sorted(tmp_path):
         load_cifar(str(tmp_path / "sub"), "cifar10")
 
 
+def _write_cifar_layout(directory, files, make_record):
+    """One file per (name, labels) pair, one record per label, plus a
+    non-record file."""
+    for name, labels in files:
+        (directory / name).write_bytes(b"".join(make_record(label) for label in labels))
+    (directory / "batches.meta.txt").write_text("not a record file\n")
+
+
+CIFAR10_LAYOUT = [("data_batch_1.bin", [0, 1]), ("data_batch_2.bin", [2, 3]),
+                  ("data_batch_3.bin", [4, 5]), ("test_batch.bin", [8, 9])]
+CIFAR100_LAYOUT = [("train.bin", [10, 11, 12, 13]), ("test.bin", [98, 99])]
+
+
+@pytest.mark.parametrize("variant, layout, make_record", [
+    ("cifar10", CIFAR10_LAYOUT, lambda label: cifar10_record(label, lambda i: 0)),
+    ("cifar100", CIFAR100_LAYOUT, lambda label: cifar100_record(0, label, lambda i: 0)),
+], ids=["cifar10", "cifar100"])
+def test_cifar_directory_split_selects_files(tmp_path, variant, layout, make_record):
+    _write_cifar_layout(tmp_path, layout, make_record)
+    *train_files, (test_name, test_labels) = layout
+    train = load_cifar(str(tmp_path), variant, split="train")
+    assert list(train.labels) == [label for _, labels in train_files for label in labels]
+    test = load_cifar(str(tmp_path), variant, split="test")
+    assert list(test.labels) == test_labels
+    assert np.array_equal(load_cifar(str(tmp_path), variant).labels, train.labels)
+    # a file path loads as given, whatever the split
+    single = load_cifar(str(tmp_path / test_name), variant, split="train")
+    assert list(single.labels) == test_labels
+
+
+def test_cifar_directory_without_test_file_rejects_test_split(tmp_path):
+    _write_cifar_layout(tmp_path, CIFAR10_LAYOUT[:1],
+                        lambda label: cifar10_record(label, lambda i: 0))
+    with pytest.raises(FormatError, match="test_batch.bin"):
+        load_cifar(str(tmp_path), "cifar10", split="test")
+    only_test = tmp_path / "only_test"
+    only_test.mkdir()
+    _write_cifar_layout(only_test, CIFAR10_LAYOUT[-1:],
+                        lambda label: cifar10_record(label, lambda i: 0))
+    with pytest.raises(FormatError):
+        load_cifar(str(only_test), "cifar10", split="train")
+
+
 def test_cifar_matches_chunked_manual_parse(tmp_path):
     rng = np.random.default_rng(0)
     records = [cifar10_record(int(rng.integers(0, 10)),

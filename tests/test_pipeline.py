@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dimprune.blocks import BackboneConfig, build_backbone
+from dimprune import tensor as T
+from dimprune.blocks import BackboneConfig, build_backbone, forward_batch
 from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
 from dimprune.errors import ConfigError, NumericError, UsageError
 from dimprune.data import synth_dataset
@@ -201,6 +202,11 @@ def test_search_rejects_bad_start():
         run_search("nope", tiny_data(), settings())
 
 
+def test_evaluate_rejects_bad_source():
+    with pytest.raises(UsageError, match="Backbone or Checkpoint"):
+        evaluate("nope", tiny_data())
+
+
 def test_regularized_search_shrinks_scores():
     data = tiny_data(seed=1)
     base = run_search(build_backbone(tiny_config(), seed=1), data,
@@ -299,6 +305,19 @@ def test_evaluate_batch_size_does_not_change_result():
     assert one["count"] == full["count"] == 32
     assert one["accuracy"] == full["accuracy"]
     assert abs(one["loss"] - full["loss"]) <= 1e-6 * abs(full["loss"])
+
+
+def test_evaluate_normalize_flag_picks_the_pixel_statistics():
+    model = build_backbone(tiny_config(), seed=11)
+    data = tiny_data(seed=11, n_per_class=4)
+    mean, std = (s[None, :, None, None] for s in data.channel_stats())
+    results = {}
+    for normalize, images in ((False, data.images), (True, (data.images - mean) / std)):
+        logits = forward_batch(model, images)
+        want = T.cross_entropy_with_logits(logits, data.labels).item()
+        results[normalize] = evaluate(model, data, normalize=normalize)
+        assert results[normalize]["loss"] == pytest.approx(want, rel=1e-12)
+    assert results[False]["loss"] != results[True]["loss"]
 
 
 def test_non_finite_loss_raises_numeric_error():
