@@ -74,7 +74,7 @@ def cmd_search(args) -> int:
     save_checkpoint(out, ckpt)
     metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
                        normalize=cfg.train.normalize)
-    record = {"stage": "search", "rho": 1.0, "checkpoint": out,
+    record = {"stage": "search", "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
               **_model_counts(ckpt), "config": config_echo(cfg)}
     _write_summary(cfg.output_dir, "search", record)
@@ -210,9 +210,10 @@ def cmd_report(args) -> int:
         acc_s = f"{100 * acc:7.2f}" if acc is not None else "      -"
         rho = rec.get("rho")
         rho_s = f"{rho:5.2f}" if rho is not None else "    -"
-        print(f"{rec.get('stage', '?'):<10} {rho_s}  {acc_s}  "
-              f"{rec.get('params', 0) / 1e6:>9.2f}  "
-              f"{rec.get('flops', 0) / 1e9:>9.2f}")
+        params, flops = rec.get("params"), rec.get("flops")
+        params_s = f"{params / 1e6:>9.2f}" if params is not None else f"{'-':>9}"
+        flops_s = f"{flops / 1e9:>9.2f}" if flops is not None else f"{'-':>9}"
+        print(f"{rec.get('stage', '?'):<10} {rho_s}  {acc_s}  {params_s}  {flops_s}")
     return EXIT_OK
 
 

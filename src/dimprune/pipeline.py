@@ -59,7 +59,16 @@ class AdamW:
     def step(self):
         """One update in float32 array arithmetic; the bias corrections and
         the learning rate are folded into two scalars. The moments are rebound
-        to fresh arrays, so a Checkpoint built from ``m``/``v`` keeps its values."""
+        to fresh arrays, so a Checkpoint built from ``m``/``v`` keeps its values.
+
+        Raises UsageError, changing nothing, while a tape that recorded one of
+        the parameters awaits backward: its pulls read the parameter's data
+        then, and the update writes into that array."""
+        recorded = T.recorded_inputs()
+        for name, p in self.params:
+            if id(p) in recorded:
+                raise UsageError(f"parameter {name} is recorded on a tape that backward "
+                                 "has not consumed; run backward before stepping")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2

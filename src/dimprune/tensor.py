@@ -1,11 +1,21 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Values are stored as 32-bit floats. GEMMs and reductions accumulate in 64
-bits before casting back; elementwise ops (GELU among them) run in 32 bits,
-as does the optimizer. Operations executed inside an active ``Tape`` context
-record how to pull gradients back to their inputs; ``backward`` replays the
-records in reverse. A tape belongs to one thread and can be consumed by
-exactly one backward pass.
+Values are stored as 32-bit floats. Forward GEMMs and reductions accumulate
+in 64 bits before casting back: a float32 GEMM sums in an order that depends
+on the row count, which breaks the batch invariance
+``test_forward_batch_stacks_single_image_rows`` holds. Gradient GEMMs run in
+32 bits over the float32 operands the forward already holds, as elementwise
+ops (GELU among them) and the optimizer do;
+``test_block_gradients_match_finite_differences`` and acceptance criteria
+3, 4 and 8 hold the gradients to that precision.
+
+Operations executed inside an active ``Tape`` context record how to pull
+gradients back to their inputs; ``backward`` replays the records in reverse
+and drops each one, with its output's gradient, once its pulls have run. A
+tape belongs to one thread and can be consumed by exactly one backward pass.
+Pulls read their inputs' data when backward runs, so nothing may write into a
+recorded input before then (``AdamW.step`` refuses to). Gradients may share
+arrays with each other, and nothing writes into a ``.grad`` in place.
 
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,6 +43,10 @@ _GELU_CUBIC = 0.044715
 _GELU_SATURATED = 10.0
 
 _state = threading.local()
+# Tapes entered but not yet consumed by backward. Their pulls read the data
+# of recorded inputs when backward runs; a dropped tape leaves by itself.
+_unconsumed = weakref.WeakSet()
+_unconsumed_lock = threading.Lock()
 
 
 def _tape():
@@ -93,6 +108,8 @@ class Tape:
             raise UsageError("a tape is already active on this thread")
         if self._consumed:
             raise UsageError("tape was already consumed by backward")
+        with _unconsumed_lock:
+            _unconsumed.add(self)
         _state.tape = self
         return self
 
@@ -122,28 +139,50 @@ def _wants_grad(*tensors: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, delta):
-    if t.grad is None:
-        t.grad = np.array(delta, dtype=np.float32)
-    else:
-        t.grad = t.grad + delta.astype(np.float32)
+    """Add a pull's output to ``t.grad``. The first one is kept as it is, so
+    a gradient may share its array with another tensor's or with the delta's
+    source; nothing writes into a ``.grad`` in place."""
+    delta = delta.astype(np.float32, copy=False)
+    t.grad = delta if t.grad is None else t.grad + delta
+
+
+def recorded_inputs() -> set:
+    """Ids of the tensors that a tape not yet consumed by backward recorded
+    as op inputs. Pulls read their inputs' data when backward runs, so such
+    a tensor must not be written into until then."""
+    with _unconsumed_lock:
+        tapes = list(_unconsumed)
+    return {id(inp) for tape in tapes for _, pulls in tape._nodes for inp, _ in pulls}
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Run reverse-mode accumulation from a scalar loss through the tape."""
+    """Run reverse-mode accumulation from a scalar loss through the tape.
+
+    Each record is dropped once its pulls have run, with the gradient of its
+    output (the loss keeps its own), so what the forward saved is freed as
+    the pass goes; leaf gradients are kept."""
     if tape._consumed:
         raise UsageError("tape was already consumed by backward")
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape._consumed = True
+    with _unconsumed_lock:
+        _unconsumed.discard(tape)
     loss.grad = np.ones_like(loss.data)
-    for out, pulls in reversed(tape._nodes):
-        g = out.grad
-        if g is None:
-            continue
-        for inp, pull in pulls:
-            if inp.requires_grad:
-                _accumulate(inp, pull(g))
-    tape._nodes.clear()
+    nodes = tape._nodes
+    try:
+        while nodes:
+            out, pulls = nodes.pop()
+            g = out.grad
+            if g is None:
+                continue
+            for inp, pull in pulls:
+                if inp.requires_grad:
+                    _accumulate(inp, pull(g))
+            if out is not loss:
+                out.grad = None
+    finally:
+        nodes.clear()
 
 
 class MacCounter:
@@ -193,21 +232,23 @@ def _check_2d(t: Tensor, name: str):
 # ---------------------------------------------------------------- arithmetic
 
 
-def _product32(a64, b64, what: str):
-    """float64 product rounded to float32, rejecting non-finite entries.
+def _product32(a, b, what: str):
+    """Product of two arrays rounded to float32, rejecting non-finite entries.
 
     The product and the cast run with overflow and invalid-value warnings
     off: an inf input or an overflow becomes inf or NaN, which the check
     turns into NumericError without a stray RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (a64 @ b64).astype(np.float32)
+        out = (a @ b).astype(np.float32, copy=False)
     _finite_or_raise(out, what)
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading axes must be equal (no
-    broadcasting). Counts batch*m*k*p MACs and accumulates in float64."""
+    broadcasting). Counts batch*m*k*p MACs. The forward accumulates in
+    float64; the gradient products run in float32 over the operands' own
+    arrays, which must not change before backward."""
     if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul needs equal leading axes: {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -217,17 +258,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     macs = math.prod(lead) * m * k * p
     for c in _counters():
         c.macs += macs
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
+    ad, bd = a.data, b.data
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    out = Tensor(_product32(a64, b64, "matmul output"), requires_grad=_wants_grad(a, b))
+    out = Tensor(_product32(ad.astype(np.float64), bd.astype(np.float64), "matmul output"),
+                 requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         _record(out, [
-            (a, lambda g: _product32(g.astype(np.float64), b64.swapaxes(-1, -2),
-                                     "matmul lhs gradient")),
-            (b, lambda g: _product32(a64.swapaxes(-1, -2), g.astype(np.float64),
-                                     "matmul rhs gradient")),
+            (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
+            (b, lambda g: _product32(ad.swapaxes(-1, -2), g, "matmul rhs gradient")),
         ])
     return out
 
@@ -323,8 +362,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
             width = t.shape[axis]
             lo, hi = offset, offset + width
 
+            # A column block is copied out: as a strided view it would slow
+            # every elementwise pass AdamW makes over the gradient of a
+            # per-head weight, and those are concatenated by columns.
             def pull(g, lo=lo, hi=hi, ax=axis):
-                return g[lo:hi] if ax == 0 else g[:, lo:hi]
+                return g[lo:hi] if ax == 0 else np.ascontiguousarray(g[:, lo:hi])
 
             pulls.append((t, pull))
             offset += width

@@ -396,6 +396,54 @@ def test_rpb_search_and_prune_records_match_measured_cost(capsys, tiny_cfg, tmp_
         assert (rec["params"], rec["flops"]) == (rep.total_params, rep.total_flops)
 
 
+def search_and_prune(capsys, tiny_cfg, setting, rho="0.6"):
+    """``search`` then ``prune`` at ``rho``; returns the pruned checkpoint path."""
+    rc, out, _ = run_cli(capsys, ["search", "--config", tiny_cfg, *setting])
+    assert rc == 0
+    rc, out, _ = run_cli(capsys, ["prune", "--checkpoint", json_lines(out)[-1]["checkpoint"],
+                                  "--rho", rho])
+    assert rc == 0
+    return json_lines(out)[-1]["checkpoint"]
+
+
+def test_search_resumed_from_pruned_checkpoint_records_its_rho(capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    pruned_path = search_and_prune(capsys, tiny_cfg, setting)
+    assert os.path.basename(pruned_path) == "pruned_0.6.ckpt"
+    rho = cli._rho_of(load_checkpoint(pruned_path))
+    assert rho < 1.0
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, *setting,
+                                    "--resume", pruned_path])
+    assert rc == 0 and err == ""
+    assert json_lines(out)[-1]["rho"] == rho
+    rc, out, _ = run_cli(capsys, ["report", "--dir", out_dir, "--json"])
+    assert rc == 0
+    assert [(r["stage"], r["rho"]) for r in json_lines(out)] == [("search", rho)]
+
+
+def test_report_table_marks_counts_an_eval_row_lacks(capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    pruned_path = search_and_prune(capsys, tiny_cfg, setting)
+    rc, out, _ = run_cli(capsys, ["finetune", "--config", tiny_cfg, *setting,
+                                  "--checkpoint", pruned_path])
+    assert rc == 0
+    rc, out, _ = run_cli(capsys, ["eval", "--config", tiny_cfg, *setting, "--checkpoint",
+                                  json_lines(out)[-1]["checkpoint"], "--summary"])
+    assert rc == 0
+    rc, out, err = run_cli(capsys, ["report", "--dir", out_dir])
+    assert rc == 0 and err == ""
+    header, *rows = out.strip().splitlines()
+    assert header.split() == ["stage", "rho", "acc(%)", "Para.(M)", "FLOPS(G)"]
+    cells = {row.split()[0]: row.split()[1:] for row in rows}
+    assert list(cells) == ["search", "finetune", "eval"]
+    assert cells["eval"][0] == "-" and cells["eval"][2:] == ["-", "-"]
+    for stage in ("search", "finetune"):
+        assert all(float(cell) >= 0 for cell in cells[stage])
+    assert {len(row) for row in rows} == {len(header)}     # columns stay aligned
+
+
 def python_m(module, argv):
     """Run ``python -m <module> argv`` with this checkout's package importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

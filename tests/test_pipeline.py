@@ -176,6 +176,45 @@ def test_adamw_step_leaves_built_checkpoint_unchanged():
             assert np.array_equal(now[name], arr), f"{key}[{name}] changed"
 
 
+def recorded_loss(p):
+    """A tape that read ``p`` and the loss it recorded, before backward."""
+    with T.Tape() as tape:
+        loss = T.sum_all(T.matmul(T.reshape(p, (1, 1)), T.reshape(p, (1, 1))))
+    return tape, loss
+
+
+def test_adamw_step_before_backward_raises_and_changes_nothing():
+    name, p = one_param(0.5)
+    opt = AdamW([(name, p)], lr=0.1, weight_decay=0.1)
+    p.grad = np.ones(1, dtype=np.float32)
+    tape, loss = recorded_loss(p)
+    with pytest.raises(UsageError, match=f"parameter {name} .*backward"):
+        opt.step()
+    assert float(p.data[0]) == 0.5 and opt.step_count == 0
+    assert not opt.m[name].any() and not opt.v[name].any()
+    T.backward(loss, tape)
+
+
+def test_adamw_step_after_backward_updates():
+    name, p = one_param(0.5)
+    opt = AdamW([(name, p)], lr=0.1)
+    tape, loss = recorded_loss(p)
+    T.backward(loss, tape)
+    assert p.grad.tolist() == [1.0]             # d(p*p)/dp at 0.5
+    opt.step()
+    assert opt.step_count == 1 and float(p.data[0]) < 0.5
+
+
+def test_adamw_step_after_an_abandoned_tape_updates():
+    name, p = one_param(0.5)
+    opt = AdamW([(name, p)], lr=0.1)
+    tape, loss = recorded_loss(p)
+    del tape, loss
+    p.grad = np.ones(1, dtype=np.float32)
+    opt.step()
+    assert opt.step_count == 1 and float(p.data[0]) < 0.5
+
+
 # --------------------------------------------------------------------- stages
 
 

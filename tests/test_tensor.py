@@ -615,3 +615,116 @@ def test_grad_scale_columns_nd():
 def test_grad_mean_rows_nd():
     x = leaf(rng(100).normal(size=(2, 3, 4)))
     fd_check(lambda: flat_loss(T.mean_rows(x), 101), [x], 103)
+
+
+# ------------------------------------------------------------------ lean tape
+
+
+def test_backward_frees_recorded_grads_and_keeps_leaf_grads():
+    x = leaf(rng(104).normal(size=(4, 6)))
+    w = leaf(rng(105).normal(size=(6, 6)))
+    gain, bias = leaf(np.ones(6)), leaf(np.zeros(6))
+    with Tape() as tape:
+        h = T.gelu(T.matmul(x, w))
+        y = T.layer_norm(T.add(h, x), gain, bias)
+        loss = T.mean_all(T.softmax_rows(y))
+    outs = [out for out, _ in tape._nodes]
+    assert len(outs) == 6 and outs[-1] is loss
+    backward(loss, tape)
+    assert tape._nodes == []
+    assert [out.grad is None for out in outs] == [True] * 5 + [False]
+    for t in (x, w, gain, bias):
+        assert t.grad is not None and t.grad.shape == t.shape
+
+
+def test_matmul_pulls_hold_no_float64_array():
+    a = leaf(rng(106).normal(size=(2, 5, 3)))
+    b = leaf(rng(107).normal(size=(2, 3, 4)))
+    with Tape() as tape:
+        T.matmul(a, b)
+    (_, pulls), = tape._nodes
+    held = [cell.cell_contents for _, pull in pulls for cell in pull.__closure__ or ()
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert held and all(arr.dtype == np.float32 for arr in held)
+    assert {id(arr) for arr in held} <= {id(a.data), id(b.data)}
+
+
+def test_concat_column_gradients_are_contiguous():
+    # the optimizer's elementwise passes over a strided gradient are slow
+    a, b = leaf(rng(114).normal(size=(3, 2))), leaf(rng(115).normal(size=(3, 4)))
+    with Tape() as tape:
+        loss = T.sum_all(T.scale(T.concat([a, b], axis=1), 2.0))
+    backward(loss, tape)
+    for t in (a, b):
+        assert t.grad.flags.c_contiguous
+        assert np.array_equal(t.grad, np.full(t.shape, 2.0, dtype=np.float32))
+
+
+def test_gradients_sharing_one_array_stay_right():
+    # add passes one delta array to both of its inputs
+    a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+    with Tape() as tape:
+        loss = T.sum_all(T.add(a, b))
+    backward(loss, tape)
+    assert np.shares_memory(a.grad, b.grad)
+    # a later accumulation into a must leave b's gradient alone
+    with Tape() as tape:
+        loss = T.sum_all(T.scale(a, 2.0))
+    backward(loss, tape)
+    assert np.array_equal(a.grad, np.full((2, 3), 3.0, dtype=np.float32))
+    assert np.array_equal(b.grad, np.ones((2, 3), dtype=np.float32))
+
+    # one leaf twice: both deltas are the same array
+    x = leaf(rng(108).normal(size=(2, 3)))
+    with Tape() as tape:
+        loss = T.sum_all(T.scale(T.add(x, x), 1.5))
+    backward(loss, tape)
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0, dtype=np.float32))
+
+    # a's first delta is shared with the output of the inner add; b's is the
+    # delta that then accumulates into a
+    a, b = leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))
+    with Tape() as tape:
+        loss = T.sum_all(T.add(T.scale(T.add(a, b), 3.0), T.scale(a, 2.0)))
+    backward(loss, tape)
+    assert np.array_equal(a.grad, np.full((2, 3), 5.0, dtype=np.float32))
+    assert np.array_equal(b.grad, np.full((2, 3), 3.0, dtype=np.float32))
+
+
+def test_tensor_read_by_two_consumers_sums_their_gradients():
+    x0 = rng(109).normal(size=(3, 4))
+    w = Tensor(rng(110).normal(size=(4, 4)))
+
+    def grad_of(build):
+        x = leaf(x0)
+        with Tape() as tape:
+            loss = build(x)
+        backward(loss, tape)
+        return x.grad
+
+    both = grad_of(lambda x: T.sum_all(T.add(T.matmul(x, w), T.gelu(x))))
+    first = grad_of(lambda x: T.sum_all(T.matmul(x, w)))
+    second = grad_of(lambda x: T.sum_all(T.gelu(x)))
+    assert np.array_equal(both, first + second)
+
+
+def test_adamw_step_over_shared_gradient_equals_step_over_copies():
+    from dimprune.pipeline import AdamW
+
+    def params():
+        return leaf(rng(111).normal(size=(2, 3))), leaf(rng(112).normal(size=(2, 3)))
+
+    shared, copied = params(), params()
+    g = rng(113).normal(size=(2, 3)).astype(np.float32)
+    with Tape() as tape:
+        loss = T.sum_all(T.matmul(T.add(*shared), Tensor(g.T)))
+    backward(loss, tape)
+    assert shared[0].grad is shared[1].grad
+    for p in copied:
+        p.grad = shared[0].grad.copy()
+    before = shared[0].grad.copy()
+    for pair in (shared, copied):
+        AdamW([("a", pair[0]), ("b", pair[1])], lr=0.1, weight_decay=0.2).step()
+    assert np.array_equal(shared[0].grad, before)
+    for got, want in zip(shared, copied):
+        assert np.array_equal(got.data, want.data)
