@@ -4,23 +4,48 @@ Layout: an 8-byte magic, a 4-byte little-endian header length, a JSON header
 (version, backbone config, site widths, training state, tensor directory
 with byte offsets), then raw little-endian float32 payloads. Everything a
 run needs to resume lives in one file; loading rebuilds the exact arrays.
+
+A save writes each array's own buffer, so it holds no second copy of the
+payload. A load checks the whole header first, then reads each tensor
+straight into a fresh array, so it holds about one file's worth of memory
+and no two loaded arrays share a buffer. A header that breaks the schema
+raises FormatError. Files are written to a temporary name beside the
+target and renamed over it, so a reader sees the old file or the whole new
+one, never a part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
+import os
+import secrets
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Backbone, BackboneConfig
-from .errors import FormatError, UsageError
+from .blocks import Backbone, BackboneConfig, check_site_dims
+from .errors import ConfigError, FormatError, UsageError
 from .scoring import ScoredModel, attach_scores
 from .tensor import Tensor
 
 MAGIC = b"DIMPRUNE"
 VERSION = 1
+_F4 = np.dtype("<f4")
+_HEADER_KEYS = {"version", "config", "site_dims", "step", "seed", "rng_state",
+                "tensors"}
+# JSON type test for each BackboneConfig field, by the type of its default.
+_CONFIG_TYPES = {
+    int: lambda v: type(v) is int,
+    float: lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+    bool: lambda v: type(v) is bool,
+    tuple: lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+_CONFIG_FIELDS = {f.name: _CONFIG_TYPES[type(f.default)]
+                  for f in dataclasses.fields(BackboneConfig)}
 
 
 @dataclass
@@ -40,28 +65,43 @@ class Checkpoint:
         return bool(self.scores)
 
 
+_GROUPS = {"param": "params", "score": "scores", "optm": "opt_m", "optv": "opt_v"}
+
+
 def _flatten(ckpt: Checkpoint):
-    groups = [("param", ckpt.params), ("score", ckpt.scores),
-              ("optm", ckpt.opt_m), ("optv", ckpt.opt_v)]
-    for prefix, table in groups:
-        for name, arr in table.items():
-            yield f"{prefix}.{name}", np.ascontiguousarray(arr, dtype="<f4")
+    for prefix, attr in _GROUPS.items():
+        for name, arr in getattr(ckpt, attr).items():
+            yield f"{prefix}.{name}", np.ascontiguousarray(arr, dtype=_F4)
+
+
+def write_atomic(path, write):
+    """Call ``write(fh)`` on a new binary file beside ``path``, then rename
+    it over ``path``. If ``write`` or the rename raises, the temporary file
+    is removed and whatever was at ``path`` stays as it was. There is no
+    fsync: this guards against a failed or interrupted write, not against
+    a power loss."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
     directory = []
-    payloads = []
+    arrays = []
     offset = 0
-    seen = set()
     for name, arr in _flatten(ckpt):
-        if name in seen:
-            raise FormatError(f"duplicate tensor name in checkpoint: {name}")
-        seen.add(name)
-        raw = arr.tobytes()
         directory.append({"name": name, "shape": list(arr.shape),
-                          "offset": offset, "bytes": len(raw)})
-        payloads.append(raw)
-        offset += len(raw)
+                          "offset": offset, "bytes": arr.nbytes})
+        arrays.append(arr)
+        offset += arr.nbytes
     header = {
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
@@ -72,56 +112,112 @@ def save_checkpoint(path, ckpt: Checkpoint):
         "tensors": directory,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(MAGIC)
-        fh.write(np.uint32(len(blob)).astype("<u4").tobytes())
+        fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for raw in payloads:
-            fh.write(raw)
+        for arr in arrays:
+            fh.write(arr)
+
+    write_atomic(path, write)
+
+
+def _checkpoint_from_header(path, header) -> Checkpoint:
+    """The Checkpoint a header describes, with empty tensor tables; every
+    field is checked against the schema ``save_checkpoint`` writes."""
+    if type(header) is not dict:
+        raise FormatError(f"{path}: header is not a JSON object")
+    version = header.get("version")
+    if type(version) is not int or version != VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version!r}")
+    if header.keys() != _HEADER_KEYS:
+        raise FormatError(f"{path}: header has keys {sorted(header)}, "
+                          f"expected {sorted(_HEADER_KEYS)}")
+    raw = header["config"]
+    if (type(raw) is not dict or raw.keys() != _CONFIG_FIELDS.keys()
+            or not all(ok(raw[key]) for key, ok in _CONFIG_FIELDS.items())):
+        raise FormatError(f"{path}: malformed backbone config {raw!r:.300}")
+    site_dims = header["site_dims"]
+    if type(site_dims) is not dict or any(type(v) is not int
+                                          for v in site_dims.values()):
+        raise FormatError(f"{path}: site_dims must map site ids to integer widths")
+    try:
+        config = BackboneConfig(**raw)
+        check_site_dims(config, site_dims)
+    except (ConfigError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    step, seed, rng_state = header["step"], header["seed"], header["rng_state"]
+    if type(step) is not int or step < 0 or type(seed) is not int:
+        raise FormatError(f"{path}: step must be an integer >= 0 and seed an integer")
+    if rng_state is not None and type(rng_state) is not dict:
+        raise FormatError(f"{path}: rng_state must be null or an object")
+    return Checkpoint(config=config, site_dims=site_dims, step=step, seed=seed,
+                      rng_state=rng_state, version=version)
+
+
+def _is_shape(shape) -> bool:
+    if type(shape) is not list:
+        return False
+    for n in shape:
+        if type(n) is not int or n < 1:
+            return False
+    return True
+
+
+def _directory(path, entries, payload: int) -> list:
+    """(table, name, shape) of every tensor, in file order. The entries must
+    tile the payload from byte 0, each holding 4 bytes per element of a
+    shape whose entries are all >= 1, and fit in the ``payload`` bytes the
+    file holds after its header. A load pays this per tensor, so it is kept
+    to plain comparisons."""
+    if type(entries) is not list:
+        raise FormatError(f"{path}: tensor directory must be a list")
+    out = []
+    seen = set()
+    end = 0
+    for entry in entries:
+        try:
+            name, shape, offset, nbytes = (entry["name"], entry["shape"],
+                                           entry["offset"], entry["bytes"])
+            group, _, key = name.partition(".")
+        except (TypeError, KeyError, AttributeError):
+            group = key = None
+        if not (key and len(entry) == 4 and type(name) is str and group in _GROUPS
+                and name not in seen and type(offset) is int and offset == end
+                and _is_shape(shape) and type(nbytes) is int
+                and nbytes == 4 * math.prod(shape)):
+            raise FormatError(f"{path}: malformed tensor entry {entry!r:.300}")
+        seen.add(name)
+        out.append((_GROUPS[group], key, shape))
+        end += nbytes
+    if end > payload:
+        raise FormatError(f"{path}: truncated payload: the directory needs "
+                          f"{end} bytes, the file holds {payload}")
+    return out
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 4 or data[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    hlen = int(np.frombuffer(data, dtype="<u4", count=1,
-                             offset=len(MAGIC))[0])
     start = len(MAGIC) + 4
-    if len(data) < start + hlen:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[start:start + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("version") != VERSION:
-        raise FormatError(
-            f"{path}: unsupported checkpoint version {header.get('version')}")
-
-    cfg_dict = dict(header["config"])
-    cfg_dict["depths"] = tuple(cfg_dict["depths"])
-    cfg_dict["heads"] = tuple(cfg_dict["heads"])
-    ckpt = Checkpoint(
-        config=BackboneConfig(**cfg_dict),
-        site_dims={k: int(v) for k, v in header["site_dims"].items()},
-        step=int(header["step"]),
-        seed=int(header["seed"]),
-        rng_state=header.get("rng_state"),
-        version=int(header["version"]),
-    )
-    base = start + hlen
-    tables = {"param": ckpt.params, "score": ckpt.scores,
-              "optm": ckpt.opt_m, "optv": ckpt.opt_v}
-    for entry in header["tensors"]:
-        lo = base + entry["offset"]
-        hi = lo + entry["bytes"]
-        if hi > len(data):
-            raise FormatError(f"{path}: truncated payload for {entry['name']}")
-        arr = np.frombuffer(data[lo:hi], dtype="<f4").reshape(entry["shape"])
-        prefix, _, name = entry["name"].partition(".")
-        if prefix not in tables or not name:
-            raise FormatError(f"{path}: unknown tensor group in {entry['name']!r}")
-        tables[prefix][name] = np.ascontiguousarray(arr)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(start)
+        if len(lead) < start or lead[:len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+        (hlen,) = struct.unpack("<I", lead[len(MAGIC):])
+        if size < start + hlen:
+            raise FormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: unreadable header: {exc}") from exc
+        ckpt = _checkpoint_from_header(path, header)
+        for attr, name, shape in _directory(path, header["tensors"],
+                                            size - start - hlen):
+            arr = np.empty(shape, dtype=_F4)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: truncated payload for {name}")
+            getattr(ckpt, attr)[name] = arr
     return ckpt
 
 

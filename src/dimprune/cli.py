@@ -15,7 +15,7 @@ import os
 import sys
 
 from .blocks import build_backbone, sites
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import config_echo, load_config, make_dataset
 from .costmodel import (Convention, calibrate_mac_factor, model_cost,
                         runtime_convention, swin_t_config)
@@ -41,10 +41,14 @@ def _fail(exc: Exception) -> int:
     return EXIT_CONFIG
 
 
+def _write_text(path: str, text: str):
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
 def _write_summary(output_dir: str, name: str, record: dict):
     os.makedirs(output_dir, exist_ok=True)
-    with open(os.path.join(output_dir, f"{name}.summary.json"), "w") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_text(os.path.join(output_dir, f"{name}.summary.json"),
+                json.dumps(record, sort_keys=True) + "\n")
 
 
 def _model_counts(ckpt) -> dict:
@@ -94,8 +98,7 @@ def cmd_prune(args) -> int:
         lines.append(f"{ks.site_id}: kept {len(ks)}/{ks.original} "
                      f"threshold {report.thresholds[ks.site_id]:.6f} "
                      f"indices {','.join(str(i) for i in ks.indices)}")
-    with open(os.path.join(out_dir, "prune_report.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "prune_report.txt"), "\n".join(lines) + "\n")
     record = {"stage": "prune", "rho": args.rho, "checkpoint": out,
               "pre_params": report.pre_params, **_model_counts(pruned)}
     _emit(record)

@@ -61,14 +61,18 @@ class AdamW:
         the learning rate are folded into two scalars. The moments are rebound
         to fresh arrays, so a Checkpoint built from ``m``/``v`` keeps its values.
 
-        Raises UsageError, changing nothing, while a tape that recorded one of
-        the parameters awaits backward: its pulls read the parameter's data
-        then, and the update writes into that array."""
+        Raises UsageError, changing nothing, when a parameter has no gradient
+        or while a tape that recorded one of the parameters awaits backward:
+        its pulls read the parameter's data then, and the update writes into
+        that array."""
         recorded = T.recorded_inputs()
         for name, p in self.params:
             if id(p) in recorded:
                 raise UsageError(f"parameter {name} is recorded on a tape that backward "
                                  "has not consumed; run backward before stepping")
+            if p.grad is None:
+                raise UsageError(f"parameter {name} has no gradient; "
+                                 "run backward before stepping")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
@@ -79,9 +83,6 @@ class AdamW:
         shrink = 1.0 - self.lr * self.weight_decay
         for name, p in self.params:
             g = p.grad
-            if g is None:
-                raise UsageError(f"parameter {name} has no gradient; "
-                                 "run backward before stepping")
             # One scratch buffer serves every temporary of this parameter.
             update = g * (1.0 - b1)
             m = b1 * self.m[name]

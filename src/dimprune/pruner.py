@@ -84,9 +84,13 @@ def select_keep(score, rho: float) -> KeepSet:
                    original=k, rho=rho)
 
 
-def _fold(weight: np.ndarray, idx, alpha: np.ndarray) -> np.ndarray:
-    cols = weight[:, idx].astype(np.float64) * np.asarray(alpha, dtype=np.float64)[idx]
-    return cols.astype(np.float32)
+def _fold(weight: np.ndarray, idx, scale: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of a float32 weight, each times its score. The product
+    of two float32 values is exact in float64, so one float32 multiply gives
+    the bits of the product taken in float64 and rounded to float32."""
+    cols = weight[:, idx]
+    cols *= scale
+    return cols
 
 
 def prune_attention(p: AttentionParams, keep: KeepSet, alpha) -> AttentionParams:
@@ -96,11 +100,12 @@ def prune_attention(p: AttentionParams, keep: KeepSet, alpha) -> AttentionParams
         raise DimensionError(
             f"keep set built for width {keep.original}, site has {p.head_dim}")
     a = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
+    scale = a[idx]
     rows = np.concatenate([j * p.head_dim + idx for j in range(p.heads)])
     return AttentionParams(
-        wq=[Tensor(_fold(wm.data, idx, a), requires_grad=True) for wm in p.wq],
-        wk=[Tensor(_fold(wm.data, idx, a), requires_grad=True) for wm in p.wk],
-        wv=[Tensor(_fold(wm.data, idx, a), requires_grad=True) for wm in p.wv],
+        wq=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wq],
+        wk=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wk],
+        wv=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wv],
         wo=Tensor(np.ascontiguousarray(p.wo.data[rows]), requires_grad=True),
         head_dim=len(keep),
         scale_dim=p.scale_dim,
@@ -118,7 +123,7 @@ def prune_mlp(p: MlpParams, keep: KeepSet, alpha) -> MlpParams:
             f"keep set built for width {keep.original}, site has {p.hidden}")
     a = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
     return MlpParams(
-        w1=Tensor(_fold(p.w1.data, idx, a), requires_grad=True),
+        w1=Tensor(_fold(p.w1.data, idx, a[idx]), requires_grad=True),
         w2=Tensor(np.ascontiguousarray(p.w2.data[idx]), requires_grad=True),
     )
 

@@ -17,6 +17,7 @@ from dimprune.errors import NumericError
 from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, measured_cost,
                                 model_cost, swin_t_config)
 from dimprune.pipeline import evaluate
+from test_checkpoint import HEADER_PROBES, rewrite_header
 
 TINY = """
 model.image_size = 8
@@ -160,6 +161,19 @@ def test_data_split_errors_exit_with_their_codes(capsys, tiny_cfg, tmp_path):
     assert (rc, out) == (3, "")
     record = json.loads(err)
     assert record["error"] == "FormatError" and "test_batch.bin" in record["message"]
+
+
+@pytest.mark.parametrize("probe", sorted(HEADER_PROBES))
+def test_eval_of_a_malformed_header_exits_3(capsys, tiny_cfg, tmp_path, probe):
+    path = tmp_path / "probe.ckpt"
+    save_checkpoint(path, checkpoint_from_model(build_backbone(load_config(tiny_cfg).model,
+                                                               seed=0)))
+    path.write_bytes(rewrite_header(path.read_bytes(), HEADER_PROBES[probe]))
+    rc, out, err = run_cli(capsys, ["eval", "--config", tiny_cfg,
+                                    "--checkpoint", str(path)])
+    assert (rc, out) == (3, "")
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "FormatError"
 
 
 def test_numeric_failure_exits_4(capsys, tiny_cfg, tmp_path):

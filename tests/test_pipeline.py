@@ -195,6 +195,22 @@ def test_adamw_step_before_backward_raises_and_changes_nothing():
     T.backward(loss, tape)
 
 
+def test_adamw_step_with_a_missing_gradient_changes_nothing():
+    _, a = one_param(1.0)
+    _, b = one_param(2.0)
+    m0 = np.array([0.25], dtype=np.float32)
+    v0 = np.array([0.5], dtype=np.float32)
+    opt = AdamW([("a", a), ("b", b)], lr=0.1, weight_decay=0.1,
+                m={"a": m0, "b": m0}, v={"a": v0, "b": v0}, step=3)
+    a.grad = np.ones(1, dtype=np.float32)
+    with pytest.raises(UsageError, match="parameter b has no gradient"):
+        opt.step()
+    assert float(a.data[0]) == 1.0 and float(b.data[0]) == 2.0
+    assert opt.step_count == 3
+    for name in ("a", "b"):
+        assert np.array_equal(opt.m[name], m0) and np.array_equal(opt.v[name], v0)
+
+
 def test_adamw_step_after_backward_updates():
     name, p = one_param(0.5)
     opt = AdamW([(name, p)], lr=0.1)
