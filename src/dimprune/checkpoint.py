@@ -11,7 +11,8 @@ straight into a fresh array, so it holds about one file's worth of memory
 and no two loaded arrays share a buffer. A header that breaks the schema
 raises FormatError. Files are written to a temporary name beside the
 target and renamed over it, so a reader sees the old file or the whole new
-one, never a part.
+one, never a part. A model restored from a Checkpoint holds its arrays, and
+a Checkpoint built from a model holds the model's; neither is written into.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def _directory(path, entries, payload: int) -> list:
     """(table, name, shape) of every tensor, in file order. The entries must
     tile the payload from byte 0, each holding 4 bytes per element of a
     shape whose entries are all >= 1, and fit in the ``payload`` bytes the
-    file holds after its header. A load pays this per tensor, so it is kept
-    to plain comparisons."""
+    file holds after its header; each optimizer moment must match a
+    parameter or score of the file. A load pays this per tensor, so it is
+    kept to plain comparisons."""
     if type(entries) is not list:
         raise FormatError(f"{path}: tensor directory must be a list")
     out = []
@@ -194,6 +196,14 @@ def _directory(path, entries, payload: int) -> list:
     if end > payload:
         raise FormatError(f"{path}: truncated payload: the directory needs "
                           f"{end} bytes, the file holds {payload}")
+    # An optimizer moment belongs to a parameter, or to a score as
+    # ``score.<site>``, and has its shape.
+    owners = {key if attr == "params" else f"score.{key}": shape
+              for attr, key, shape in out if attr in ("params", "scores")}
+    for attr, key, shape in out:
+        if attr in ("opt_m", "opt_v") and owners.get(key) != shape:
+            raise FormatError(f"{path}: optimizer moment {key} with shape {shape} "
+                              f"names no parameter or score of that shape in the file")
     return out
 
 
@@ -225,12 +235,12 @@ def checkpoint_from_model(model: Backbone, scored: ScoredModel | None = None,
                           step: int = 0, seed: int = 0,
                           opt_m: dict | None = None, opt_v: dict | None = None,
                           rng_state: dict | None = None) -> Checkpoint:
-    params = {name: t.data.copy() for name, t in model.named_parameters()}
+    params = {name: t.data for name, t in model.named_parameters()}
     scores = {}
     if scored is not None:
         if scored.model is not model:
             raise UsageError("score table belongs to a different model")
-        scores = {sv.site_id: sv.alpha.data.copy() for sv in scored.scores}
+        scores = {sv.site_id: sv.alpha.data for sv in scored.scores}
     return Checkpoint(config=model.config, site_dims=dict(model.site_dims),
                       params=params, scores=scores,
                       opt_m=dict(opt_m or {}), opt_v=dict(opt_v or {}),
@@ -251,7 +261,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Backbone:
         if tuple(arr.shape) != tensor.shape:
             raise FormatError(
                 f"tensor {name} has shape {arr.shape}, model expects {tensor.shape}")
-        tensor.data[:] = arr
+        tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
     return model
 
 
@@ -269,5 +279,5 @@ def scored_from_checkpoint(ckpt: Checkpoint):
         if arr.shape != (sv.length,):
             raise FormatError(
                 f"score {sv.site_id} has length {arr.shape}, expected {sv.length}")
-        sv.alpha.data[:] = arr
+        sv.alpha.data = np.ascontiguousarray(arr, dtype=np.float32)
     return model, scored

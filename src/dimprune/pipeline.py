@@ -19,7 +19,7 @@ from .blocks import Backbone, forward_batch
 from .checkpoint import (Checkpoint, checkpoint_from_model, model_from_checkpoint,
                          scored_from_checkpoint)
 from .data import Dataset, iterate_batches, preprocess
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .pruner import prune_model
 from .scoring import attach_scores, score_l1, score_summary, total_loss
 from .tensor import Tape, backward
@@ -53,23 +53,23 @@ class AdamW:
         for table, given in ((self.m, m or {}), (self.v, v or {})):
             for name, arr in given.items():
                 if name in table:
-                    table[name] = np.asarray(arr, dtype=np.float32).reshape(
-                        table[name].shape).copy()
+                    arr = np.asarray(arr, dtype=np.float32)
+                    if arr.shape != table[name].shape:
+                        raise DimensionError(
+                            f"optimizer moment for parameter {name} has shape "
+                            f"{arr.shape}, the parameter has {table[name].shape}")
+                    table[name] = arr
 
     def step(self):
         """One update in float32 array arithmetic; the bias corrections and
-        the learning rate are folded into two scalars. The moments are rebound
-        to fresh arrays, so a Checkpoint built from ``m``/``v`` keeps its values.
+        the learning rate are folded into two scalars. Each parameter and
+        moment is rebound to a fresh array and none is written into, so a
+        tape that recorded a parameter still pulls through the values it
+        read, and a Checkpoint built from the model or ``m``/``v`` keeps its
+        values.
 
-        Raises UsageError, changing nothing, when a parameter has no gradient
-        or while a tape that recorded one of the parameters awaits backward:
-        its pulls read the parameter's data then, and the update writes into
-        that array."""
-        recorded = T.recorded_inputs()
+        Raises UsageError, changing nothing, when a parameter has no gradient."""
         for name, p in self.params:
-            if id(p) in recorded:
-                raise UsageError(f"parameter {name} is recorded on a tape that backward "
-                                 "has not consumed; run backward before stepping")
             if p.grad is None:
                 raise UsageError(f"parameter {name} has no gradient; "
                                  "run backward before stepping")
@@ -97,8 +97,11 @@ class AdamW:
             np.divide(m, update, out=update)
             update *= step_size
             if self.weight_decay and not decay_exempt(name):
-                p.data *= shrink
-            p.data -= update
+                new = p.data * shrink
+                new -= update
+            else:
+                new = np.subtract(p.data, update, out=update)
+            p.data = new
 
 
 @dataclass

@@ -110,7 +110,7 @@ def prune_attention(p: AttentionParams, keep: KeepSet, alpha) -> AttentionParams
         head_dim=len(keep),
         scale_dim=p.scale_dim,
         rpb=None if p.rpb is None else
-            [Tensor(t.data.copy(), requires_grad=True) for t in p.rpb],
+            [Tensor(t.data, requires_grad=True) for t in p.rpb],
         rpb_index=p.rpb_index,
     )
 
@@ -147,7 +147,7 @@ def prune_model(scored: ScoredModel, rho: float):
     targets = dict(out.named_parameters())
     for name, t in src.named_parameters():
         if name.rpartition(".")[0] not in keeps:
-            targets[name].data[:] = t.data
+            targets[name].data = t.data
     for site in sites(src.config):
         blk_src = src.stages[site.stage].blocks[site.block]
         blk_out = out.stages[site.stage].blocks[site.block]

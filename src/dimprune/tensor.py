@@ -13,9 +13,11 @@ Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
 and drops each one, with its output's gradient, once its pulls have run. A
 tape belongs to one thread and can be consumed by exactly one backward pass.
-Pulls read their inputs' data when backward runs, so nothing may write into a
-recorded input before then (``AdamW.step`` refuses to). Gradients may share
-arrays with each other, and nothing writes into a ``.grad`` in place.
+Pulls read their inputs' data when backward runs. The package never writes
+into an array a Tensor holds: an update builds a fresh array and rebinds
+``.data`` to it (``AdamW.step`` does), so a recorded input keeps its values
+until backward. Gradients may share arrays with each other, and nothing
+writes into a ``.grad`` in place.
 
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,10 +44,6 @@ _GELU_CUBIC = 0.044715
 _GELU_SATURATED = 10.0
 
 _state = threading.local()
-# Tapes entered but not yet consumed by backward. Their pulls read the data
-# of recorded inputs when backward runs; a dropped tape leaves by itself.
-_unconsumed = weakref.WeakSet()
-_unconsumed_lock = threading.Lock()
 
 
 def _tape():
@@ -68,7 +65,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float32)
-        if any(s < 1 for s in arr.shape):
+        if 0 in arr.shape:
             raise DimensionError(f"shape entries must be >= 1, got {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -108,8 +105,6 @@ class Tape:
             raise UsageError("a tape is already active on this thread")
         if self._consumed:
             raise UsageError("tape was already consumed by backward")
-        with _unconsumed_lock:
-            _unconsumed.add(self)
         _state.tape = self
         return self
 
@@ -146,15 +141,6 @@ def _accumulate(t: Tensor, delta):
     t.grad = delta if t.grad is None else t.grad + delta
 
 
-def recorded_inputs() -> set:
-    """Ids of the tensors that a tape not yet consumed by backward recorded
-    as op inputs. Pulls read their inputs' data when backward runs, so such
-    a tensor must not be written into until then."""
-    with _unconsumed_lock:
-        tapes = list(_unconsumed)
-    return {id(inp) for tape in tapes for _, pulls in tape._nodes for inp, _ in pulls}
-
-
 def backward(loss: Tensor, tape: Tape):
     """Run reverse-mode accumulation from a scalar loss through the tape.
 
@@ -166,8 +152,6 @@ def backward(loss: Tensor, tape: Tape):
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape._consumed = True
-    with _unconsumed_lock:
-        _unconsumed.discard(tape)
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     try:

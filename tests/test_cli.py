@@ -349,6 +349,34 @@ def test_search_resume_from_pruned_checkpoint_attaches_fresh_scores(
                                                          resumed.scores}
 
 
+# (moment name, moment shape) given the head parameter's shape
+MOMENT_PROBES = {
+    "wrong_size": lambda head: ("head", (3,)),
+    "transposed": lambda head: ("head", head[::-1]),
+    "no_parameter": lambda head: ("head.extra", head),
+}
+
+
+@pytest.mark.parametrize("table", ["opt_m", "opt_v"])
+@pytest.mark.parametrize("probe", sorted(MOMENT_PROBES))
+def test_search_resume_from_a_misshaped_optimizer_moment_exits_3(
+        capsys, tiny_cfg, tmp_path, probe, table):
+    model = build_backbone(load_config(tiny_cfg).model, seed=0)
+    moments = {name: np.zeros(t.shape, dtype=np.float32)
+               for name, t in model.named_parameters()}
+    name, shape = MOMENT_PROBES[probe](moments["head"].shape)
+    moments[name] = np.zeros(shape, dtype=np.float32)
+    path = tmp_path / "moments.ckpt"
+    save_checkpoint(path, checkpoint_from_model(model, step=3, **{table: moments}))
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg,
+                                    "--set", f"run.output_dir={tmp_path / 'run'}",
+                                    "--resume", str(path)])
+    assert (rc, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "FormatError" and name in record["message"]
+
+
 def test_eval_summary_writes_the_printed_record(capsys, tiny_cfg, tmp_path):
     out_dir = str(tmp_path / "run")
     setting = ["--set", f"run.output_dir={out_dir}"]

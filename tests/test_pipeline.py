@@ -6,7 +6,7 @@ import pytest
 from dimprune import tensor as T
 from dimprune.blocks import BackboneConfig, build_backbone, forward_batch
 from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
-from dimprune.errors import ConfigError, NumericError, UsageError
+from dimprune.errors import ConfigError, DimensionError, NumericError, UsageError
 from dimprune.data import synth_dataset
 from dimprune.pipeline import (
     AdamW,
@@ -183,16 +183,34 @@ def recorded_loss(p):
     return tape, loss
 
 
-def test_adamw_step_before_backward_raises_and_changes_nothing():
+def test_adamw_step_before_backward_keeps_the_recorded_forward():
     name, p = one_param(0.5)
+    _, twin = one_param(0.5)
     opt = AdamW([(name, p)], lr=0.1, weight_decay=0.1)
-    p.grad = np.ones(1, dtype=np.float32)
-    tape, loss = recorded_loss(p)
-    with pytest.raises(UsageError, match=f"parameter {name} .*backward"):
-        opt.step()
-    assert float(p.data[0]) == 0.5 and opt.step_count == 0
-    assert not opt.m[name].any() and not opt.v[name].any()
+    with T.Tape() as tape:
+        view = T.reshape(p, (1, 1))
+        loss = T.sum_all(T.matmul(view, view))
+    recorded = view.data.copy()
+    for q in (p, twin):
+        q.grad = np.ones(1, dtype=np.float32)
+    opt.step()
+    AdamW([(name, twin)], lr=0.1, weight_decay=0.1).step()
+    # the step rebinds p.data to the update; the array the tape recorded,
+    # reached through the reshape view, keeps the forward's value
+    assert np.array_equal(p.data, twin.data) and float(p.data[0]) != 0.5
+    assert view.data.tobytes() == recorded.tobytes()
+    p.grad = None
     T.backward(loss, tape)
+    assert p.grad.tolist() == [1.0]             # d(p*p)/dp at the recorded 0.5
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_adamw_rejects_a_moment_shaped_unlike_its_parameter(shape):
+    p = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    moment = {"w": np.zeros(shape, dtype=np.float32)}
+    for table in ("m", "v"):
+        with pytest.raises(DimensionError, match=r"parameter w has shape"):
+            AdamW([("w", p)], lr=0.1, **{table: moment})
 
 
 def test_adamw_step_with_a_missing_gradient_changes_nothing():
@@ -250,6 +268,29 @@ def test_search_smoke_and_metrics_log(tmp_path):
         assert 0.0 <= rec["accuracy"] <= 1.0
         assert "score_l1" in rec and "scores_below_0.1" in rec
     assert ckpt.opt_m and ckpt.opt_v and ckpt.step > 0
+
+
+def checkpoint_snapshot(ckpt):
+    tables = {key: {name: arr.tobytes() for name, arr in getattr(ckpt, key).items()}
+              for key in ("params", "scores", "opt_m", "opt_v")}
+    return tables, dict(ckpt.site_dims), ckpt.step, ckpt.seed
+
+
+def test_stages_leave_their_input_checkpoint_unchanged():
+    data = tiny_data()
+    searched = run_search(build_backbone(tiny_config(), seed=7), data,
+                          settings(epochs=1, gamma=0.001))
+    pruned, _ = run_prune(searched, 0.5)
+    stages = {
+        "run_search": (searched, lambda c: run_search(c, data, settings(epochs=1))),
+        "run_prune": (searched, lambda c: run_prune(c, 0.5)),
+        "run_finetune": (pruned, lambda c: run_finetune(c, data, settings(epochs=1))),
+        "evaluate": (searched, lambda c: evaluate(c, data, batch_size=8)),
+    }
+    for stage, (ckpt, run) in stages.items():
+        before = checkpoint_snapshot(ckpt)
+        run(ckpt)
+        assert checkpoint_snapshot(ckpt) == before, f"{stage} changed its input"
 
 
 def test_search_rejects_bad_start():
