@@ -181,6 +181,16 @@ class AttentionParams:
     def heads(self) -> int:
         return len(self.wq)
 
+    def named(self) -> list:
+        """(name, tensor) pairs within the site, in checkpoint order."""
+        out = []
+        for j in range(self.heads):
+            out += [(f"wq{j}", self.wq[j]), (f"wk{j}", self.wk[j]), (f"wv{j}", self.wv[j])]
+        out.append(("wo", self.wo))
+        if self.rpb is not None:
+            out += [(f"rpb{j}", t) for j, t in enumerate(self.rpb)]
+        return out
+
 
 @dataclass
 class MlpParams:
@@ -190,6 +200,10 @@ class MlpParams:
     @property
     def hidden(self) -> int:
         return self.w1.shape[1]
+
+    def named(self) -> list:
+        """(name, tensor) pairs within the site, in checkpoint order."""
+        return [("w1", self.w1), ("w2", self.w2)]
 
 
 @dataclass
@@ -533,64 +547,83 @@ class Backbone:
     """
 
     def __init__(self, config: BackboneConfig, site_dims: dict | None = None,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, params: dict | None = None):
+        """Weights are drawn from ``rng`` (zero without one); norm gains
+        start at one and biases at zero. ``params`` instead maps every
+        parameter name, as ``named_parameters`` gives it, to the array the
+        model takes as it is, so a restore builds no placeholder. A missing,
+        unexpected or misshaped entry raises DimensionError naming them all."""
         self.config = config
         given = check_site_dims(config, site_dims or {})
         self.site_dims = {site.id: given.get(site.id, site.full) for site in sites(config)}
         self.scores_attached = False
+        names, missing, misshaped = [], [], []
 
-        def weight(shape):
-            if rng is None:
-                return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32),
-                          requires_grad=True)
-
-        def ones(shape):
-            return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        def param(name, shape, fill=None):
+            if params is not None:
+                names.append(name)
+                arr = params.get(name)
+                if arr is not None and tuple(arr.shape) == shape:
+                    return Tensor(arr, requires_grad=True)
+                (missing if arr is None else misshaped).append(name)
+                arr = np.zeros(shape, dtype=np.float32)     # to name every fault
+            elif fill is None and rng is not None:
+                arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+            else:
+                arr = (np.ones if fill else np.zeros)(shape, dtype=np.float32)
+            return Tensor(arr, requires_grad=True)
 
         patch_width = config.in_channels * config.patch_size ** 2
-        self.patch_embed = weight((patch_width, config.base_dim))
+        self.patch_embed = param("patch_embed", (patch_width, config.base_dim))
         self.stages = []
         span = (2 * config.window - 1) ** 2
         geoms = stage_geometry(config)
         for geom, pairs in zip(geoms, block_sites(config)):
             blocks = []
             for b, (attn_site, mlp_site) in enumerate(pairs):
-                k = self.site_dims[attn_site.id]
-                km = self.site_dims[mlp_site.id]
+                base, attn, mlp = block_id(geom.index, b), attn_site.id, mlp_site.id
+                k = self.site_dims[attn]
+                km = self.site_dims[mlp]
+                heads = range(geom.heads)
                 rpb = None
                 rpb_index = None
                 if config.use_relative_position_bias:
-                    rpb = [weight((span, 1)) for _ in range(geom.heads)]
+                    rpb = [param(f"{attn}.rpb{j}", (span, 1)) for j in heads]
                     rpb_index = _relative_index(config.window)
-                attn = AttentionParams(
-                    wq=[weight((geom.dim, k)) for _ in range(geom.heads)],
-                    wk=[weight((geom.dim, k)) for _ in range(geom.heads)],
-                    wv=[weight((geom.dim, k)) for _ in range(geom.heads)],
-                    wo=weight((k * geom.heads, geom.dim)),
+                attn_params = AttentionParams(
+                    wq=[param(f"{attn}.wq{j}", (geom.dim, k)) for j in heads],
+                    wk=[param(f"{attn}.wk{j}", (geom.dim, k)) for j in heads],
+                    wv=[param(f"{attn}.wv{j}", (geom.dim, k)) for j in heads],
+                    wo=param(f"{attn}.wo", (k * geom.heads, geom.dim)),
                     head_dim=k,
                     scale_dim=geom.head_dim,
                     rpb=rpb,
                     rpb_index=rpb_index,
                 )
                 blocks.append(BlockParams(
-                    norm1_gain=ones(geom.dim), norm1_bias=zeros(geom.dim),
-                    attn=attn,
-                    norm2_gain=ones(geom.dim), norm2_bias=zeros(geom.dim),
-                    mlp=MlpParams(w1=weight((geom.dim, km)), w2=weight((km, geom.dim))),
+                    norm1_gain=param(f"{base}.norm1.gain", (geom.dim,), 1.0),
+                    norm1_bias=param(f"{base}.norm1.bias", (geom.dim,), 0.0),
+                    attn=attn_params,
+                    norm2_gain=param(f"{base}.norm2.gain", (geom.dim,), 1.0),
+                    norm2_bias=param(f"{base}.norm2.bias", (geom.dim,), 0.0),
+                    mlp=MlpParams(w1=param(f"{mlp}.w1", (geom.dim, km)),
+                                  w2=param(f"{mlp}.w2", (km, geom.dim))),
                     shift=block_shift(config, geom.grid, b),
                 ))
             merge = None
             if geom.index < len(geoms) - 1:
-                merge = weight((4 * geom.dim, 2 * geom.dim))
+                merge = param(f"stage{geom.index}.merge", (4 * geom.dim, 2 * geom.dim))
             self.stages.append(StageParams(blocks=blocks, merge=merge))
         last = geoms[-1].dim
-        self.final_gain = ones(last)
-        self.final_bias = zeros(last)
-        self.head = weight((last, config.num_classes))
+        self.final_gain = param("final_norm.gain", (last,), 1.0)
+        self.final_bias = param("final_norm.bias", (last,), 0.0)
+        self.head = param("head", (last, config.num_classes))
+        if params is not None and (missing or misshaped or len(params) != len(names)):
+            unexpected = set(params).difference(names)
+            raise DimensionError(
+                f"parameters do not match the model: missing {sorted(missing)}, "
+                f"unexpected {sorted(unexpected)}, misshaped "
+                f"{[(n, tuple(params[n].shape)) for n in misshaped]}")
 
     def named_parameters(self) -> list:
         """(name, tensor) pairs; a site's weights are named "<site id>.<weight>"."""
@@ -598,21 +631,12 @@ class Backbone:
         for s, (stage, pairs) in enumerate(zip(self.stages, block_sites(self.config))):
             for b, (blk, (attn_site, mlp_site)) in enumerate(zip(stage.blocks, pairs)):
                 base = block_id(s, b)
-                attn, mlp = attn_site.id, mlp_site.id
                 out.append((f"{base}.norm1.gain", blk.norm1_gain))
                 out.append((f"{base}.norm1.bias", blk.norm1_bias))
-                for j in range(blk.attn.heads):
-                    out.append((f"{attn}.wq{j}", blk.attn.wq[j]))
-                    out.append((f"{attn}.wk{j}", blk.attn.wk[j]))
-                    out.append((f"{attn}.wv{j}", blk.attn.wv[j]))
-                out.append((f"{attn}.wo", blk.attn.wo))
-                if blk.attn.rpb is not None:
-                    for j in range(blk.attn.heads):
-                        out.append((f"{attn}.rpb{j}", blk.attn.rpb[j]))
+                out.extend((f"{attn_site.id}.{name}", t) for name, t in blk.attn.named())
                 out.append((f"{base}.norm2.gain", blk.norm2_gain))
                 out.append((f"{base}.norm2.bias", blk.norm2_bias))
-                out.append((f"{mlp}.w1", blk.mlp.w1))
-                out.append((f"{mlp}.w2", blk.mlp.w2))
+                out.extend((f"{mlp_site.id}.{name}", t) for name, t in blk.mlp.named())
             if stage.merge is not None:
                 out.append((f"stage{s}.merge", stage.merge))
         out.append(("final_norm.gain", self.final_gain))

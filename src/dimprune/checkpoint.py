@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Backbone, BackboneConfig, check_site_dims
-from .errors import ConfigError, FormatError, UsageError
+from .errors import ConfigError, DimensionError, FormatError, UsageError
 from .scoring import ScoredModel, attach_scores
 from .tensor import Tensor
 
@@ -248,21 +248,10 @@ def checkpoint_from_model(model: Backbone, scored: ScoredModel | None = None,
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Backbone:
-    model = Backbone(ckpt.config, site_dims=dict(ckpt.site_dims), rng=None)
-    expected = dict(model.named_parameters())
-    missing = set(expected) - set(ckpt.params)
-    extra = set(ckpt.params) - set(expected)
-    if missing or extra:
-        raise FormatError(
-            f"checkpoint tensors do not match model: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}")
-    for name, tensor in expected.items():
-        arr = ckpt.params[name]
-        if tuple(arr.shape) != tensor.shape:
-            raise FormatError(
-                f"tensor {name} has shape {arr.shape}, model expects {tensor.shape}")
-        tensor.data = np.ascontiguousarray(arr, dtype=np.float32)
-    return model
+    try:
+        return Backbone(ckpt.config, site_dims=dict(ckpt.site_dims), params=ckpt.params)
+    except DimensionError as exc:
+        raise FormatError(f"checkpoint tensors: {exc}") from exc
 
 
 def scored_from_checkpoint(ckpt: Checkpoint):

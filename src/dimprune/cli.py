@@ -51,6 +51,13 @@ def _write_summary(output_dir: str, name: str, record: dict):
                 json.dumps(record, sort_keys=True) + "\n")
 
 
+def _summary_name(checkpoint: str) -> str:
+    """A training stage's summary is named after the checkpoint it wrote, so
+    two runs into one output directory (a search and a resumed search) keep
+    one record each."""
+    return os.path.splitext(os.path.basename(checkpoint))[0]
+
+
 def _model_counts(ckpt) -> dict:
     """Parameters and FLOPs of a checkpoint's model, by the formula ``dimprune
     cost`` prints; criterion 5 holds it equal to a counted forward."""
@@ -81,7 +88,7 @@ def cmd_search(args) -> int:
     record = {"stage": "search", "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
               **_model_counts(ckpt), "config": config_echo(cfg)}
-    _write_summary(cfg.output_dir, "search", record)
+    _write_summary(cfg.output_dir, _summary_name(out), record)
     _emit({k: v for k, v in record.items() if k != "config"})
     return EXIT_OK
 
@@ -120,7 +127,7 @@ def cmd_finetune(args) -> int:
     record = {"stage": "finetune", "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
               **_model_counts(tuned)}
-    _write_summary(cfg.output_dir, "finetune", record)
+    _write_summary(cfg.output_dir, _summary_name(out), record)
     _emit(record)
     return EXIT_OK
 

@@ -119,9 +119,10 @@ def synth_dataset(seed: int, num_classes: int = 4, n_per_class: int = 16,
     for _ in range(max_retries):
         protos = rng.random((num_classes, channels, height, width))
         flat = protos.reshape(num_classes, -1)
-        dists = np.linalg.norm(flat[:, None] - flat[None, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() >= margin:
+        # One pair at a time: a [C, C, C*H*W] difference array is 120 MB at
+        # ten classes of 3x224x224.
+        if all(np.linalg.norm(flat[i] - flat[j], axis=-1) >= margin
+               for i in range(num_classes) for j in range(i + 1, num_classes)):
             break
     else:
         raise ConfigError(

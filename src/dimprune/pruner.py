@@ -141,21 +141,18 @@ def prune_model(scored: ScoredModel, rho: float):
         mags = np.abs(sv.alpha.data.astype(np.float64))
         report.thresholds[sv.site_id] = float(mags[list(ks.indices)].min())
 
-    site_dims = {site: len(ks) for site, ks in keeps.items()}
-    out = Backbone(src.config, site_dims=site_dims, rng=None)
-    # Weights outside the sites (embed, norms, merges, head) carry over as is.
-    targets = dict(out.named_parameters())
-    for name, t in src.named_parameters():
-        if name.rpartition(".")[0] not in keeps:
-            targets[name].data = t.data
+    # Weights outside the sites (embed, norms, merges, head) carry over as
+    # they are; each site's weights are cut and folded.
+    params = {name: t.data for name, t in src.named_parameters()
+              if name.rpartition(".")[0] not in keeps}
     for site in sites(src.config):
-        blk_src = src.stages[site.stage].blocks[site.block]
-        blk_out = out.stages[site.stage].blocks[site.block]
+        blk = src.stages[site.stage].blocks[site.block]
         alpha = scored.score(site.id).alpha
-        if site.kind == "attn":
-            blk_out.attn = prune_attention(blk_src.attn, keeps[site.id], alpha)
-        else:
-            blk_out.mlp = prune_mlp(blk_src.mlp, keeps[site.id], alpha)
+        cut = (prune_attention(blk.attn, keeps[site.id], alpha) if site.kind == "attn"
+               else prune_mlp(blk.mlp, keeps[site.id], alpha))
+        params.update((f"{site.id}.{name}", t.data) for name, t in cut.named())
+    out = Backbone(src.config, site_dims={site: len(ks) for site, ks in keeps.items()},
+                   params=params)
 
     report.post_params = out.parameter_count()
     return out, report

@@ -606,3 +606,31 @@ def test_search_step_tape_size_is_independent_of_batch_heads_and_windows():
                                          (8, (4, 8), 32), (8, (2, 4), 64)]}
     assert len(set(counts.values())) == 1, counts
     assert counts[(8, (2, 4), 32)] <= 200
+
+
+@pytest.mark.parametrize("rpb", [False, True])
+def test_backbone_from_params_takes_each_array_by_name(rpb):
+    cfg = BackboneConfig(use_relative_position_bias=rpb)
+    dims = {"stage0.block0.attn": 3, "stage1.block0.mlp": 10}
+    model = Backbone(cfg, site_dims=dims, rng=np.random.default_rng(40))
+    arrays = {name: t.data for name, t in model.named_parameters()}
+    back = Backbone(cfg, site_dims=dims, params=arrays)
+    named = back.named_parameters()
+    assert [name for name, _ in named] == list(arrays)
+    assert all(t.data is arrays[name] and t.requires_grad for name, t in named)
+    img = rng(41).random((3, 32, 32)).astype(np.float32)
+    assert np.array_equal(backbone_forward(back, img)[0].data,
+                          backbone_forward(model, img)[0].data)
+
+
+def test_backbone_from_params_names_every_fault():
+    cfg = BackboneConfig()
+    arrays = {name: t.data for name, t in build_backbone(cfg, seed=42).named_parameters()}
+    del arrays["head"]
+    arrays["stage0.block0.mlp.w1"] = np.zeros((2, 2), dtype=np.float32)
+    arrays["bogus"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(DimensionError) as err:
+        Backbone(cfg, params=arrays)
+    msg = str(err.value)
+    assert "missing ['head']" in msg and "unexpected ['bogus']" in msg
+    assert "('stage0.block0.mlp.w1', (2, 2))" in msg

@@ -464,6 +464,28 @@ def test_search_resumed_from_pruned_checkpoint_records_its_rho(capsys, tiny_cfg,
     assert [(r["stage"], r["rho"]) for r in json_lines(out)] == [("search", rho)]
 
 
+def test_resumed_search_into_the_same_directory_keeps_both_summaries(
+        capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    pruned_path = search_and_prune(capsys, tiny_cfg, setting)
+    resumed_path = os.path.join(out_dir, "resumed.ckpt")
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, *setting,
+                                    "--resume", pruned_path, "--out", resumed_path])
+    assert rc == 0 and err == ""
+    resumed_rec = json_lines(out)[-1]
+    with open(os.path.join(out_dir, "search.summary.json")) as fh:
+        assert json.load(fh)["checkpoint"] == os.path.join(out_dir, "search.ckpt")
+    with open(os.path.join(out_dir, "resumed.summary.json")) as fh:
+        assert json.load(fh)["checkpoint"] == resumed_path
+    rc, out, _ = run_cli(capsys, ["report", "--dir", out_dir, "--json"])
+    assert rc == 0
+    rows = [(r["stage"], r["rho"], r["checkpoint"]) for r in json_lines(out)]
+    assert rows == [("search", 1.0, os.path.join(out_dir, "search.ckpt")),
+                    ("search", resumed_rec["rho"], resumed_path)]
+    assert resumed_rec["rho"] < 1.0
+
+
 def test_report_table_marks_counts_an_eval_row_lacks(capsys, tiny_cfg, tmp_path):
     out_dir = str(tmp_path / "run")
     setting = ["--set", f"run.output_dir={out_dir}"]

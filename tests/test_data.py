@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,42 @@ def test_synth_impossible_margin_raises():
     with pytest.raises(ConfigError):
         synth_dataset(seed=0, num_classes=4, n_per_class=1, noise_sigma=10.0,
                       max_retries=5)
+
+
+# SHA-256 of images and labels, taken from the pairwise-array version of
+# synth_dataset: the benchmark's tiny and Swin-T shapes, and two cases whose
+# prototypes are redrawn (twice, and seven times) before every pair separates.
+SYNTH_DIGESTS = [
+    (dict(seed=0, num_classes=4, n_per_class=16, height=32, width=32, channels=3),
+     "6a31bfb07dacff3eb33fbc0198c0982bcd12ec9d8122d813da53ec5adc48d0ec",
+     "f54717a1a69a8075bd82874b074c0524b0a7944107396c43e15d5454a3f70c39"),
+    (dict(seed=1001, num_classes=4, n_per_class=16, height=32, width=32, channels=3),
+     "e25adf46588feadf5d44435dd773fd191f3780ac77b40e28d1f3d53a512fbad5",
+     "f54717a1a69a8075bd82874b074c0524b0a7944107396c43e15d5454a3f70c39"),
+    (dict(seed=3, num_classes=4, n_per_class=4, height=8, width=8, channels=3,
+          noise_sigma=0.1),
+     "992386e152c3e147815ea6abec895dc27a56d44a4b0593936e04a0c4f53e356f",
+     "410510ff3440c2a3848ba21e24e2d9d4f85ee3d44c44ea9af076db55085cbf51"),
+    (dict(seed=1, num_classes=4, n_per_class=4, height=8, width=8, channels=3,
+          noise_sigma=0.1),
+     "54b9317d1577c07b7664edb4dc289603ef2db8610ec77a3c95765741f767fed3",
+     "410510ff3440c2a3848ba21e24e2d9d4f85ee3d44c44ea9af076db55085cbf51"),
+    (dict(seed=0, num_classes=10, n_per_class=1, height=224, width=224, channels=3),
+     "fae2505fae37770a820ae42e08faa7852ee8c5a80ba265cf00fb91e9e0384663",
+     "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a"),
+    (dict(seed=1001, num_classes=10, n_per_class=1, height=224, width=224, channels=3),
+     "e3a2ee657c8e9fc7c8879ff292e7c9a0369d58a9ec03ac66df307158801898fa",
+     "23c379d6c0f22ef64cdef873fd530df1f1419b4a3935e9323d5f1d82ca697b6a"),
+]
+
+
+@pytest.mark.parametrize("kwargs,images_sha,labels_sha", SYNTH_DIGESTS,
+                         ids=["tiny-0", "tiny-1001", "redrawn-2", "redrawn-7",
+                              "swin-t-0", "swin-t-1001"])
+def test_synth_matches_pinned_digests(kwargs, images_sha, labels_sha):
+    ds = synth_dataset(**kwargs)
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == images_sha
+    assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha
 
 
 def test_synth_values_stay_in_unit_range():

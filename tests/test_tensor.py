@@ -156,8 +156,18 @@ def test_permute_rows_roundtrip_bitwise():
 
 
 def test_permute_rows_rejects_non_permutation():
-    with pytest.raises(DimensionError):
-        T.permute_rows(Tensor(np.ones((3, 1))), [0, 0, 2])
+    x = Tensor(np.ones((3, 1)))
+    for perm in ([0, 0, 2],             # duplicate
+                 [0, 1, -1],            # negative: must not wrap to the last row
+                 [0, 1, 3],             # out of range
+                 [0, 1, 2 ** 40],       # far out of range
+                 [-(2 ** 40), 1, 2],
+                 [0, 1],                # too short
+                 [0, 1, 2, 3],          # too long
+                 [[0, 1, 2]],           # not 1-D
+                 []):
+        with pytest.raises(DimensionError):
+            T.permute_rows(x, perm)
 
 
 def test_gather_rows_with_repeats():
@@ -241,6 +251,52 @@ def test_softmax_matches_reference():
     x = rng(10).normal(size=(4, 6)).astype(np.float32)
     got = T.softmax_rows(Tensor(x)).data
     assert np.abs(got - ref_softmax(x)).max() < 1e-6
+
+
+# Row lengths on both sides of each crossover in tensor._SHORT_ROW (a max
+# runs across a transposed copy through 48, a float64 sum through 24).
+ROW_LENGTHS = (4, 16, 24, 25, 31, 32, 48, 49, 96)
+
+
+def test_row_reduce_on_both_sides_of_the_crossover():
+    for n in ROW_LENGTHS:
+        x = (rng(n).normal(size=(3, 5, 4, n)) * 10.0 ** rng(n + 1).integers(
+            -3, 4, size=(3, 5, 4, n))).astype(np.float32)
+        assert np.array_equal(T._reduce_rows(np.maximum, x), x.max(axis=-1, keepdims=True))
+        sums = T._reduce_rows(np.add, x, np.float64)
+        exact = x.astype(np.float64).sum(axis=-1, keepdims=True)
+        assert sums.dtype == np.float64 and sums.shape == (3, 5, 4, 1)
+        assert np.all(np.abs(sums - exact) <= 1e-13 * np.abs(x).sum(axis=-1, keepdims=True))
+
+
+def test_short_row_sums_add_in_order_whatever_the_row_count():
+    for n in (4, 16, 24):
+        for rows in (1, 2, 3, 100, 10000):
+            x = (rng(rows).normal(size=(rows, n)) * 10.0 ** rng(n).integers(
+                -3, 4, size=(rows, n))).astype(np.float32)
+            want = x[:, 0].astype(np.float64)
+            for i in range(1, n):
+                want = want + x[:, i]
+            assert np.array_equal(T._reduce_rows(np.add, x, np.float64)[:, 0], want)
+
+
+def test_softmax_matches_reference_on_both_sides_of_the_crossover():
+    for n in ROW_LENGTHS:
+        x = leaf(rng(n).normal(size=(2, 3, n)) * 3.0)
+        g = rng(n + 1).normal(size=(2, 3, n)).astype(np.float32)
+        with Tape() as tape:
+            y = T.softmax_rows(x)
+            loss = T.sum_all(T.matmul(T.reshape(y, (1, y.size)), Tensor(g.reshape(-1, 1))))
+        backward(loss, tape)
+        ref = ref_softmax(x.data.reshape(-1, n))
+        assert np.abs(y.data.reshape(-1, n) - ref).max() < 1e-6
+        gf = g.reshape(-1, n).astype(np.float64)
+        ref_grad = ref * (gf - (gf * ref).sum(axis=1, keepdims=True))
+        assert np.abs(x.grad.reshape(-1, n) - ref_grad).max() < 1e-6
+        flat = leaf(x.data.reshape(6, n))
+        c1 = Tensor(rng(n + 2).normal(size=(n, 1)))
+        c2 = Tensor(rng(n + 3).normal(size=(6, 1)))
+        fd_check(lambda: proj_loss(T.softmax_rows(flat), c1, c2), [flat], n + 4, points=4)
 
 
 def test_layer_norm_constant_row_returns_bias():
