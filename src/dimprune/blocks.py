@@ -278,14 +278,10 @@ def _attention(x: Tensor, p: AttentionParams, groups: tuple,
     return T.matmul(merged, p.wo)
 
 
-def msa_forward(x: Tensor, p: AttentionParams, alpha: Tensor | None = None,
-                mask=None) -> Tensor:
+def msa_forward(x: Tensor, p: AttentionParams, alpha: Tensor | None = None) -> Tensor:
     """Multi-head attention over all rows of x; alpha scales each per-head
-    Q/K/V column, and an [n x n] mask is added to every head's logits."""
-    if mask is not None:
-        mask = Tensor(np.broadcast_to(mask.data if isinstance(mask, Tensor) else mask,
-                                      (p.heads, x.shape[0], x.shape[0])))
-    return _attention(x, p, (), alpha, mask)
+    Q/K/V column."""
+    return _attention(x, p, (), alpha)
 
 
 def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
@@ -461,7 +457,7 @@ def stage_geometry(config: BackboneConfig) -> tuple:
         if dim % heads:
             raise ConfigError(f"stage {s} dim {dim} not divisible by {heads} heads")
         hidden = config.mlp_ratio * dim
-        if hidden != int(hidden) or hidden < 1:
+        if not math.isfinite(hidden) or hidden != int(hidden) or hidden < 1:
             raise ConfigError(
                 f"stage {s} hidden width {hidden} is not a positive integer")
         if s > 0:

@@ -51,13 +51,6 @@ def _write_summary(output_dir: str, name: str, record: dict):
                 json.dumps(record, sort_keys=True) + "\n")
 
 
-def _summary_name(checkpoint: str) -> str:
-    """A training stage's summary is named after the checkpoint it wrote, so
-    two runs into one output directory (a search and a resumed search) keep
-    one record each."""
-    return os.path.splitext(os.path.basename(checkpoint))[0]
-
-
 def _model_counts(ckpt) -> dict:
     """Parameters and FLOPs of a checkpoint's model, by the formula ``dimprune
     cost`` prints; criterion 5 holds it equal to a counted forward."""
@@ -72,25 +65,35 @@ def _load_checkpoint_checked(path):
     return load_checkpoint(path)
 
 
-def cmd_search(args) -> int:
+def _train_stage(args, stage: str, start, run) -> int:
+    """Run one training stage: ``run(start(cfg), dataset, cfg.train)``, then
+    save, evaluate, and write and print the stage's record."""
     cfg = load_config(args.config, args.set)
     os.makedirs(cfg.output_dir, exist_ok=True)
     if cfg.train.log_path is None:
-        cfg.train.log_path = os.path.join(cfg.output_dir, "search_metrics.jsonl")
-    start = (_load_checkpoint_checked(args.resume) if args.resume
-             else build_backbone(cfg.model, seed=cfg.model_seed))
+        cfg.train.log_path = os.path.join(cfg.output_dir, f"{stage}_metrics.jsonl")
+    source = start(cfg)
     dataset = make_dataset(cfg)
-    ckpt = run_search(start, dataset, cfg.train)
-    out = args.out or os.path.join(cfg.output_dir, "search.ckpt")
+    ckpt = run(source, dataset, cfg.train)
+    out = args.out or os.path.join(cfg.output_dir, f"{stage}.ckpt")
     save_checkpoint(out, ckpt)
     metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
                        normalize=cfg.train.normalize)
-    record = {"stage": "search", "rho": _rho_of(ckpt), "checkpoint": out,
+    record = {"stage": stage, "rho": _rho_of(ckpt), "checkpoint": out,
               "accuracy": metrics["accuracy"], "loss": metrics["loss"],
-              **_model_counts(ckpt), "config": config_echo(cfg)}
-    _write_summary(cfg.output_dir, _summary_name(out), record)
-    _emit({k: v for k, v in record.items() if k != "config"})
+              **_model_counts(ckpt)}
+    # The summary is named after the checkpoint, so two runs into one output
+    # directory (a search and a resumed search) keep one record each.
+    _write_summary(cfg.output_dir, os.path.splitext(os.path.basename(out))[0],
+                   {**record, "config": config_echo(cfg)})
+    _emit(record)
     return EXIT_OK
+
+
+def cmd_search(args) -> int:
+    return _train_stage(args, "search", lambda cfg: (
+        _load_checkpoint_checked(args.resume) if args.resume
+        else build_backbone(cfg.model, seed=cfg.model_seed)), run_search)
 
 
 def cmd_prune(args) -> int:
@@ -113,23 +116,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = load_config(args.config, args.set)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if cfg.train.log_path is None:
-        cfg.train.log_path = os.path.join(cfg.output_dir, "finetune_metrics.jsonl")
-    ckpt = _load_checkpoint_checked(args.checkpoint)
-    dataset = make_dataset(cfg)
-    tuned = run_finetune(ckpt, dataset, cfg.train)
-    out = args.out or os.path.join(cfg.output_dir, "finetune.ckpt")
-    save_checkpoint(out, tuned)
-    metrics = evaluate(tuned, dataset, batch_size=cfg.train.batch_size,
-                       normalize=cfg.train.normalize)
-    record = {"stage": "finetune", "rho": _rho_of(ckpt), "checkpoint": out,
-              "accuracy": metrics["accuracy"], "loss": metrics["loss"],
-              **_model_counts(tuned)}
-    _write_summary(cfg.output_dir, _summary_name(out), record)
-    _emit(record)
-    return EXIT_OK
+    return _train_stage(args, "finetune",
+                        lambda cfg: _load_checkpoint_checked(args.checkpoint),
+                        run_finetune)
 
 
 def _rho_of(ckpt) -> float:
@@ -165,49 +154,55 @@ def cmd_cost(args) -> int:
         mac = 1
     conv = Convention(mac_factor=mac, include_bias=args.include_bias,
                       include_rpb=args.include_rpb)
-    rhos = [float(r) for r in args.rho.split(",") if r.strip()]
+    try:
+        rhos = [float(r) for r in args.rho.split(",") if r.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--rho takes comma-separated numbers, got {args.rho!r}") from exc
     if not rhos:
         raise ConfigError("at least one rho value is required")
-    rows = []
-    for rho in rhos:
-        rep = model_cost(model_cfg, rho, conv)
-        rows.append({"rho": rho, "params": rep.total_params,
-                     "flops": rep.total_flops,
-                     "backbone_params": rep.backbone_params,
-                     "sites": [dataclasses.asdict(s) for s in rep.sites],
-                     "overhead_params": rep.overhead_params,
-                     "overhead_flops": rep.overhead_flops})
+    reports = [model_cost(model_cfg, rho, conv) for rho in rhos]
     if args.json:
-        for row in rows:
-            for site in row["sites"]:
-                _emit({"rho": row["rho"], **site})
-            _emit({"rho": row["rho"], "site_id": "overhead",
-                   "params": row["overhead_params"],
-                   "flops": row["overhead_flops"]})
-            _emit({"rho": row["rho"], "site_id": "total",
-                   "params": row["params"], "flops": row["flops"],
-                   "backbone_params": row["backbone_params"]})
+        for rep in reports:
+            for site in rep.sites:
+                _emit({"rho": rep.rho, **dataclasses.asdict(site)})
+            _emit({"rho": rep.rho, "site_id": "overhead",
+                   "params": rep.overhead_params, "flops": rep.overhead_flops})
+            _emit({"rho": rep.rho, "site_id": "total",
+                   "params": rep.total_params, "flops": rep.total_flops,
+                   "backbone_params": rep.backbone_params})
     else:
         print(f"{'rho':>5}  {'params':>12}  {'Para.(M)':>9}  "
               f"{'flops':>14}  {'FLOPS(G)':>9}  {'backbone(M)':>11}")
-        for row in rows:
-            print(f"{row['rho']:>5g}  {row['params']:>12}  "
-                  f"{row['params'] / 1e6:>9.2f}  {row['flops']:>14}  "
-                  f"{row['flops'] / 1e9:>9.2f}  "
-                  f"{row['backbone_params'] / 1e6:>11.2f}")
+        for rep in reports:
+            print(f"{rep.rho:>5g}  {rep.total_params:>12}  "
+                  f"{rep.total_params / 1e6:>9.2f}  {rep.total_flops:>14}  "
+                  f"{rep.total_flops / 1e9:>9.2f}  "
+                  f"{rep.backbone_params / 1e6:>11.2f}")
     return EXIT_OK
+
+
+def _read_summary(path) -> dict:
+    """A summary record without its config echo; FormatError, naming the
+    file, unless it is a JSON object whose stage is a string and whose rho,
+    accuracy, params and flops are numbers wherever present."""
+    try:
+        with open(path) as fh:
+            rec = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: unreadable summary record: {exc}") from exc
+    if (type(rec) is not dict or type(rec.get("stage", "")) is not str
+            or any(type(rec[key]) not in (int, float)
+                   for key in ("rho", "accuracy", "params", "flops") if key in rec)):
+        raise FormatError(f"{path}: malformed summary record {rec!r:.200}")
+    rec.pop("config", None)
+    return rec
 
 
 def cmd_report(args) -> int:
     paths = sorted(glob.glob(os.path.join(args.dir, "*.summary.json")))
     if not paths:
         raise FormatError(f"no summary records found under {args.dir}")
-    records = []
-    for path in paths:
-        with open(path) as fh:
-            rec = json.loads(fh.read())
-        rec.pop("config", None)
-        records.append(rec)
+    records = [_read_summary(path) for path in paths]
     order = {"search": 0, "prune": 1, "finetune": 2, "eval": 3}
     records.sort(key=lambda r: (order.get(r.get("stage"), 9), -r.get("rho", 1.0)))
     if args.json:

@@ -1,13 +1,14 @@
 """Run configuration: dotted-key text files plus command-line overrides.
 
 A config file holds `section.key = value` lines (# starts a comment). Keys
-are validated against a fixed schema; anything unknown is rejected so typos
-fail loudly before a run starts.
+are validated against a schema read from the config dataclasses' fields;
+anything unknown is rejected so typos fail loudly before a run starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .blocks import BackboneConfig
 from .data import Dataset, load_cifar, resize_nearest, synth_dataset
@@ -74,45 +75,29 @@ def _int(raw: str) -> int:
 
 def _float(raw: str) -> float:
     try:
-        return float(raw.strip())
+        value = float(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _str(raw: str) -> str:
     return raw.strip()
 
 
-SCHEMA = {
-    "model.image_size": ("model", "image_size", _int),
-    "model.patch_size": ("model", "patch_size", _int),
-    "model.in_channels": ("model", "in_channels", _int),
-    "model.base_dim": ("model", "base_dim", _int),
-    "model.depths": ("model", "depths", _ints),
-    "model.heads": ("model", "heads", _ints),
-    "model.window": ("model", "window", _int),
-    "model.mlp_ratio": ("model", "mlp_ratio", _float),
-    "model.num_classes": ("model", "num_classes", _int),
-    "model.use_relative_position_bias":
-        ("model", "use_relative_position_bias", _bool),
-    "train.epochs": ("train", "epochs", _int),
-    "train.batch_size": ("train", "batch_size", _int),
-    "train.lr": ("train", "lr", _float),
-    "train.weight_decay": ("train", "weight_decay", _float),
-    "train.gamma": ("train", "gamma", _float),
-    "train.seed": ("train", "seed", _int),
-    "train.augment": ("train", "augment", _bool),
-    "train.normalize": ("train", "normalize", _bool),
-    "data.kind": ("data", "kind", _str),
-    "data.seed": ("data", "seed", _int),
-    "data.n_per_class": ("data", "n_per_class", _int),
-    "data.noise_sigma": ("data", "noise_sigma", _float),
-    "data.path": ("data", "path", _str),
-    "data.split": ("data", "split", _str),
-    "prune.rho": ("run", "rho", _float),
-    "run.output_dir": ("run", "output_dir", _str),
-    "run.model_seed": ("run", "model_seed", _int),
-}
+_PARSERS = {int: _int, float: _float, bool: _bool, tuple: _ints, str: _str}
+
+# Every config key, read from the dataclass fields: a field whose default is
+# an int, float, bool, tuple or str is a key, parsed by its default's type.
+# The sub-configs and ``train.log_path`` have no such default; ``rho`` is
+# spelled ``prune.rho``.
+SCHEMA = {f"{'prune' if f.name == 'rho' else section}.{f.name}":
+          (section, f.name, _PARSERS[type(f.default)])
+          for section, cls in (("model", BackboneConfig), ("train", TrainSettings),
+                               ("data", DataSpec), ("run", RunConfig))
+          for f in fields(cls) if type(f.default) in _PARSERS}
 
 
 def parse_pairs(lines, source: str):

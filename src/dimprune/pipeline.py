@@ -21,7 +21,7 @@ from .checkpoint import (Checkpoint, checkpoint_from_model, model_from_checkpoin
 from .data import Dataset, iterate_batches, preprocess
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .pruner import prune_model
-from .scoring import attach_scores, score_l1, score_summary, total_loss
+from .scoring import ScoredModel, attach_scores, score_l1, score_summary, total_loss
 from .tensor import Tape, backward
 
 
@@ -140,34 +140,31 @@ def _stats(dataset: Dataset, normalize: bool):
     return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
 
 
-def _restore(source):
-    """(model, scored) of a stage input: a Checkpoint rebuilt with its score
-    table when it has one, or a Backbone as given; scored is None when
-    there is no score table."""
+def _restore(source) -> ScoredModel:
+    """The ScoredModel of a stage input: a Checkpoint rebuilt with its score
+    table, or a Backbone as given; the table is empty when there is none."""
     if isinstance(source, Checkpoint):
         if source.has_scores():
-            return scored_from_checkpoint(source)
-        return model_from_checkpoint(source), None
+            return scored_from_checkpoint(source)[1]
+        return ScoredModel(model_from_checkpoint(source), [])
     if isinstance(source, Backbone):
-        return source, None
+        return ScoredModel(source, [])
     raise UsageError(f"expected a Backbone or Checkpoint, got {type(source)}")
 
 
-def _train(model: Backbone, scored, start, dataset: Dataset, settings: TrainSettings,
+def _train(scored: ScoredModel, start, dataset: Dataset, settings: TrainSettings,
            gamma: float, stage: str) -> Checkpoint:
-    """Train ``scored`` (or ``model`` when it is None) and return the result
-    as a Checkpoint; AdamW resumes from the optimizer state of ``start``
-    when it is a Checkpoint."""
+    """Train ``scored`` and return the result as a Checkpoint; AdamW resumes
+    from the optimizer state of ``start`` when it is a Checkpoint."""
     settings.validate()
     rng = np.random.default_rng(settings.seed)
-    holder = scored if scored is not None else model
+    model = scored.model
     resume = start if isinstance(start, Checkpoint) else Checkpoint(model.config)
-    opt = AdamW(holder.named_parameters(), lr=settings.lr,
+    opt = AdamW(scored.named_parameters(), lr=settings.lr,
                 weight_decay=settings.weight_decay, m=resume.opt_m, v=resume.opt_v,
                 step=resume.step)
     mean, std = _stats(dataset, settings.normalize)
-    score_map = scored.score_map() if scored is not None else None
-    scores = scored.scores if scored is not None else []
+    score_map = scored.score_map()
 
     for epoch in range(settings.epochs):
         total = 0.0
@@ -175,10 +172,10 @@ def _train(model: Backbone, scored, start, dataset: Dataset, settings: TrainSett
         count = 0
         for images, labels in iterate_batches(dataset, settings.batch_size, rng):
             batch = preprocess(images, settings.augment, mean, std, rng=rng)
-            holder.zero_grads()
+            scored.zero_grads()
             with Tape() as tape:
                 logits = forward_batch(model, batch, scores=score_map)
-                loss = total_loss(logits, labels, scores, gamma)
+                loss = total_loss(logits, labels, scored.scores, gamma)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}: {value}")
@@ -189,10 +186,10 @@ def _train(model: Backbone, scored, start, dataset: Dataset, settings: TrainSett
             count += len(labels)
         record = {"stage": stage, "epoch": epoch, "loss": total / count,
                   "accuracy": hits / count}
-        if scores:
-            record["score_l1"] = score_l1(scores)
+        if scored.scores:
+            record["score_l1"] = score_l1(scored.scores)
             record["scores_below_0.1"] = int(sum(
-                row["below_threshold"] for row in score_summary(scores, 0.1)))
+                row["below_threshold"] for row in score_summary(scored.scores, 0.1)))
         _append_log(settings.log_path, record)
     return checkpoint_from_model(model, scored, step=opt.step_count, seed=settings.seed,
                                  opt_m=opt.m, opt_v=opt.v)
@@ -201,10 +198,10 @@ def _train(model: Backbone, scored, start, dataset: Dataset, settings: TrainSett
 def run_search(start, dataset: Dataset, settings: TrainSettings) -> Checkpoint:
     """Train weights and scores jointly under the l1-regularized objective;
     a start without a score table gets fresh scores of 1."""
-    model, scored = _restore(start)
-    if scored is None:
-        scored = attach_scores(model)
-    return _train(model, scored, start, dataset, settings, gamma=settings.gamma,
+    scored = _restore(start)
+    if not scored.scores:
+        scored = attach_scores(scored.model)
+    return _train(scored, start, dataset, settings, gamma=settings.gamma,
                   stage="search")
 
 
@@ -212,8 +209,7 @@ def run_prune(ckpt: Checkpoint, rho: float):
     """Rank the stored scores and cut the model; drops the score table."""
     if not ckpt.has_scores():
         raise UsageError("prune needs a search checkpoint with a score table")
-    _, scored = scored_from_checkpoint(ckpt)
-    pruned, report = prune_model(scored, rho)
+    pruned, report = prune_model(_restore(ckpt), rho)
     out = checkpoint_from_model(pruned, step=0, seed=ckpt.seed)
     return out, report
 
@@ -224,21 +220,20 @@ def run_finetune(ckpt: Checkpoint, dataset: Dataset,
     if ckpt.has_scores():
         raise UsageError("finetune expects a pruned checkpoint without scores; "
                          "run prune first")
-    return _train(model_from_checkpoint(ckpt), None, ckpt, dataset, settings,
-                  gamma=0.0, stage="finetune")
+    return _train(_restore(ckpt), ckpt, dataset, settings, gamma=0.0, stage="finetune")
 
 
 def evaluate(source, dataset: Dataset, batch_size: int = 64,
              normalize: bool = True) -> dict:
     """Deterministic accuracy/loss pass; never mutates parameters."""
-    model, scored = _restore(source)
-    score_map = scored.score_map() if scored is not None else None
+    scored = _restore(source)
+    score_map = scored.score_map()
     mean, std = _stats(dataset, normalize)
     hits = 0
     total = 0.0
     for images, labels in iterate_batches(dataset, batch_size):
         batch = preprocess(images, False, mean, std)
-        logits = forward_batch(model, batch, scores=score_map)
+        logits = forward_batch(scored.model, batch, scores=score_map)
         loss = T.cross_entropy_with_logits(logits, labels)
         total += loss.item() * len(labels)
         hits += int((logits.data.argmax(axis=1) == labels).sum())

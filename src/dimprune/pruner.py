@@ -131,7 +131,11 @@ def prune_mlp(p: MlpParams, keep: KeepSet, alpha) -> MlpParams:
 def prune_model(scored: ScoredModel, rho: float):
     """Apply select_keep and surgery at every site; returns (model, report)."""
     src = scored.model
-    report = PruneReport(rho=rho, pre_params=src.parameter_count())
+    # One walk over the weights: those outside the sites (embed, norms,
+    # merges, head) carry over as they are, and every site's weights are
+    # replaced by their cut and folded form.
+    params = {name: t.data for name, t in src.named_parameters()}
+    report = PruneReport(rho=rho, pre_params=sum(a.size for a in params.values()))
 
     keeps = {}
     for sv in scored.scores:
@@ -141,10 +145,6 @@ def prune_model(scored: ScoredModel, rho: float):
         mags = np.abs(sv.alpha.data.astype(np.float64))
         report.thresholds[sv.site_id] = float(mags[list(ks.indices)].min())
 
-    # Weights outside the sites (embed, norms, merges, head) carry over as
-    # they are; each site's weights are cut and folded.
-    params = {name: t.data for name, t in src.named_parameters()
-              if name.rpartition(".")[0] not in keeps}
     for site in sites(src.config):
         blk = src.stages[site.stage].blocks[site.block]
         alpha = scored.score(site.id).alpha
@@ -153,8 +153,7 @@ def prune_model(scored: ScoredModel, rho: float):
         params.update((f"{site.id}.{name}", t.data) for name, t in cut.named())
     out = Backbone(src.config, site_dims={site: len(ks) for site, ks in keeps.items()},
                    params=params)
-
-    report.post_params = out.parameter_count()
+    report.post_params = sum(a.size for a in params.values())
     return out, report
 
 

@@ -437,6 +437,9 @@ def test_backbone_config_validation():
      "stage 2 grid 1 cannot be halved for merging"),
     (dict(window=0), "window must be >= 1, got 0"),
     (dict(window=-2), "window must be >= 1, got -2"),
+    (dict(mlp_ratio=float("nan")), "stage 0 hidden width nan is not a positive integer"),
+    (dict(mlp_ratio=float("inf")), "stage 0 hidden width inf is not a positive integer"),
+    (dict(mlp_ratio=float("-inf")), "stage 0 hidden width -inf is not a positive integer"),
 ])
 def test_backbone_config_reports_the_first_bad_stage_shape(kw, message):
     with pytest.raises(ConfigError) as err:

@@ -12,7 +12,7 @@ from dimprune import cli
 from dimprune.blocks import build_backbone, forward_batch
 from dimprune.checkpoint import (checkpoint_from_model, load_checkpoint,
                                  model_from_checkpoint, save_checkpoint)
-from dimprune.config import load_config, make_dataset
+from dimprune.config import config_echo, load_config, make_dataset
 from dimprune.errors import NumericError
 from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, measured_cost,
                                 model_cost, swin_t_config)
@@ -123,11 +123,12 @@ def test_cost_mac_factor_two_doubles_flops(capsys):
 
 
 def test_cost_empty_rho_is_config_error(capsys):
-    rc, out, err = run_cli(capsys, ["cost", "--rho", " "])
-    assert rc == 2
-    record = json.loads(err)
-    assert record["error"] == "ConfigError"
-    assert "rho" in record["message"]
+    for rho in (" ", "abc", "1,x"):
+        rc, out, err = run_cli(capsys, ["cost", "--rho", rho])
+        assert rc == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConfigError"
+        assert "rho" in record["message"]
 
 
 def test_unknown_config_key_exits_2(capsys, tiny_cfg):
@@ -210,6 +211,37 @@ def test_report_on_empty_dir_exits_3(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["report", "--dir", str(tmp_path)])
     assert rc == 3
     assert json.loads(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("text", [
+    '{"stage": "search", "rho": 1.0',
+    '[{"stage": "search"}]',
+    '{"stage": "search", "rho": null}',
+    '{"stage": "search", "rho": 1.0, "accuracy": "high"}',
+    '{"stage": ["search"], "rho": 1.0}',
+], ids=["truncated", "list", "null-rho", "string-accuracy", "list-stage"])
+def test_report_on_a_malformed_summary_exits_3_naming_the_file(capsys, tmp_path, text):
+    (tmp_path / "search.summary.json").write_text('{"stage": "search", "rho": 1.0}\n')
+    bad = tmp_path / "bad.summary.json"
+    bad.write_text(text)
+    for argv in (["report", "--dir", str(tmp_path)],
+                 ["report", "--dir", str(tmp_path), "--json"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 3 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "FormatError"
+        assert str(bad) in record["message"]
+
+
+@pytest.mark.parametrize("setting", ["model.mlp_ratio=nan", "model.mlp_ratio=inf",
+                                     "train.lr=nan", "train.weight_decay=nan"])
+def test_a_non_finite_setting_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, setting):
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", setting,
+                                    "--set", f"run.output_dir={out_dir}"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out_dir.exists()
 
 
 def test_full_pipeline_end_to_end(capsys, tiny_cfg, tmp_path):
@@ -446,6 +478,27 @@ def search_and_prune(capsys, tiny_cfg, setting, rho="0.6"):
                                   "--rho", rho])
     assert rc == 0
     return json_lines(out)[-1]["checkpoint"]
+
+
+def test_finetune_summary_echoes_the_config_and_report_strips_it(
+        capsys, tiny_cfg, tmp_path):
+    out_dir = str(tmp_path / "run")
+    setting = ["--set", f"run.output_dir={out_dir}"]
+    pruned_path = search_and_prune(capsys, tiny_cfg, setting)
+    rc, out, err = run_cli(capsys, ["finetune", "--config", tiny_cfg, *setting,
+                                    "--checkpoint", pruned_path])
+    assert rc == 0 and err == ""
+    tune_rec = json_lines(out)[-1]
+    assert "config" not in tune_rec
+    with open(os.path.join(out_dir, "finetune.summary.json")) as fh:
+        summary = json.load(fh)
+    echo = config_echo(load_config(tiny_cfg, [f"run.output_dir={out_dir}"]))
+    assert summary == {**tune_rec, "config": echo}
+    rc, out, _ = run_cli(capsys, ["report", "--dir", out_dir, "--json"])
+    assert rc == 0
+    rows = json_lines(out)
+    assert [r["stage"] for r in rows] == ["search", "finetune"]
+    assert rows[1] == tune_rec and "config" not in rows[0]
 
 
 def test_search_resumed_from_pruned_checkpoint_records_its_rho(capsys, tiny_cfg, tmp_path):

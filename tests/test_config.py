@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dimprune.config import (DataSpec, RunConfig, config_echo, load_config,
+from dimprune.config import (SCHEMA, DataSpec, RunConfig, config_echo, load_config,
                              make_dataset, parse_pairs)
 from dimprune.errors import ConfigError
 
@@ -103,6 +103,40 @@ def test_value_type_errors():
         load_config(None, ["train.lr=fast"])
     with pytest.raises(ConfigError, match="comma-separated integers"):
         load_config(None, ["model.depths=1,x"])
+
+
+DEFAULT_ECHO = config_echo(load_config())
+FLOAT_KEYS = [key for key, value in DEFAULT_ECHO.items() if type(value) is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_every_float_key_rejects_non_finite_values(key, raw):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(None, [f"{key}={raw}"])
+
+
+def test_schema_keys_come_from_the_dataclasses_in_echo_order():
+    assert list(SCHEMA) == list(DEFAULT_ECHO) == [
+        "model.image_size", "model.patch_size", "model.in_channels", "model.base_dim",
+        "model.depths", "model.heads", "model.window", "model.mlp_ratio",
+        "model.num_classes", "model.use_relative_position_bias",
+        "train.epochs", "train.batch_size", "train.lr", "train.weight_decay",
+        "train.gamma", "train.seed", "train.augment", "train.normalize",
+        "data.kind", "data.seed", "data.n_per_class", "data.noise_sigma",
+        "data.path", "data.split", "prune.rho", "run.output_dir", "run.model_seed"]
+    assert FLOAT_KEYS == ["model.mlp_ratio", "train.lr", "train.weight_decay",
+                          "train.gamma", "data.noise_sigma", "prune.rho"]
+
+
+def test_every_schema_key_round_trips_its_default_text():
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    echo = config_echo(load_config(None, [f"{key}={text(value)}"
+                                          for key, value in DEFAULT_ECHO.items()]))
+    assert echo == DEFAULT_ECHO
+    assert [type(v) for v in echo.values()] == [type(v) for v in DEFAULT_ECHO.values()]
 
 
 def test_malformed_lines_report_location(tmp_path):
