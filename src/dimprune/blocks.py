@@ -5,10 +5,11 @@ images is carried as their [B*n x d] rows stacked. Window partitioning,
 cyclic shifting and patch merging are all realised as row permutations
 (offset per image) so gradients flow through exact index bookkeeping. Every
 window of every image and every head of an attention site runs as one
-batched product with [B, windows, heads, M^2, M^2] logits. Attention logits
-are scaled by the square root of the original (pre-pruning) per-head
-dimension; the scale is kept fixed after pruning so that pruned and
-score-masked models agree exactly.
+``tensor.attention_core`` op with [B, windows, heads, M^2, M^2] logits, fed
+by one Q/K/V product against the site's per-head weights joined
+column-wise. Attention logits are scaled by the square root of the original
+(pre-pruning) per-head dimension; the scale is kept fixed after pruning so
+that pruned and score-masked models agree exactly.
 """
 
 from __future__ import annotations
@@ -226,26 +227,34 @@ class StageParams:
 # ----------------------------------------------------------------- operations
 
 
+def _logit_factor(scale_dim: int) -> float:
+    if scale_dim < 1:
+        raise ConfigError(f"scale_dim must be >= 1, got {scale_dim}")
+    return 1.0 / float(np.sqrt(scale_dim))
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int,
                          mask=None) -> Tensor:
     """softmax(q k^T / sqrt(scale_dim) [+ mask]) v over the last two axes.
 
-    q, k and v are [..., m, k] stacks with equal leading axes. mask, an
-    array or Tensor, must equal the trailing axes of the [..., m, m] logits.
+    q, k and v are [..., m, k] stacks of one shape. mask, an array or
+    Tensor, must equal the trailing axes of the [..., m, m] logits. They
+    run through ``T.attention_core`` as one head.
     """
     if q.shape != k.shape:
         raise DimensionError(f"q and k shapes differ: {q.shape} vs {k.shape}")
-    if v.shape[:-1] != q.shape[:-1]:
-        raise DimensionError(f"v has shape {v.shape}, expected {q.shape[:-1]} rows")
-    if scale_dim < 1:
-        raise ConfigError(f"scale_dim must be >= 1, got {scale_dim}")
-    swap = (*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2)
-    logits = T.scale(T.matmul(q, T.transpose(k, swap)), 1.0 / float(np.sqrt(scale_dim)))
+    if v.shape != q.shape:
+        raise DimensionError(f"v has shape {v.shape}, expected {q.shape}")
+    factor = _logit_factor(scale_dim)
+    *lead, m, width = q.shape
+    joined = T.concat([T.reshape(t, (math.prod(lead) * m, width)) for t in (q, k, v)], axis=1)
     if mask is not None:
         if not isinstance(mask, Tensor):
             mask = Tensor(mask)
-        logits = T.add(logits, mask)
-    return T.matmul(T.softmax_rows(logits), v)
+        if mask.data.ndim > 2:      # the core's logits carry a heads axis of one
+            mask = T.reshape(mask, (*mask.shape[:-2], 1, *mask.shape[-2:]))
+    out = T.attention_core(T.reshape(joined, (*lead, m, 3, 1, width)), factor, mask)
+    return T.reshape(out, q.shape)
 
 
 def _attention(x: Tensor, p: AttentionParams, groups: tuple,
@@ -254,28 +263,20 @@ def _attention(x: Tensor, p: AttentionParams, groups: tuple,
 
     x holds prod(groups) groups of m rows; the logits are [*groups, heads,
     m, m], and mask must equal their trailing axes. Q, K and V are one
-    matmul each against the site's per-head weights joined column-wise.
+    matmul against the site's per-head weights joined column-wise, and
+    ``T.attention_core`` runs every group and head as one op.
     """
-    rows = x.shape[0]
-    m = rows // math.prod(groups)
+    m = x.shape[0] // math.prod(groups)
     h, k = p.heads, p.head_dim
-    lead = len(groups)
-    heads_first = (*range(lead), lead + 1, lead, lead + 2)  # swaps rows and heads
-
-    def project(weights):
-        y = T.reshape(T.matmul(x, T.concat(weights, axis=1)), (*groups, m, h, k))
-        if alpha is not None:
-            y = T.scale_columns(y, alpha)
-        return T.transpose(y, heads_first)
-
+    qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv, axis=1)), (*groups, m, 3, h, k))
+    if alpha is not None:
+        qkv = T.scale_columns(qkv, alpha)
     if p.rpb is not None:
         table = T.concat(p.rpb, axis=1)  # [span, heads]
         bias = T.reshape(T.transpose(T.gather_rows(table, p.rpb_index)), (h, m, m))
         mask = bias if mask is None else T.add(mask, bias)
-    out = scaled_dot_attention(project(p.wq), project(p.wk), project(p.wv),
-                               p.scale_dim, mask)
-    merged = T.reshape(T.transpose(out, heads_first), (rows, h * k))
-    return T.matmul(merged, p.wo)
+    out = T.attention_core(qkv, _logit_factor(p.scale_dim), mask)
+    return T.matmul(out, p.wo)
 
 
 def msa_forward(x: Tensor, p: AttentionParams, alpha: Tensor | None = None) -> Tensor:

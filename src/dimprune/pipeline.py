@@ -119,10 +119,12 @@ class TrainSettings:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError(f"gamma must be >= 0 and finite, got {self.gamma}")
 
 
 def _append_log(path, record: dict):

@@ -29,7 +29,16 @@ Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
 bias is the 1-D case). Ops that act on rows act on the last axis of any
 rank, and ``matmul`` multiplies the last two axes of stacks with equal
-leading axes, so a batch of attention groups is one call.
+leading axes.
+
+``attention_core`` is the one fused op: softmax(q k^T * s [+ mask]) v over
+every group and head of an attention site (Swin's W-MSA, arXiv
+2103.14030), with q, k and v stacked in one tensor and one tape record
+whose pull is written out by hand (as in FlashAttention, arXiv 2205.14135,
+without its tiling). Its forward takes the steps of ``matmul``, ``scale``,
+``add``, ``softmax_rows`` and ``matmul`` in that order and at their
+precision, so it gives the bits they give; its gradient products are
+float32, as ``matmul``'s are.
 """
 
 from __future__ import annotations
@@ -136,7 +145,9 @@ def _record(out: Tensor, pulls):
 
 
 def _wants_grad(*tensors: Tensor) -> bool:
-    return _tape() is not None and any(t.requires_grad for t in tensors)
+    if _tape() is None:
+        return False
+    return any(t.requires_grad for t in tensors)
 
 
 def _accumulate(t: Tensor, delta):
@@ -198,20 +209,31 @@ def count_macs():
         _counters().pop()
 
 
-@contextmanager
-def mac_scope(name: str):
+class mac_scope:
     """Attribute the MACs counted inside the block to ``name`` in every active
     counter, and name it in a NumericError raised inside. Attribution happens
-    at the scope's boundaries, so matmul does no per-call bookkeeping for it."""
-    start = [(c, c.macs) for c in _counters()]
-    outer = getattr(_state, "site", None)
-    _state.site = name
-    try:
-        yield
-    finally:
-        _state.site = outer
-    for c, macs in start:
-        c.scopes[name] = c.scopes.get(name, 0) + c.macs - macs
+    at the scope's boundaries, so matmul does no per-call bookkeeping for it.
+    The outer site is restored on every exit; the MACs are credited only when
+    the block ends normally. It is a class because every site of every
+    forward enters one, and a generator-based context manager costs more."""
+
+    __slots__ = ("name", "_start", "_outer")
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        self._start = [(c, c.macs) for c in _counters()]
+        self._outer = getattr(_state, "site", None)
+        _state.site = self.name
+
+    def __exit__(self, exc_type, exc, tb):
+        _state.site = self._outer
+        if exc_type is None:
+            name = self.name
+            for c, macs in self._start:
+                c.scopes[name] = c.scopes.get(name, 0) + c.macs - macs
+        return False
 
 
 def _check_2d(t: Tensor, name: str):
@@ -310,7 +332,9 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     axes = tuple(int(ax) for ax in axes)
     if sorted(axes) != list(range(a.data.ndim)):
         raise DimensionError(f"transpose axes {axes} do not reorder shape {a.shape}")
-    back = tuple(np.argsort(axes))
+    back = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        back[ax] = i
     out = Tensor(a.data.transpose(axes), requires_grad=_wants_grad(a))
     _record(out, [(a, lambda g: g.transpose(back))])
     return out
@@ -318,7 +342,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
     out = Tensor(a.data.reshape(shape), requires_grad=_wants_grad(a))
@@ -483,25 +507,102 @@ def _reduce_rows(ufunc, a, dtype=None):
     return ufunc.reduce(cols, axis=0, dtype=dtype).reshape(a.shape[:-1] + (1,))
 
 
+def _softmax(x):
+    """Last-axis softmax of a float32 array as a fresh array, stabilised by
+    its max, with the row sums accumulated in float64."""
+    _finite_or_raise(x, "softmax input")
+    with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
+        e = x - _reduce_rows(np.maximum, x)
+    np.exp(e, out=e)
+    e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
+    return e
+
+
+def _softmax_grad(g, y):
+    """Gradient of the softmax input, given the gradient g of its output y."""
+    gy = g * y
+    dot = _reduce_rows(np.add, gy, np.float64).astype(np.float32)
+    gy -= dot * y
+    return gy
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilised by its max; float32 with the
     row sums accumulated in float64."""
-    _finite_or_raise(x.data, "softmax input")
-    with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
-        e = x.data - _reduce_rows(np.maximum, x.data)
-    np.exp(e, out=e)
-    e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
-    out = Tensor(e, requires_grad=_wants_grad(x))
+    out = Tensor(_softmax(x.data), requires_grad=_wants_grad(x))
     if out.requires_grad:
         y = out.data
+        _record(out, [(x, lambda g: _softmax_grad(g, y))])
+    return out
 
-        def pull(g):
-            gy = g * y
-            dot = _reduce_rows(np.add, gy, np.float64).astype(np.float32)
-            gy -= dot * y
-            return gy
 
-        _record(out, [(x, pull)])
+def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Tensor:
+    """softmax(q k^T * factor [+ mask]) v for every group and head, as one op.
+
+    qkv stacks queries, keys and values as [*lead, m, 3, heads, k]: m rows
+    in each group, one row of each of q, k and v per head. mask must equal
+    the trailing axes of the [*lead, heads, m, m] logits. The result is the
+    [prod(lead)*m, heads*k] output rows, heads side by side.
+
+    The forward takes the steps of ``matmul``, ``scale``, ``add``,
+    ``softmax_rows`` and ``matmul`` in that order and at their precision:
+    float64 products rounded to float32, a float32 scale and mask add, and
+    float64 row sums. It counts the two products' MACs as ``matmul`` does.
+    One tape record pulls q/k/v, as one stacked gradient, and the mask,
+    summed over the axes it was repeated along; the gradient products run
+    in float32 over the forward's own arrays.
+    """
+    if qkv.data.ndim < 4 or qkv.shape[-3] != 3:
+        raise DimensionError(
+            f"attention_core needs [..., m, 3, heads, k] q/k/v, got {qkv.shape}")
+    *lead, m, _, h, k = qkv.shape
+    logit_shape = (*lead, h, m, m)
+    extra = len(logit_shape) - (mask.data.ndim if mask is not None else 0)
+    if mask is not None and (extra < 0 or mask.shape != logit_shape[extra:]):
+        raise DimensionError(f"attention mask {mask.shape} does not match the trailing "
+                             f"axes of the {logit_shape} logits")
+    macs = 2 * math.prod(lead) * h * m * m * k
+    for c in _counters():
+        c.macs += macs
+    # [*lead, heads, m, k] views of q, k and v; each is cast to float64 just
+    # before its product, so at most two of the casts are alive at once
+    qd, kd, vd = (a.swapaxes(-3, -2) for a in np.moveaxis(qkv.data, -3, 0))
+    f = np.float32(factor)
+    logits = _product32(qd.astype(np.float64), kd.astype(np.float64).swapaxes(-1, -2),
+                        "attention logits")
+    logits *= f
+    if mask is not None:
+        logits += mask.data
+    probs = _softmax(logits)
+    del logits
+    heads = _product32(probs.astype(np.float64), vd.astype(np.float64), "attention output")
+    inputs = (qkv,) if mask is None else (qkv, mask)
+    out = Tensor(heads.swapaxes(-3, -2).reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
+    if out.requires_grad:
+        shared = []     # [logit gradient, v gradient], made by the first pull to run
+
+        def logit_and_v_grads(g):
+            if not shared:
+                go = g.reshape(*lead, m, h, k).swapaxes(-3, -2)
+                dprobs = _product32(go, vd.swapaxes(-1, -2), "attention probs gradient")
+                dv = _product32(probs.swapaxes(-1, -2), go, "attention v gradient")
+                shared.extend((_softmax_grad(dprobs, probs), dv))
+            return shared
+
+        def pull_qkv(g):
+            ds, dv = logit_and_v_grads(g)
+            ds = ds * f
+            dq = _product32(ds, kd, "attention q gradient")
+            dk = _product32(ds.swapaxes(-1, -2), qd, "attention k gradient")
+            return np.stack([a.swapaxes(-3, -2) for a in (dq, dk, dv)], axis=-3)
+
+        def pull_mask(g):
+            ds = logit_and_v_grads(g)[0]
+            if not extra:
+                return ds
+            return ds.sum(axis=tuple(range(extra)), dtype=np.float64).astype(np.float32)
+
+        _record(out, [(qkv, pull_qkv)] + ([] if mask is None else [(mask, pull_mask)]))
     return out
 
 

@@ -244,6 +244,17 @@ def test_a_non_finite_setting_exits_2_before_the_run(capsys, tiny_cfg, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("setting", ["train.weight_decay=-0.5", "train.lr=-0.01",
+                                     "train.gamma=-0.001"])
+def test_a_negative_setting_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, setting):
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", setting,
+                                    "--set", f"run.output_dir={out_dir}"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out_dir.exists()
+
+
 def test_full_pipeline_end_to_end(capsys, tiny_cfg, tmp_path):
     out_dir = str(tmp_path / "run")
     setting = f"run.output_dir={out_dir}"

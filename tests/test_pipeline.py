@@ -433,3 +433,12 @@ def test_settings_validation():
     bad = settings(batch_size=0)
     with pytest.raises(ConfigError):
         run_search(build_backbone(tiny_config(), seed=0), tiny_data(), bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("weight_decay", float("nan")),
+    ("weight_decay", -1.0), ("weight_decay", float("inf")), ("gamma", float("nan")),
+    ("gamma", float("inf"))])
+def test_settings_reject_nan_infinite_and_negative_numbers(field, value):
+    with pytest.raises(ConfigError, match=field.replace("lr", "learning rate")):
+        settings(**{field: value}).validate()

@@ -105,6 +105,20 @@ def test_mac_counters_nest():
     assert outer.macs == 2 + 8
 
 
+def test_mac_scope_restores_the_outer_site_and_credits_nothing_when_its_body_raises():
+    with T.count_macs() as c:
+        with T.mac_scope("outer"):
+            with pytest.raises(ValueError):
+                with T.mac_scope("inner"):
+                    T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
+                    assert T._state.site == "inner"
+                    raise ValueError("body failed")
+            assert T._state.site == "outer"
+        assert T._state.site is None
+    assert c.macs == 30
+    assert c.scopes == {"outer": 30}
+
+
 # ------------------------------------------------------------------- plumbing
 
 
@@ -784,3 +798,28 @@ def test_adamw_step_over_shared_gradient_equals_step_over_copies():
     assert np.array_equal(shared[0].grad, before)
     for got, want in zip(shared, copied):
         assert np.array_equal(got.data, want.data)
+
+
+# ------------------------------------------------------------ attention core
+
+
+@pytest.mark.parametrize("part, what", [(0, "attention logits"), (2, "attention output")])
+def test_attention_core_names_the_site_of_a_non_finite_q_or_v(part, what):
+    qkv = rng(80).normal(size=(2, 4, 3, 2, 3)).astype(np.float32)
+    qkv[1, 2, part, 0, 1] = np.inf
+    with T.mac_scope("stage1.block0.attn"):
+        with pytest.raises(NumericError, match=f"{what} .* in site stage1.block0.attn"):
+            T.attention_core(Tensor(qkv), 0.5)
+
+
+def test_attention_core_counts_both_products_and_checks_its_mask():
+    qkv = Tensor(rng(81).normal(size=(2, 5, 4, 3, 2, 3)))
+    with T.count_macs() as c:
+        out = T.attention_core(qkv, 0.5, Tensor(np.zeros((2, 4, 4))))
+    assert out.shape == (2 * 5 * 4, 2 * 3)
+    assert c.macs == 2 * (2 * 5 * 2) * 4 * 4 * 3
+    for bad in [(5, 4, 4), (2, 4, 3), (3, 2, 5, 2, 4, 4)]:
+        with pytest.raises(DimensionError):
+            T.attention_core(qkv, 0.5, Tensor(np.zeros(bad)))
+    with pytest.raises(DimensionError):
+        T.attention_core(Tensor(np.ones((4, 2, 2, 3))), 0.5)
