@@ -562,9 +562,11 @@ class Backbone:
                 arr = params.get(name)
                 if arr is not None and tuple(arr.shape) == shape:
                     return Tensor(arr, requires_grad=True)
+                # Recorded, not built: a fault raises below once every entry
+                # is named, so no array of the config's size is allocated.
                 (missing if arr is None else misshaped).append(name)
-                arr = np.zeros(shape, dtype=np.float32)     # to name every fault
-            elif fill is None and rng is not None:
+                return None
+            if fill is None and rng is not None:
                 arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
             else:
                 arr = (np.ones if fill else np.zeros)(shape, dtype=np.float32)

@@ -31,6 +31,8 @@ class DataSpec:
                               f"got {self.kind!r}")
         if self.kind != "synth" and not self.path:
             raise ConfigError(f"data.kind {self.kind} requires data.path")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
         if self.n_per_class < 1:
             raise ConfigError("data.n_per_class must be >= 1")
         if self.split not in ("train", "test"):
@@ -125,10 +127,12 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
 
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         for key, raw in parse_pairs(lines, path):
             apply(key, raw, path)
     for item in overrides:
@@ -143,6 +147,8 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
     data = DataSpec(**sections["data"])
     data.validate()
     cfg = RunConfig(model=model, train=train, data=data, **sections["run"])
+    if cfg.model_seed < 0:
+        raise ConfigError(f"run.model_seed must be >= 0, got {cfg.model_seed}")
     if not 0.0 < cfg.rho <= 1.0:
         raise ConfigError(f"prune.rho must lie in (0, 1], got {cfg.rho}")
     return cfg

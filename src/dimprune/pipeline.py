@@ -29,8 +29,87 @@ def decay_exempt(name: str) -> bool:
     return name.startswith("score.") or "norm" in name
 
 
+# Entries per block of an AdamW step: the temporaries of one block stay in
+# cache, and parameters smaller than a block are updated together.
+_BLOCK = 1 << 16
+
+
+class _Block:
+    """A run of consecutive parameters updated as one flat array: several
+    smaller than ``_BLOCK`` packed together, or one of at least ``_BLOCK``
+    entries, updated in ``_BLOCK``-sized slices.
+
+    ``p``, ``m`` and ``v`` are the flat arrays whose views the optimizer
+    handed out at the last step (``held`` lists those views per table), so
+    a step gathers an array afresh only when its holder was rebound."""
+
+    def __init__(self, run, shrink):
+        self.members, start = [], 0         # (name, param, start, stop)
+        for name, p in run:
+            self.members.append((name, p, start, start + p.size))
+            start += p.size
+        self.size = start
+        # The decay factor: None when no entry decays, else ``shrink`` for
+        # every entry or, in a pack that mixes both kinds, a float32 array;
+        # p * 1.0 is exact, so an exempt entry keeps its undecayed bits.
+        decayed = [shrink is not None and not decay_exempt(name) for name, _ in run]
+        if not any(decayed):
+            self.factor = None
+        elif all(decayed):
+            self.factor = shrink
+        else:
+            self.factor = np.concatenate([np.full(p.size, shrink if d else 1.0,
+                                                  dtype=np.float32)
+                                          for (_, p), d in zip(run, decayed)])
+        self.p = self.m = self.v = None
+        self.held = {"p": [None] * len(run)}
+
+    def gather(self, table: str, arrays):
+        """The members' arrays as one flat array, copied only when one of
+        them is not the view handed out at the last step."""
+        if all(a is h for a, h in zip(arrays, self.held[table])):
+            return getattr(self, table)
+        return _flat(arrays)
+
+    def rebind(self, table: str, flat):
+        """Views of ``flat``, one per member, remembered for the next step."""
+        setattr(self, table, flat)
+        views = [flat[start:stop].reshape(p.shape) for _, p, start, stop in self.members]
+        self.held[table] = views
+        return views
+
+
+def _flat(arrays):
+    """One flat array of ``arrays`` in order; a single contiguous array is
+    not copied."""
+    return arrays[0].reshape(-1) if len(arrays) == 1 else np.concatenate(arrays, axis=None)
+
+
+def _blocks(params, shrink) -> list:
+    """``params`` in order as blocks; ``shrink`` is the factor of a decayed
+    entry, None without weight decay."""
+    blocks, run, filled = [], [], 0
+    for name, p in params:
+        if run and (p.size >= _BLOCK or filled + p.size > _BLOCK):
+            blocks.append(_Block(run, shrink))
+            run, filled = [], 0
+        run.append((name, p))
+        filled += p.size
+    if run:
+        blocks.append(_Block(run, shrink))
+    return blocks
+
+
 class AdamW:
-    """Adaptive moments with decoupled weight decay, beta = (0.9, 0.999)."""
+    """Adaptive moments with decoupled weight decay, beta = (0.9, 0.999).
+
+    A step runs over blocks of at most ``_BLOCK`` entries, so its
+    temporaries stay in cache: consecutive parameters smaller than a block
+    are packed into one flat array, and a larger parameter is updated in
+    block-sized slices. Every entry goes through the same float32
+    operations in the same order whatever its block, so the result does
+    not depend on the blocking. ``m`` and ``v`` map each parameter name to
+    its moment, a view into the block's array after the first step."""
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
                  betas=(0.9, 0.999), eps: float = 1e-8,
@@ -48,25 +127,34 @@ class AdamW:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.step_count = int(step)
-        self.m = {n: np.zeros(p.shape, dtype=np.float32) for n, p in self.params}
-        self.v = {n: np.zeros(p.shape, dtype=np.float32) for n, p in self.params}
-        for table, given in ((self.m, m or {}), (self.v, v or {})):
+        shapes = {n: p.shape for n, p in self.params}
+        for given in (m or {}), (v or {}):
             for name, arr in given.items():
-                if name in table:
-                    arr = np.asarray(arr, dtype=np.float32)
-                    if arr.shape != table[name].shape:
-                        raise DimensionError(
-                            f"optimizer moment for parameter {name} has shape "
-                            f"{arr.shape}, the parameter has {table[name].shape}")
-                    table[name] = arr
+                if name in shapes and np.shape(arr) != shapes[name]:
+                    raise DimensionError(
+                        f"optimizer moment for parameter {name} has shape "
+                        f"{np.shape(arr)}, the parameter has {shapes[name]}")
+        shrink = (1.0 - self.lr * self.weight_decay) if self.weight_decay else None
+        self._blocks = _blocks(self.params, shrink)
+        self.m, self.v = {}, {}
+        for key, given, table in (("m", m or {}, self.m), ("v", v or {}, self.v)):
+            for block in self._blocks:
+                flat = _flat([np.asarray(given[name], dtype=np.float32) if name in given
+                              else np.zeros(p.shape, dtype=np.float32)
+                              for name, p, _, _ in block.members])
+                for (name, _, _, _), view in zip(block.members, block.rebind(key, flat)):
+                    table[name] = view
+        largest = max((b.size for b in self._blocks), default=0)
+        self._scratch = np.empty(min(largest, _BLOCK), dtype=np.float32)
+        self._grads = np.empty(min(largest, _BLOCK), dtype=np.float32)
 
     def step(self):
         """One update in float32 array arithmetic; the bias corrections and
         the learning rate are folded into two scalars. Each parameter and
-        moment is rebound to a fresh array and none is written into, so a
-        tape that recorded a parameter still pulls through the values it
-        read, and a Checkpoint built from the model or ``m``/``v`` keeps its
-        values.
+        moment is rebound to a view of a fresh array and none is written
+        into, so a tape that recorded a parameter still pulls through the
+        values it read, and a Checkpoint built from the model or
+        ``m``/``v`` keeps its values.
 
         Raises UsageError, changing nothing, when a parameter has no gradient."""
         for name, p in self.params:
@@ -75,33 +163,55 @@ class AdamW:
                                  "run backward before stepping")
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
         # mhat / (sqrt(vhat) + eps) == m * sqrt(1-b2^t)/(1-b1^t) / (sqrt(v) + eps_hat)
-        root2 = math.sqrt(1.0 - b2 ** t)
-        step_size = self.lr * root2 / (1.0 - b1 ** t)
+        root2 = math.sqrt(1.0 - self.beta2 ** t)
+        step_size = self.lr * root2 / (1.0 - self.beta1 ** t)
         eps_hat = self.eps * root2
-        shrink = 1.0 - self.lr * self.weight_decay
-        for name, p in self.params:
-            g = p.grad
-            # One scratch buffer serves every temporary of this parameter.
-            update = g * (1.0 - b1)
-            m = b1 * self.m[name]
-            m += update
-            np.multiply(g, g, out=update)
-            update *= 1.0 - b2
-            v = b2 * self.v[name]
-            v += update
-            self.m[name], self.v[name] = m, v
-            np.sqrt(v, out=update)
-            update += eps_hat
-            np.divide(m, update, out=update)
-            update *= step_size
-            if self.weight_decay and not decay_exempt(name):
-                new = p.data * shrink
-                new -= update
+        for block in self._blocks:
+            members = block.members
+            if len(members) == 1:
+                g = members[0][1].grad.reshape(-1)
             else:
-                new = np.subtract(p.data, update, out=update)
-            p.data = new
+                g = np.concatenate([p.grad for _, p, _, _ in members], axis=None,
+                                   out=self._grads[:block.size])
+            p_old = block.gather("p", [p.data for _, p, _, _ in members])
+            m_old = block.gather("m", [self.m[name] for name, _, _, _ in members])
+            v_old = block.gather("v", [self.v[name] for name, _, _, _ in members])
+            p_new, m_new, v_new = (np.empty(block.size, dtype=np.float32)
+                                   for _ in range(3))
+            # only a pack, which is one slice, has a factor array
+            for lo in range(0, block.size, _BLOCK):
+                s = slice(lo, lo + _BLOCK)
+                self._update(g[s], p_old[s], m_old[s], v_old[s], block.factor,
+                             p_new[s], m_new[s], v_new[s], step_size, eps_hat)
+            for (name, p, _, _), pv, mv, vv in zip(members, block.rebind("p", p_new),
+                                                   block.rebind("m", m_new),
+                                                   block.rebind("v", v_new)):
+                p.data = pv
+                self.m[name] = mv
+                self.v[name] = vv
+
+    def _update(self, g, p, m, v, factor, p_new, m_new, v_new, step_size, eps_hat):
+        """The update of one block slice into fresh ``p_new``, ``m_new`` and
+        ``v_new``; one scratch buffer serves every temporary."""
+        b1, b2 = self.beta1, self.beta2
+        update = self._scratch[:g.size]
+        np.multiply(g, 1.0 - b1, out=update)
+        np.multiply(m, b1, out=m_new)
+        m_new += update
+        np.multiply(g, g, out=update)
+        update *= 1.0 - b2
+        np.multiply(v, b2, out=v_new)
+        v_new += update
+        np.sqrt(v_new, out=update)
+        update += eps_hat
+        np.divide(m_new, update, out=update)
+        update *= step_size
+        if factor is None:
+            np.subtract(p, update, out=p_new)
+        else:
+            np.multiply(p, factor, out=p_new)
+            p_new -= update
 
 
 @dataclass
@@ -119,6 +229,8 @@ class TrainSettings:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -718,3 +720,15 @@ def test_backbone_from_params_names_every_fault():
     msg = str(err.value)
     assert "missing ['head']" in msg and "unexpected ['bogus']" in msg
     assert "('stage0.block0.mlp.w1', (2, 2))" in msg
+
+
+def test_backbone_from_params_builds_nothing_the_config_size_for_a_fault():
+    # every entry is misshaped against a config of base_dim 2**40; a
+    # placeholder for even one of them would need terabytes
+    cfg = BackboneConfig()
+    arrays = {name: t.data for name, t in build_backbone(cfg, seed=42).named_parameters()}
+    with pytest.raises(DimensionError) as err:
+        Backbone(dataclasses.replace(cfg, base_dim=2 ** 40), params=arrays)
+    msg = str(err.value)
+    assert "missing [], unexpected []" in msg
+    assert "('patch_embed', (48, 16))" in msg and "('head', (32, 4))" in msg

@@ -17,6 +17,7 @@ from dimprune.errors import NumericError
 from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, measured_cost,
                                 model_cost, swin_t_config)
 from dimprune.pipeline import evaluate
+from dimprune.scoring import attach_scores
 from test_checkpoint import HEADER_PROBES, rewrite_header
 
 TINY = """
@@ -177,6 +178,29 @@ def test_eval_of_a_malformed_header_exits_3(capsys, tiny_cfg, tmp_path, probe):
     assert json.loads(err)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize("command", ["eval", "prune"])
+def test_a_header_config_unlike_the_tensors_exits_3_without_allocating(
+        capsys, tiny_cfg, tmp_path, command):
+    # A header that claims base_dim 2**40 would make every misshaped entry a
+    # placeholder of terabytes; the restore must name them and build none.
+    model = build_backbone(load_config(tiny_cfg).model, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, checkpoint_from_model(model, attach_scores(model)))
+    path.write_bytes(rewrite_header(path.read_bytes(),
+                                    lambda h: h["config"].update(base_dim=2 ** 40)))
+    argv = (["eval", "--config", tiny_cfg, "--checkpoint", str(path)]
+            if command == "eval" else
+            ["prune", "--checkpoint", str(path), "--rho", "0.6",
+             "--out", str(tmp_path / "pruned.ckpt")])
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (3, "")
+    record = json.loads(err)
+    assert record["error"] == "FormatError"
+    for name in ("patch_embed", "stage0.merge", "head"):
+        assert f"('{name}', " in record["message"]
+    assert not (tmp_path / "pruned.ckpt").exists()
+
+
 def test_numeric_failure_exits_4(capsys, tiny_cfg, tmp_path):
     cfg = load_config(tiny_cfg)
     model = build_backbone(cfg.model, seed=0)
@@ -253,6 +277,26 @@ def test_a_negative_setting_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, s
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "ConfigError"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["data.seed", "train.seed", "run.model_seed"])
+def test_a_negative_seed_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, key):
+    out_dir = tmp_path / "run"
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", f"{key}=-1",
+                                    "--set", f"run.output_dir={out_dir}"])
+    assert rc == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and key in record["message"]
+    assert not out_dir.exists()
+
+
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"model.base_dim = 16  # \xff\n")
+    rc, out, err = run_cli(capsys, ["cost", "--config", str(path)])
+    assert rc == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError" and str(path) in record["message"]
 
 
 def test_full_pipeline_end_to_end(capsys, tiny_cfg, tmp_path):

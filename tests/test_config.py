@@ -255,5 +255,7 @@ def test_data_split_is_train_or_test():
 def test_dataspec_direct_validation():
     with pytest.raises(ConfigError):
         DataSpec(kind="synth", n_per_class=0).validate()
+    with pytest.raises(ConfigError, match="data.seed"):
+        DataSpec(seed=-1).validate()
     DataSpec().validate()
     assert RunConfig().rho == 0.6

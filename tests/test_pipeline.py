@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_che
 from dimprune.errors import ConfigError, DimensionError, NumericError, UsageError
 from dimprune.data import synth_dataset
 from dimprune.pipeline import (
+    _BLOCK,
     AdamW,
     TrainSettings,
     decay_exempt,
@@ -17,7 +19,7 @@ from dimprune.pipeline import (
     run_prune,
     run_search,
 )
-from dimprune.scoring import score_l1
+from dimprune.scoring import attach_scores, score_l1, total_loss
 from dimprune.tensor import Tensor
 
 
@@ -249,6 +251,161 @@ def test_adamw_step_after_an_abandoned_tape_updates():
     assert opt.step_count == 1 and float(p.data[0]) < 0.5
 
 
+# ------------------------------------------------------- blocked AdamW step
+
+
+class ReferenceAdamW:
+    """AdamW as a loop over parameters, one at a time: the oracle the
+    blocked step must match bit for bit."""
+
+    def __init__(self, named_params, lr, weight_decay=0.0, m=None, v=None, step=0):
+        self.params = list(named_params)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
+        self.step_count = step
+        self.m = {n: np.zeros(p.shape, dtype=np.float32) for n, p in self.params}
+        self.v = {n: np.zeros(p.shape, dtype=np.float32) for n, p in self.params}
+        self.m.update(m or {})
+        self.v.update(v or {})
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        root2 = math.sqrt(1.0 - b2 ** t)
+        step_size = self.lr * root2 / (1.0 - b1 ** t)
+        eps_hat = self.eps * root2
+        shrink = 1.0 - self.lr * self.weight_decay
+        for name, p in self.params:
+            g = p.grad
+            update = g * (1.0 - b1)
+            m = b1 * self.m[name]
+            m += update
+            np.multiply(g, g, out=update)
+            update *= 1.0 - b2
+            v = b2 * self.v[name]
+            v += update
+            self.m[name], self.v[name] = m, v
+            np.sqrt(v, out=update)
+            update += eps_hat
+            np.divide(m, update, out=update)
+            update *= step_size
+            if self.weight_decay and not decay_exempt(name):
+                new = p.data * shrink
+                new -= update
+            else:
+                new = np.subtract(p.data, update, out=update)
+            p.data = new
+
+
+def twin_params(shapes, seed):
+    """Two lists of (name, Tensor) with equal values: one for each optimizer."""
+    r = np.random.default_rng(seed)
+    values = [(name, r.normal(size=shape).astype(np.float32)) for name, shape in shapes]
+    return [[(name, Tensor(arr.copy(), requires_grad=True)) for name, arr in values]
+            for _ in range(2)]
+
+
+def assert_same_bits(opt, ref):
+    for (name, p), (_, q) in zip(opt.params, ref.params):
+        for got, want in ((p.data, q.data), (opt.m[name], ref.m[name]),
+                          (opt.v[name], ref.v[name])):
+            assert got.shape == want.shape and got.dtype == np.float32
+            assert got.tobytes() == want.tobytes(), name
+
+
+def run_both(shapes, steps=3, seed=0, lr=0.01, weight_decay=0.1, opt=None, ref=None):
+    """Step the blocked and the reference optimizer on equal gradients."""
+    if opt is None:
+        mine, theirs = twin_params(shapes, seed)
+        opt = AdamW(mine, lr=lr, weight_decay=weight_decay)
+        ref = ReferenceAdamW(theirs, lr=lr, weight_decay=weight_decay)
+    r = np.random.default_rng(seed + 100)
+    for _ in range(steps):
+        for (_, p), (_, q) in zip(opt.params, ref.params):
+            p.grad = r.normal(scale=0.1, size=p.shape).astype(np.float32)
+            q.grad = p.grad.copy()
+        opt.step()
+        ref.step()
+        assert_same_bits(opt, ref)
+    return opt, ref
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_step_matches_the_per_parameter_loop_at_block_edges(size):
+    # the parameter alone, then between small neighbours that pack around it
+    run_both([("w", (size,))])
+    run_both([("a", (3,)), ("stage0.norm1.gain", (5,)), ("w", (size,)),
+              ("b", (7, 3)), ("score.site", (4,))], seed=1)
+
+
+@pytest.mark.parametrize("shapes", [
+    [("w", (3, 5)), ("v", (257, 255)), ("u", (256, 256)), ("t", (7, 9363))],
+    [("x", (1, 1)), ("y", (129, 511)), ("z", (511, 129)), ("score.s", (33,))],
+], ids=["block-edges", "packs-split"])
+def test_blocked_step_matches_on_odd_2d_shapes(shapes):
+    run_both(shapes, steps=4)
+
+
+def test_a_pack_mixing_decayed_and_exempt_parameters_keeps_their_bits():
+    shapes = [("w1", (4, 6)), ("stage0.block0.norm1.gain", (6,)), ("score.a", (6,)),
+              ("w2", (6, 3)), ("final_norm.bias", (3,))]
+    opt, _ = run_both(shapes)
+    assert len(opt._blocks) == 1                    # all five share one pack
+    run_both(shapes, weight_decay=0.0)
+
+
+def test_blocked_step_resumes_from_its_moments_bit_for_bit():
+    shapes = [("a", (5, 5)), ("score.s", (9,)), ("big", (_BLOCK + 3,)), ("c", (11,))]
+    opt, ref = run_both(shapes, steps=3)
+    resumed = AdamW(opt.params, lr=0.01, weight_decay=0.1, m=opt.m, v=opt.v,
+                    step=opt.step_count)
+    run_both(shapes, steps=3, seed=5, opt=resumed, ref=ref)
+
+
+def test_a_rebound_parameter_is_read_afresh_by_the_next_step():
+    shapes = [("a", (4, 3)), ("b", (6,)), ("big", (_BLOCK + 1,))]
+    opt, ref = run_both(shapes, steps=2)
+    r = np.random.default_rng(8)
+    for (name, p), (_, q) in zip(opt.params, ref.params):
+        if name != "a":
+            new = r.normal(size=p.shape).astype(np.float32)
+            p.data, q.data = new, new.copy()
+    run_both(shapes, steps=2, seed=9, opt=opt, ref=ref)
+
+
+def test_blocked_step_hands_out_views_that_later_steps_leave_alone():
+    opt, _ = run_both([("a", (3,)), ("b", (4, 2))], steps=1)
+    held = {name: (p.data, opt.m[name], opt.v[name]) for name, p in opt.params}
+    copies = {name: [a.copy() for a in arrays] for name, arrays in held.items()}
+    for _, p in opt.params:
+        p.grad = np.ones(p.shape, dtype=np.float32)
+    opt.step()
+    for name, arrays in held.items():
+        for a, before in zip(arrays, copies[name]):
+            assert a.tobytes() == before.tobytes()
+    for name, p in opt.params:
+        assert p.data is not held[name][0]
+
+
+def test_three_search_steps_on_a_real_model_match_the_loop_bit_for_bit():
+    data = tiny_data(seed=2)
+    scored = [attach_scores(build_backbone(tiny_config(), seed=3)) for _ in range(2)]
+    opt = AdamW(scored[0].named_parameters(), lr=0.01, weight_decay=0.05)
+    ref = ReferenceAdamW(scored[1].named_parameters(), lr=0.01, weight_decay=0.05)
+    for step in range(3):
+        images = data.images[8 * step:8 * step + 8]
+        labels = data.labels[8 * step:8 * step + 8]
+        for model, optimizer in zip(scored, (opt, ref)):
+            model.zero_grads()
+            with T.Tape() as tape:
+                logits = forward_batch(model.model, images, scores=model.score_map())
+                loss = total_loss(logits, labels, model.scores, 0.001)
+            T.backward(loss, tape)
+            optimizer.step()
+        assert_same_bits(opt, ref)
+
+
 # --------------------------------------------------------------------- stages
 
 
@@ -438,7 +595,7 @@ def test_settings_validation():
 @pytest.mark.parametrize("field, value", [
     ("lr", float("nan")), ("lr", float("inf")), ("weight_decay", float("nan")),
     ("weight_decay", -1.0), ("weight_decay", float("inf")), ("gamma", float("nan")),
-    ("gamma", float("inf"))])
+    ("gamma", float("inf")), ("seed", -1)])
 def test_settings_reject_nan_infinite_and_negative_numbers(field, value):
     with pytest.raises(ConfigError, match=field.replace("lr", "learning rate")):
         settings(**{field: value}).validate()
