@@ -138,26 +138,6 @@ def _relative_index(window):
     return np.array(idx, dtype=np.int64)
 
 
-def window_partition(x: Tensor, spec: WindowSpec) -> Tensor:
-    """Group rows of [n x d] tokens into [num_windows x M^2 x d]."""
-    if x.shape[0] != spec.tokens:
-        raise DimensionError(f"expected {spec.tokens} token rows, got {x.shape}")
-    perm = _partition_permutation(spec.height, spec.width, spec.window, spec.shift)
-    grouped = T.permute_rows(x, perm)
-    return T.reshape(grouped, (spec.num_windows, spec.window * spec.window, x.shape[1]))
-
-
-def window_reverse(windows: Tensor, spec: WindowSpec) -> Tensor:
-    """Invert window_partition back to [n x d] token order."""
-    lw, m2, d = windows.shape
-    if lw != spec.num_windows or m2 != spec.window * spec.window:
-        raise DimensionError(
-            f"window tensor {windows.shape} does not match spec {spec}")
-    _, inverse = _stacked_partition(1, spec.height, spec.width, spec.window, spec.shift)
-    flat = T.reshape(windows, (spec.tokens, d))
-    return T.permute_rows(flat, inverse)
-
-
 # ---------------------------------------------------------------- parameters
 
 
@@ -233,30 +213,6 @@ def _logit_factor(scale_dim: int) -> float:
     return 1.0 / float(np.sqrt(scale_dim))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int,
-                         mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(scale_dim) [+ mask]) v over the last two axes.
-
-    q, k and v are [..., m, k] stacks of one shape. mask, an array or
-    Tensor, must equal the trailing axes of the [..., m, m] logits. They
-    run through ``T.attention_core`` as one head.
-    """
-    if q.shape != k.shape:
-        raise DimensionError(f"q and k shapes differ: {q.shape} vs {k.shape}")
-    if v.shape != q.shape:
-        raise DimensionError(f"v has shape {v.shape}, expected {q.shape}")
-    factor = _logit_factor(scale_dim)
-    *lead, m, width = q.shape
-    joined = T.concat([T.reshape(t, (math.prod(lead) * m, width)) for t in (q, k, v)], axis=1)
-    if mask is not None:
-        if not isinstance(mask, Tensor):
-            mask = Tensor(mask)
-        if mask.data.ndim > 2:      # the core's logits carry a heads axis of one
-            mask = T.reshape(mask, (*mask.shape[:-2], 1, *mask.shape[-2:]))
-    out = T.attention_core(T.reshape(joined, (*lead, m, 3, 1, width)), factor, mask)
-    return T.reshape(out, q.shape)
-
-
 def _attention(x: Tensor, p: AttentionParams, groups: tuple,
                alpha: Tensor | None = None, mask: Tensor | None = None) -> Tensor:
     """Multi-head attention inside each group of contiguous rows of x.
@@ -268,21 +224,15 @@ def _attention(x: Tensor, p: AttentionParams, groups: tuple,
     """
     m = x.shape[0] // math.prod(groups)
     h, k = p.heads, p.head_dim
-    qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv, axis=1)), (*groups, m, 3, h, k))
+    qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv)), (*groups, m, 3, h, k))
     if alpha is not None:
         qkv = T.scale_columns(qkv, alpha)
     if p.rpb is not None:
-        table = T.concat(p.rpb, axis=1)  # [span, heads]
+        table = T.concat(p.rpb)  # [span, heads]
         bias = T.reshape(T.transpose(T.gather_rows(table, p.rpb_index)), (h, m, m))
         mask = bias if mask is None else T.add(mask, bias)
     out = T.attention_core(qkv, _logit_factor(p.scale_dim), mask)
     return T.matmul(out, p.wo)
-
-
-def msa_forward(x: Tensor, p: AttentionParams, alpha: Tensor | None = None) -> Tensor:
-    """Multi-head attention over all rows of x; alpha scales each per-head
-    Q/K/V column."""
-    return _attention(x, p, (), alpha)
 
 
 def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
@@ -650,17 +600,17 @@ class Backbone:
         for _, p in self.named_parameters():
             p.grad = None
 
-    def forward(self, image, scores: dict | None = None):
-        return backbone_forward(self, image, scores)
-
 
 def build_backbone(config: BackboneConfig, seed: int) -> Backbone:
     return Backbone(config, rng=np.random.default_rng(seed))
 
 
-def _forward(model: Backbone, images, scores: dict | None):
+def forward_features(model: Backbone, images, scores: dict | None = None):
     """Logits [B x num_classes] of a [B, C, H, W] stack, run as one pass over
-    the stacked [B*n x d] token rows, and each stage's output rows."""
+    the stacked [B*n x d] token rows, and each stage's output rows.
+
+    scores maps site ids to the score vectors that scale each site's
+    per-head or hidden columns; a site it leaves out runs unscaled."""
     cfg = model.config
     images = np.asarray(images, dtype=np.float32)
     side = cfg.image_size
@@ -684,17 +634,7 @@ def _forward(model: Backbone, images, scores: dict | None):
     return T.matmul(T.reshape(pooled, (count, x.shape[1])), model.head), features
 
 
-def backbone_forward(model: Backbone, image, scores: dict | None = None):
-    """Run the full backbone on one [C, H, W] image: (logits[num_classes],
-    features), the B=1 case of ``forward_batch``."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
-    if img.ndim != 3:
-        raise DimensionError(f"image must be [C, H, W], got shape {img.shape}")
-    logits, features = _forward(model, img[None], scores)
-    return T.reshape(logits, (model.config.num_classes,)), features
-
-
 def forward_batch(model: Backbone, images, scores: dict | None = None) -> Tensor:
-    """[B x num_classes] logits of a [B, C, H, W] image stack, in one pass;
-    row i equals ``backbone_forward`` of image i."""
-    return _forward(model, images, scores)[0]
+    """[B x num_classes] logits of a [B, C, H, W] image stack, in one pass:
+    the forward every stage runs. Row i equals the logits of image i alone."""
+    return forward_features(model, images, scores)[0]

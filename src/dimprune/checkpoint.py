@@ -8,7 +8,8 @@ run needs to resume lives in one file; loading rebuilds the exact arrays.
 A save writes each array's own buffer, so it holds no second copy of the
 payload. A load checks the whole header first, then reads each tensor
 straight into a fresh array, so it holds about one file's worth of memory
-and no two loaded arrays share a buffer. A header that breaks the schema
+and no two loaded arrays share a buffer. A header that breaks the schema,
+or whose config implies other tensor counts than its directory holds,
 raises FormatError. Files are written to a temporary name beside the
 target and renamed over it, so a reader sees the old file or the whole new
 one, never a part. A model restored from a Checkpoint holds its arrays, and
@@ -145,7 +146,6 @@ def _checkpoint_from_header(path, header) -> Checkpoint:
         raise FormatError(f"{path}: site_dims must map site ids to integer widths")
     try:
         config = BackboneConfig(**raw)
-        check_site_dims(config, site_dims)
     except (ConfigError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     step, seed, rng_state = header["step"], header["seed"], header["rng_state"]
@@ -207,6 +207,34 @@ def _directory(path, entries, payload: int) -> list:
     return out
 
 
+def _tensor_counts(config: BackboneConfig) -> tuple:
+    """(parameter, score) tensor counts of a model of ``config``, worked out
+    per stage: per block two norms of two tensors, wo, w1, w2 and three
+    projections per head (four with a position table), then the patch
+    embedding, the merges, the final norm and the head; two sites a block."""
+    per_head = 4 if config.use_relative_position_bias else 3
+    blocks = zip(config.depths, config.heads)
+    params = len(config.depths) + 3 + sum(d * (7 + per_head * h) for d, h in blocks)
+    return params, 2 * sum(config.depths)
+
+
+def _check_against_config(path, ckpt: Checkpoint, directory: list):
+    """Compare the directory's tensor counts with the header config's (a
+    score table is all or nothing) before site_dims is checked site by site,
+    a walk that a corrupt config can make millions of sites long."""
+    params, scores = _tensor_counts(ckpt.config)
+    held = [attr for attr, _, _ in directory]
+    n_params, n_scores = held.count("params"), held.count("scores")
+    if n_params != params or n_scores not in (0, scores):
+        raise FormatError(
+            f"{path}: the header config implies {params} parameter and 0 or "
+            f"{scores} score tensors, the directory holds {n_params} and {n_scores}")
+    try:
+        check_site_dims(ckpt.config, ckpt.site_dims)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def load_checkpoint(path) -> Checkpoint:
     start = len(MAGIC) + 4
     with open(path, "rb") as fh:
@@ -222,8 +250,9 @@ def load_checkpoint(path) -> Checkpoint:
         except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: unreadable header: {exc}") from exc
         ckpt = _checkpoint_from_header(path, header)
-        for attr, name, shape in _directory(path, header["tensors"],
-                                            size - start - hlen):
+        directory = _directory(path, header["tensors"], size - start - hlen)
+        _check_against_config(path, ckpt, directory)
+        for attr, name, shape in directory:
             arr = np.empty(shape, dtype=_F4)
             if fh.readinto(arr) != arr.nbytes:
                 raise FormatError(f"{path}: truncated payload for {name}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import Backbone, BackboneConfig, check_site_dims, sites, stage_geometry
+from .blocks import (Backbone, BackboneConfig, check_site_dims, forward_batch, sites,
+                     stage_geometry)
 # Not used here: benchmarks/spans.py patches these names on this module.
 from .blocks import mlp_forward, patch_embed, patch_merge, wmsa_forward  # noqa: F401
 from .errors import ConfigError
@@ -185,7 +186,7 @@ def measured_cost(model: Backbone, mac_factor: int = 1) -> CostReport:
 
     img = np.zeros((cfg.in_channels, cfg.image_size, cfg.image_size), dtype=np.float32)
     with count_macs() as counter:
-        model.forward(img)
+        forward_batch(model, img[None])
     for key, params in site_params.items():
         report.sites.append(SiteCost(key, params, mac_factor * counter.scopes[key]))
     report.overhead_flops = mac_factor * (counter.macs - sum(counter.scopes.values()))

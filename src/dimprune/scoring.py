@@ -45,11 +45,8 @@ class ScoredModel:
         return self._by_id[site_id]
 
     def score_map(self) -> dict:
-        """site_id -> alpha Tensor, the form backbone_forward consumes."""
+        """site_id -> alpha Tensor, the form ``forward_batch`` consumes."""
         return {s.site_id: s.alpha for s in self.scores}
-
-    def forward(self, image):
-        return self.model.forward(image, scores=self.score_map())
 
     def named_parameters(self) -> list:
         """Backbone weights followed by score vectors, stable order."""
@@ -60,11 +57,6 @@ class ScoredModel:
     def zero_grads(self):
         for _, p in self.named_parameters():
             p.grad = None
-
-
-def site_ids(config) -> list:
-    """Enumerate prunable site ids for a config in forward order."""
-    return [site.id for site in sites(config)]
 
 
 def attach_scores(model: Backbone) -> ScoredModel:

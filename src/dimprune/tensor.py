@@ -35,10 +35,10 @@ leading axes.
 every group and head of an attention site (Swin's W-MSA, arXiv
 2103.14030), with q, k and v stacked in one tensor and one tape record
 whose pull is written out by hand (as in FlashAttention, arXiv 2205.14135,
-without its tiling). Its forward takes the steps of ``matmul``, ``scale``,
-``add``, ``softmax_rows`` and ``matmul`` in that order and at their
-precision, so it gives the bits they give; its gradient products are
-float32, as ``matmul``'s are.
+without its tiling). Its forward takes the steps of ``matmul``, ``scale``
+and ``add``, the row softmax ``_softmax`` and ``matmul``, in that order and
+at their precision, so it gives the bits they give; its gradient products
+are float32, as ``matmul``'s are.
 """
 
 from __future__ import annotations
@@ -324,19 +324,11 @@ def scale_columns(x: Tensor, v: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Reorder axes as ``np.transpose`` does; the default swaps a 2-D tensor."""
-    if axes is None:
-        _check_2d(a, "transpose input")
-        axes = (1, 0)
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise DimensionError(f"transpose axes {axes} do not reorder shape {a.shape}")
-    back = [0] * len(axes)
-    for i, ax in enumerate(axes):
-        back[ax] = i
-    out = Tensor(a.data.transpose(axes), requires_grad=_wants_grad(a))
-    _record(out, [(a, lambda g: g.transpose(back))])
+def transpose(a: Tensor) -> Tensor:
+    """Swap the two axes of a 2-D tensor."""
+    _check_2d(a, "transpose input")
+    out = Tensor(a.data.T, requires_grad=_wants_grad(a))
+    _record(out, [(a, lambda g: g.T)])
     return out
 
 
@@ -350,56 +342,32 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate 2-D tensors along rows (axis 0) or the last dim (axis 1/-1)."""
+def concat(tensors) -> Tensor:
+    """Join 2-D tensors of equal row count side by side, by columns."""
     ts = list(tensors)
     if not ts:
         raise UsageError("concat needs at least one tensor")
     for t in ts:
         _check_2d(t, "concat input")
-    if axis in (1, -1):
-        axis = 1
-        rows = ts[0].shape[0]
-        if any(t.shape[0] != rows for t in ts):
-            raise DimensionError(f"concat axis=1 row counts differ: {[t.shape for t in ts]}")
-    elif axis == 0:
-        cols = ts[0].shape[1]
-        if any(t.shape[1] != cols for t in ts):
-            raise DimensionError(f"concat axis=0 col counts differ: {[t.shape for t in ts]}")
-    else:
-        raise UsageError(f"concat axis must be 0 or 1, got {axis}")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis), requires_grad=_wants_grad(*ts))
+    rows = ts[0].shape[0]
+    if any(t.shape[0] != rows for t in ts):
+        raise DimensionError(f"concat row counts differ: {[t.shape for t in ts]}")
+    out = Tensor(np.concatenate([t.data for t in ts], axis=1), requires_grad=_wants_grad(*ts))
     if out.requires_grad:
         pulls = []
         offset = 0
         for t in ts:
-            width = t.shape[axis]
-            lo, hi = offset, offset + width
+            lo, hi = offset, offset + t.shape[1]
 
             # A column block is copied out: as a strided view it would slow
             # every elementwise pass AdamW makes over the gradient of a
             # per-head weight, and those are concatenated by columns.
-            def pull(g, lo=lo, hi=hi, ax=axis):
-                return g[lo:hi] if ax == 0 else np.ascontiguousarray(g[:, lo:hi])
+            def pull(g, lo=lo, hi=hi):
+                return np.ascontiguousarray(g[:, lo:hi])
 
             pulls.append((t, pull))
-            offset += width
+            offset = hi
         _record(out, pulls)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    _check_2d(x, "slice_rows input")
-    if not (0 <= start < stop <= x.shape[0]):
-        raise DimensionError(f"slice_rows [{start}:{stop}] out of range for shape {x.shape}")
-    n = x.shape[0]
-    out = Tensor(x.data[start:stop], requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def pull(g):
-            full = np.zeros((n, g.shape[1]), dtype=np.float32)
-            full[start:stop] = g
-            return full
-        _record(out, [(x, pull)])
     return out
 
 
@@ -445,15 +413,11 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    """Sum of every entry, accumulated in float64, as a scalar tensor. No
+    stage records it: the benchmark's per-layer replay and the tests'
+    scalar losses reduce an output with it."""
     out = Tensor(np.float32(x.data.sum(dtype=np.float64)), requires_grad=_wants_grad(x))
     _record(out, [(x, lambda g: np.full(x.shape, g.reshape(()), dtype=np.float32))])
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    out = Tensor(np.float32(x.data.mean(dtype=np.float64)), requires_grad=_wants_grad(x))
-    _record(out, [(x, lambda g: np.full(x.shape, g.reshape(()) / np.float32(n), dtype=np.float32))])
     return out
 
 
@@ -526,16 +490,6 @@ def _softmax_grad(g, y):
     return gy
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilised by its max; float32 with the
-    row sums accumulated in float64."""
-    out = Tensor(_softmax(x.data), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        y = out.data
-        _record(out, [(x, lambda g: _softmax_grad(g, y))])
-    return out
-
-
 def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Tensor:
     """softmax(q k^T * factor [+ mask]) v for every group and head, as one op.
 
@@ -545,7 +499,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     [prod(lead)*m, heads*k] output rows, heads side by side.
 
     The forward takes the steps of ``matmul``, ``scale``, ``add``,
-    ``softmax_rows`` and ``matmul`` in that order and at their precision:
+    ``_softmax`` and ``matmul`` in that order and at their precision:
     float64 products rounded to float32, a float32 scale and mask add, and
     float64 row sums. It counts the two products' MACs as ``matmul`` does.
     One tape record pulls q/k/v, as one stacked gradient, and the mask,

@@ -1,6 +1,8 @@
 """The benchmark's traced run (benchmarks/spans.py) wraps dimprune's layer
-functions by module attribute. This keeps that reach-in under tier-1: a
-renamed or removed name fails here, not only in the benchmark's smoke run.
+functions by module attribute, and its workloads call the package's stages
+and read fields such as ``Checkpoint.rng_state``. This keeps that reach-in
+under tier-1: a renamed or removed name fails here, not only in the
+benchmark's smoke run.
 """
 
 import os
@@ -32,3 +34,23 @@ def test_benchmark_instrument_traces_forward_and_measured_cost(monkeypatch):
         [(s.site_id, s.params, s.flops) for s in closed.sites]
     assert (measured.total_params, measured.total_flops) == \
         (closed.total_params, closed.total_flops)
+
+
+def test_tiny_pipeline_iterations_and_layer_costs_fail_no_check(monkeypatch, tmp_path):
+    # One plain and one instrumented iteration of the tiny workload, then the
+    # per-layer replay: everything a benchmark run reaches in the package.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import layers
+    import spans
+    import workloads
+
+    workload = workloads.WORKLOADS["tiny-pipeline"]
+    workdir = str(tmp_path)
+    st = workloads.setup(workload, seed=7, workdir=workdir)
+    tracer, checks = spans.Tracer(), workloads.Checks()
+    first = workloads.iteration(workload, st, tracer, checks, workdir, None)
+    with spans.instrument(tracer):
+        last = workloads.iteration(workload, st, tracer, checks, workdir, first)
+    costs = layers.layer_costs(tracer, last["model"], last["scored"], st)
+    assert checks.attempted > 0 and checks.failures == []
+    assert all(costs[layer]["macs"] > 0 for layer in spans.LAYERS.values())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,19 +16,15 @@ from dimprune.blocks import (
     BlockParams,
     MlpParams,
     WindowSpec,
-    backbone_forward,
     block_forward,
     build_backbone,
     forward_batch,
+    forward_features,
     mlp_forward,
-    msa_forward,
     patch_embed,
     patch_merge,
     patchify,
-    scaled_dot_attention,
     stage_geometry,
-    window_partition,
-    window_reverse,
     wmsa_forward,
 )
 
@@ -70,6 +67,26 @@ def make_attn(r, d, heads, k, scale_dim=None, rpb_window=None):
     return p
 
 
+def msa(x, p, alpha=None):
+    """Global multi-head attention over the rows of x: W-MSA with one window
+    that covers a square grid of x's rows (Swin, arXiv 2103.14030)."""
+    side = math.isqrt(x.shape[0])
+    assert side * side == x.shape[0]
+    return wmsa_forward(x, p, WindowSpec(side, side, side), alpha)
+
+
+def attention(q, k, v, scale_dim, mask=None):
+    """softmax(q k^T / sqrt(scale_dim) [+ mask]) v over [..., m, k] stacks of
+    one shape, run through ``T.attention_core`` as one head."""
+    *lead, m, width = q.shape
+    qkv = np.stack([q, k, v], axis=-2)[..., None, :]           # [..., m, 3, 1, k]
+    if mask is not None and mask.ndim > 2:   # the logits carry a heads axis of one
+        mask = mask[..., None, :, :]
+    out = T.attention_core(Tensor(qkv), 1.0 / np.sqrt(scale_dim),
+                           None if mask is None else Tensor(mask))
+    return out.data.reshape(q.shape)
+
+
 def attn_arrays(p):
     return ([t.data for t in p.wq], [t.data for t in p.wk],
             [t.data for t in p.wv], p.wo.data)
@@ -88,18 +105,17 @@ def test_window_spec_validation():
 
 
 def test_single_window_partition_is_input():
-    x = Tensor(rng(1).normal(size=(4, 3)))
-    out = window_partition(x, WindowSpec(2, 2, 2))
-    assert out.shape == (1, 4, 3)
-    assert np.array_equal(out.data[0], x.data)
+    order, inverse = B._stacked_partition(1, 2, 2, 2, 0)
+    assert order.tolist() == inverse.tolist() == [0, 1, 2, 3]
 
 
 def test_partition_reverse_roundtrip_bitwise():
     for shift in (0, 1):
-        spec = WindowSpec(4, 4, 2, shift)
-        x = Tensor(rng(2).normal(size=(16, 5)))
-        back = window_reverse(window_partition(x, spec), spec)
-        assert np.array_equal(back.data, x.data)
+        for images in (1, 3):
+            order, inverse = B._stacked_partition(images, 4, 4, 2, shift)
+            x = Tensor(rng(2).normal(size=(images * 16, 5)))
+            back = T.permute_rows(T.permute_rows(x, order), inverse)
+            assert np.array_equal(back.data, x.data)
 
 
 def test_partition_order_matches_reference():
@@ -137,27 +153,27 @@ def test_masked_pairs_get_negligible_attention():
 
 
 def test_attention_single_row_returns_v():
-    q = Tensor(rng(3).normal(size=(1, 4)))
-    k = Tensor(rng(4).normal(size=(1, 4)))
-    v = Tensor(rng(5).normal(size=(1, 4)))
-    out = scaled_dot_attention(q, k, v, scale_dim=4)
-    assert np.abs(out.data - v.data).max() < 1e-6
+    q = rng(3).normal(size=(1, 4)).astype(np.float32)
+    k = rng(4).normal(size=(1, 4)).astype(np.float32)
+    v = rng(5).normal(size=(1, 4)).astype(np.float32)
+    out = attention(q, k, v, scale_dim=4)
+    assert np.abs(out - v).max() < 1e-6
 
 
 def test_attention_identical_keys_average_values():
-    q = Tensor(rng(6).normal(size=(3, 2)))
-    k = Tensor(np.tile(rng(7).normal(size=(1, 2)), (3, 1)))
-    v = Tensor(rng(8).normal(size=(3, 2)))
-    out = scaled_dot_attention(q, k, v, scale_dim=2)
-    want = v.data.mean(axis=0, keepdims=True)
-    assert np.abs(out.data - want).max() < 1e-6
+    q = rng(6).normal(size=(3, 2)).astype(np.float32)
+    k = np.tile(rng(7).normal(size=(1, 2)), (3, 1)).astype(np.float32)
+    v = rng(8).normal(size=(3, 2)).astype(np.float32)
+    out = attention(q, k, v, scale_dim=2)
+    want = v.mean(axis=0, keepdims=True)
+    assert np.abs(out - want).max() < 1e-6
 
 
 def test_attention_matches_reference_with_mask():
     r = rng(9)
     q, k, v = (r.normal(size=(5, 3)).astype(np.float32) for _ in range(3))
     mask = np.where(r.random((5, 5)) < 0.3, B.MASK_VALUE, 0.0).astype(np.float32)
-    got = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 7, mask).data
+    got = attention(q, k, v, 7, mask)
     assert np.abs(got - ref_attention(q, k, v, 7, mask)).max() < 1e-5
 
 
@@ -165,7 +181,7 @@ def test_attention_over_stacks_with_a_mask_per_slice_matches_reference():
     r = rng(44)
     q, k, v = (r.normal(size=(2, 3, 5, 4)).astype(np.float32) for _ in range(3))
     mask = np.where(r.random((3, 5, 5)) < 0.3, B.MASK_VALUE, 0.0).astype(np.float32)
-    got = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 6, mask).data
+    got = attention(q, k, v, 6, mask)
     for i in range(2):
         for j in range(3):
             want = ref_attention(q[i, j], k[i, j], v[i, j], 6, mask[j])
@@ -173,37 +189,38 @@ def test_attention_over_stacks_with_a_mask_per_slice_matches_reference():
 
 
 def test_attention_shape_errors():
-    with pytest.raises(DimensionError):
-        scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))),
-                             Tensor(np.ones((2, 3))), 3)
-    with pytest.raises(DimensionError):
-        scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
-                             Tensor(np.ones((3, 3))), 3)
+    qkv = Tensor(np.ones((2, 5, 3, 1, 4)))
+    with pytest.raises(DimensionError):      # q, k and v are not stacked in threes
+        T.attention_core(Tensor(np.ones((2, 5, 2, 1, 4))), 0.5)
+    with pytest.raises(DimensionError):      # no heads axis
+        T.attention_core(Tensor(np.ones((5, 3, 4))), 0.5)
+    with pytest.raises(DimensionError):      # a mask of the wrong row count
+        T.attention_core(qkv, 0.5, Tensor(np.zeros((1, 4, 5))))
 
 
 def test_msa_scores_of_one_are_bitwise_identity():
     r = rng(10)
     p = make_attn(r, d=4, heads=2, k=2)
-    x = Tensor(r.normal(size=(3, 4)))
-    plain = msa_forward(x, p).data
-    scored = msa_forward(x, p, alpha=Tensor(np.ones(2))).data
+    x = Tensor(r.normal(size=(4, 4)))
+    plain = msa(x, p).data
+    scored = msa(x, p, alpha=Tensor(np.ones(2))).data
     assert np.array_equal(plain, scored)
 
 
 def test_msa_zero_scores_zero_output():
     r = rng(11)
     p = make_attn(r, d=4, heads=2, k=2)
-    x = Tensor(r.normal(size=(3, 4)))
-    out = msa_forward(x, p, alpha=Tensor(np.zeros(2))).data
+    x = Tensor(r.normal(size=(4, 4)))
+    out = msa(x, p, alpha=Tensor(np.zeros(2))).data
     assert np.abs(out).max() == 0.0
 
 
 def test_msa_matches_per_head_reference():
     r = rng(12)
     p = make_attn(r, d=4, heads=2, k=2)
-    x = r.normal(size=(3, 4)).astype(np.float32)
+    x = r.normal(size=(4, 4)).astype(np.float32)
     alpha = r.normal(1.0, 0.3, size=2).astype(np.float32)
-    got = msa_forward(Tensor(x), p, alpha=Tensor(alpha)).data
+    got = msa(Tensor(x), p, alpha=Tensor(alpha)).data
     wq, wk, wv, wo = attn_arrays(p)
     want = ref_msa(x, wq, wk, wv, wo, scale_dim=2, alpha=alpha)
     assert np.abs(got - want).max() < 1e-5
@@ -212,19 +229,23 @@ def test_msa_matches_per_head_reference():
 def test_msa_permutation_equivariance():
     r = rng(13)
     p = make_attn(r, d=6, heads=3, k=2)
-    x = r.normal(size=(5, 6)).astype(np.float32)
-    perm = r.permutation(5)
-    direct = msa_forward(Tensor(x[perm]), p).data
-    permuted = msa_forward(Tensor(x), p).data[perm]
+    x = r.normal(size=(9, 6)).astype(np.float32)
+    perm = r.permutation(9)
+    direct = msa(Tensor(x[perm]), p).data
+    permuted = msa(Tensor(x), p).data[perm]
     assert np.abs(direct - permuted).max() < 1e-5
 
 
 def test_wmsa_single_window_equals_msa():
+    # one window over the grid attends every row to every row: the same bits
+    # as the attention core run over all the rows as one group
     r = rng(14)
     p = make_attn(r, d=4, heads=2, k=2)
     x = Tensor(r.normal(size=(4, 4)))
-    spec = WindowSpec(2, 2, 2, 0)
-    assert np.array_equal(wmsa_forward(x, p, spec).data, msa_forward(x, p).data)
+    got = wmsa_forward(x, p, WindowSpec(2, 2, 2, 0)).data
+    assert np.array_equal(got, B._attention(x, p, ()).data)
+    wq, wk, wv, wo = attn_arrays(p)
+    assert np.abs(got - ref_msa(x.data, wq, wk, wv, wo, scale_dim=2)).max() < 1e-5
 
 
 def test_wmsa_composes_per_window_attention():
@@ -472,8 +493,8 @@ def test_stage_geometry_doubles_dims_and_halves_grid():
 def test_backbone_forward_shapes_and_features():
     model = build_backbone(BackboneConfig(), seed=0)
     img = rng(28).random((3, 32, 32)).astype(np.float32)
-    logits, features = backbone_forward(model, img)
-    assert logits.shape == (4,)
+    logits, features = forward_features(model, img[None])
+    assert logits.shape == (1, 4)
     assert np.isfinite(logits.data).all()
     assert [f.shape for f in features] == [(64, 16), (16, 32)]
 
@@ -510,9 +531,9 @@ def test_backbone_matches_full_reference_composition():
     cfg = BackboneConfig(depths=(2, 1), heads=(2, 4), window=2)
     model = build_backbone(cfg, seed=3)
     img = rng(29).random((3, 32, 32)).astype(np.float32)
-    logits, _ = backbone_forward(model, img)
+    logits = forward_batch(model, img[None])
     want = ref_backbone_logits(model, img)
-    assert np.abs(logits.data - want).max() < 1e-4
+    assert np.abs(logits.data[0] - want).max() < 1e-4
 
 
 def test_backbone_alternating_blocks_shift():
@@ -527,8 +548,8 @@ def test_forward_batch_stacks_single_image_rows():
     imgs = rng(30).random((3, 3, 32, 32)).astype(np.float32)
     batched = forward_batch(model, imgs).data
     for i in range(3):
-        single, _ = backbone_forward(model, imgs[i])
-        assert np.array_equal(batched[i], single.data)
+        single = forward_batch(model, imgs[i][None])
+        assert np.array_equal(batched[i], single.data[0])
 
 
 def test_backbone_with_pruned_site_dims():
@@ -541,7 +562,7 @@ def test_backbone_with_pruned_site_dims():
     assert blk.attn.scale_dim == 8
     assert blk.mlp.w1.shape == (16, 10)
     img = rng(31).random((3, 32, 32)).astype(np.float32)
-    logits, _ = backbone_forward(model, img)
+    logits = forward_batch(model, img[None])
     assert np.isfinite(logits.data).all()
 
 
@@ -552,7 +573,7 @@ def test_relative_position_bias_participates():
     assert "stage0.block0.attn.rpb0" in names
     img = rng(32).random((3, 32, 32)).astype(np.float32)
     with Tape() as tape:
-        logits, _ = backbone_forward(model, img)
+        logits = forward_batch(model, img[None])
         loss = T.sum_all(logits)
     backward(loss, tape)
     rpb = model.stages[0].blocks[0].attn.rpb[0]
@@ -569,8 +590,8 @@ def test_scores_of_ones_leave_model_output_bitwise():
             ones[f"stage{s}.block{b}.attn"] = Tensor(np.ones(blk.attn.head_dim))
             ones[f"stage{s}.block{b}.mlp"] = Tensor(np.ones(blk.mlp.hidden))
     img = rng(33).random((3, 32, 32)).astype(np.float32)
-    plain, _ = backbone_forward(model, img)
-    scored, _ = backbone_forward(model, img, scores=ones)
+    plain = forward_batch(model, img[None])
+    scored = forward_batch(model, img[None], scores=ones)
     assert np.array_equal(plain.data, scored.data)
 
 
@@ -658,21 +679,20 @@ def recorded_ops(tape):
     return [pulls[0][1].__qualname__.split(".")[0] for _, pulls in tape._nodes]
 
 
-def test_scaled_dot_attention_and_wmsa_record_one_attention_core_op():
+def test_attention_core_and_wmsa_record_one_attention_core_op():
     r = rng(40)
-    q, k, v = (Tensor(r.normal(size=(3, 5, 4)).astype(np.float32), requires_grad=True)
-               for _ in range(3))
+    qkv = Tensor(r.normal(size=(3, 5, 3, 1, 4)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
-        scaled_dot_attention(q, k, v, 4, np.zeros((3, 5, 5), dtype=np.float32))
+        T.attention_core(qkv, 0.5, Tensor(np.zeros((3, 1, 5, 5)), requires_grad=True))
     plain = recorded_ops(tape)
     p = make_attn(r, d=4, heads=2, k=2)
     with Tape() as tape:
         wmsa_forward(Tensor(r.normal(size=(32, 4))), p, WindowSpec(4, 4, 2, 1),
                      Tensor(np.ones(2), requires_grad=True))
     windowed = recorded_ops(tape)
-    for ops in (plain, windowed):
-        assert ops.count("attention_core") == 1
-        assert not {"softmax_rows", "scale", "transpose"} & set(ops), ops
+    assert plain == ["attention_core"]
+    assert windowed.count("attention_core") == 1
+    assert not {"scale", "transpose"} & set(windowed), windowed
     assert windowed.count("matmul") == 2        # Q/K/V in, output projection out
 
 
@@ -705,8 +725,8 @@ def test_backbone_from_params_takes_each_array_by_name(rpb):
     assert [name for name, _ in named] == list(arrays)
     assert all(t.data is arrays[name] and t.requires_grad for name, t in named)
     img = rng(41).random((3, 32, 32)).astype(np.float32)
-    assert np.array_equal(backbone_forward(back, img)[0].data,
-                          backbone_forward(model, img)[0].data)
+    assert np.array_equal(forward_batch(back, img[None]).data,
+                          forward_batch(model, img[None]).data)
 
 
 def test_backbone_from_params_names_every_fault():

@@ -11,9 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimprune import checkpoint as checkpoint_module
-from dimprune.blocks import BackboneConfig, MlpParams, backbone_forward, build_backbone
+from dimprune.blocks import Backbone, BackboneConfig, MlpParams, build_backbone, forward_batch, sites
 from dimprune.checkpoint import (
-    Checkpoint,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
@@ -24,6 +23,8 @@ from dimprune.errors import FormatError, UsageError
 from dimprune.pruner import KeepSet, prune_mlp, prune_model
 from dimprune.scoring import attach_scores
 from dimprune.tensor import Tensor
+
+from test_costmodel import CONFIG_MATRIX
 
 
 def fixture_checkpoint(seed=0):
@@ -72,9 +73,9 @@ def test_model_restore_reproduces_forward(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ckpt)
     img = np.random.default_rng(4).random((3, 32, 32)).astype(np.float32)
-    want, _ = backbone_forward(model, img, scores=scored.score_map())
+    want = forward_batch(model, img[None], scores=scored.score_map())
     rebuilt, rescored = scored_from_checkpoint(load_checkpoint(path))
-    got, _ = backbone_forward(rebuilt, img, scores=rescored.score_map())
+    got = forward_batch(rebuilt, img[None], scores=rescored.score_map())
     assert np.array_equal(want.data, got.data)
 
 
@@ -88,8 +89,8 @@ def test_pruned_model_roundtrip(tmp_path):
     back = model_from_checkpoint(load_checkpoint(path))
     assert back.site_dims == pruned.site_dims
     img = np.random.default_rng(6).random((3, 32, 32)).astype(np.float32)
-    want, _ = backbone_forward(pruned, img)
-    got, _ = backbone_forward(back, img)
+    want = forward_batch(pruned, img[None])
+    got = forward_batch(back, img[None])
     assert np.array_equal(want.data, got.data)
 
 
@@ -207,6 +208,30 @@ HEADER_PROBES = {
     "shape_minus_one": _shape_minus_one,
     "backbone_rejects_window_3": _set("config", "window", 3),
 }
+
+
+@pytest.mark.parametrize("rpb", [False, True])
+@pytest.mark.parametrize("cfg", [row[1] for row in CONFIG_MATRIX],
+                         ids=[row[0] for row in CONFIG_MATRIX])
+def test_tensor_counts_per_stage_equal_the_model_and_its_sites(cfg, rpb):
+    cfg = dataclasses.replace(cfg, use_relative_position_bias=rpb)
+    assert checkpoint_module._tensor_counts(cfg) == (
+        len(Backbone(cfg).named_parameters()), len(sites(cfg)))
+
+
+def test_a_directory_unlike_the_header_config_fails_on_load_naming_both_counts(tmp_path):
+    _, _, ckpt = fixture_checkpoint(seed=13)
+    path = tmp_path / "deep.ckpt"
+    save_checkpoint(path, ckpt)
+    path.write_bytes(rewrite_header(path.read_bytes(),
+                                    lambda h: h["config"].update(depths=[2 ** 18, 1])))
+    with pytest.raises(FormatError, match="implies 3407896 parameter and 0 or 524290 "
+                                          "score tensors, the directory holds 37 and 4"):
+        load_checkpoint(path)
+    ckpt.scores.pop("stage0.block0.attn")     # a score table is all or nothing
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match="the directory holds 37 and 3"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("probe", sorted(HEADER_PROBES))
@@ -391,10 +416,9 @@ def test_loaded_arrays_are_contiguous_float32_and_share_no_memory(tmp_path):
 
 
 def large_checkpoint():
-    """About 4 MB of payload in 16 tensors."""
-    r = np.random.default_rng(16)
-    params = {f"w{i}": r.random((128, 512), dtype=np.float32) for i in range(16)}
-    return Checkpoint(config=BackboneConfig(), params=params)
+    """About 3.2 MB of payload in the 37 tensors of a two-stage model."""
+    cfg = BackboneConfig(base_dim=128)
+    return checkpoint_from_model(Backbone(cfg, rng=np.random.default_rng(16)))
 
 
 def traced_peak(fn):

@@ -201,6 +201,25 @@ def test_a_header_config_unlike_the_tensors_exits_3_without_allocating(
     assert not (tmp_path / "pruned.ckpt").exists()
 
 
+@pytest.mark.parametrize("depth", [2 ** 16, 2 ** 18])
+def test_a_header_implying_millions_of_tensors_exits_3_with_a_short_record(
+        capsys, tiny_cfg, tmp_path, depth):
+    # The load compares tensor counts before it walks the config's sites, so
+    # the record names two counts, not every missing entry.
+    model = build_backbone(load_config(tiny_cfg).model, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, checkpoint_from_model(model, attach_scores(model)))
+    path.write_bytes(rewrite_header(path.read_bytes(),
+                                    lambda h: h["config"].update(depths=[depth, 1])))
+    rc, out, err = run_cli(capsys, ["prune", "--checkpoint", str(path), "--rho", "0.6",
+                                    "--out", str(tmp_path / "pruned.ckpt")])
+    assert (rc, out) == (3, "")
+    assert len(err.encode()) < 1024 and err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "FormatError" and "the directory holds 37 and 4" in record["message"]
+    assert not (tmp_path / "pruned.ckpt").exists()
+
+
 def test_numeric_failure_exits_4(capsys, tiny_cfg, tmp_path):
     cfg = load_config(tiny_cfg)
     model = build_backbone(cfg.model, seed=0)

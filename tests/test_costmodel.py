@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dimprune.blocks import Backbone, BackboneConfig, build_backbone, stage_geometry
+from dimprune.blocks import (Backbone, BackboneConfig, MlpParams, WindowSpec, build_backbone,
+                             forward_batch, mlp_forward, stage_geometry, wmsa_forward)
 from dimprune.costmodel import (
     Convention,
     REFERENCE_CONVENTION,
@@ -18,7 +19,9 @@ from dimprune.costmodel import (
 from dimprune.errors import ConfigError
 from dimprune.pruner import keep_count, prune_model
 from dimprune.scoring import attach_scores
-from dimprune.tensor import count_macs
+from dimprune.tensor import Tensor, count_macs
+
+from test_blocks import make_attn
 
 
 def uniform_dims(cfg, rho):
@@ -81,6 +84,39 @@ def test_wmsa_cheaper_than_msa_on_large_grids():
         w = wmsa_cost(n=n, d=16, h=4, window=m, rho=1.0)["flops"]
         g = msa_cost(n=n, d=16, h=4, rho=1.0)["flops"]
         assert w < g
+
+
+# (grid side, window, shift, heads, dim, rho). Global MSA is W-MSA with one
+# window over the grid (Swin, arXiv 2103.14030, eqs. 1-2), so the rows with
+# window == grid also check msa_cost.
+COUNTED_ATTENTION = [(8, 2, 0, 2, 8, 0.75), (8, 8, 0, 2, 8, 0.3), (8, 4, 2, 4, 16, 0.6),
+                     (6, 3, 1, 3, 12, 0.5), (4, 4, 0, 3, 12, 1.0), (3, 3, 0, 2, 8, 0.5)]
+
+
+@pytest.mark.parametrize("grid,window,shift,heads,d,rho", COUNTED_ATTENTION)
+def test_counted_wmsa_forward_equals_the_paper_costs(grid, window, shift, heads, d, rho):
+    n, k = grid * grid, keep_count(d // heads, rho)
+    p = make_attn(np.random.default_rng(grid), d, heads, k, scale_dim=d // heads)
+    x = Tensor(np.random.default_rng(window).normal(size=(n, d)))
+    with count_macs() as counter:
+        wmsa_forward(x, p, WindowSpec(grid, grid, window, shift))
+    params = sum(t.size for _, t in p.named())
+    costs = [wmsa_cost(n, d, heads, window, rho)]
+    if window == grid:
+        costs.append(msa_cost(n, d, heads, rho))
+    for cost in costs:
+        assert (params, counter.macs) == (cost["params"], cost["flops"])
+
+
+@pytest.mark.parametrize("n,d,d_m,rho", [(16, 8, 16, 1.0), (9, 12, 30, 0.55), (4, 4, 8, 0.2)])
+def test_counted_mlp_forward_equals_the_paper_cost(n, d, d_m, rho):
+    r = np.random.default_rng(n)
+    km = keep_count(d_m, rho)
+    p = MlpParams(w1=Tensor(r.normal(size=(d, km))), w2=Tensor(r.normal(size=(km, d))))
+    with count_macs() as counter:
+        mlp_forward(Tensor(r.normal(size=(n, d))), p)
+    cost = mlp_cost(n, d, d_m, rho)
+    assert (p.w1.size + p.w2.size, counter.macs) == (cost["params"], cost["flops"])
 
 
 def test_mlp_cost_examples():
@@ -186,7 +222,7 @@ def test_measured_cost_agrees_with_instrumented_full_forward():
     rep = measured_cost(model)
     img = np.zeros((3, 32, 32), dtype=np.float32)
     with count_macs() as counter:
-        model.forward(img)
+        forward_batch(model, img[None])
     assert rep.total_flops == counter.macs
 
 

@@ -1,0 +1,93 @@
+"""The package holds only what a stage runs.
+
+Every top-level function and class under ``src/dimprune/`` must be
+referenced somewhere in the package outside its own definition, be exported
+in ``dimprune.__all__``, or be named in ``KEEP`` with the reason it stays.
+Code that only tests reach is a second path beside the one the stages run:
+move its tests onto that path and delete it. This test parses every module
+of the package, as ``test_no_inplace_writes.py`` does.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import dimprune
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dimprune"
+
+KEEP = {
+    "sum_all": "benchmarks/layers.py reduces each replayed layer's output with it",
+    "msa_cost": "the paper's per-layer complexity formula for global MSA",
+    "wmsa_cost": "the paper's per-layer complexity formula for W-MSA",
+    "mlp_cost": "the paper's per-layer complexity formula for the MLP",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(node) -> Counter:
+    """How often each name is read under ``node``: as a bare name, as an
+    attribute (``module.name``) or in ``from module import name``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unreferenced(trees, exported=()) -> list:
+    """(module, name) of every top-level definition that nothing outside
+    its own body refers to and that ``exported`` does not list."""
+    total = Counter()
+    for tree in trees.values():
+        total += referenced_names(tree)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS) or node.name in exported:
+                continue
+            if total[node.name] - referenced_names(node)[node.name] <= 0:
+                out.append((module, node.name))
+    return out
+
+
+def parse(path: Path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_every_definition_is_used_exported_or_kept():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    found = [f"{module}: {name}" for module, name
+             in unreferenced(trees, set(dimprune.__all__) | set(KEEP))]
+    assert not found, ("defined in the package but used by no stage; move its tests "
+                       "onto the code the stages run and delete it, or add it to KEEP "
+                       "with a reason:\n" + "\n".join(found))
+
+
+def test_every_keep_entry_names_a_definition_nothing_else_keeps():
+    trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, DEFINITIONS)}
+    assert set(KEEP) <= defined
+    bare = {name for _, name in unreferenced(trees, set(dimprune.__all__))}
+    assert set(KEEP) <= bare, "KEEP lists a name that is used or exported anyway"
+
+
+@pytest.mark.parametrize("source, exported, names", [
+    ("def f(): pass\ndef g(): return f()", (), ["g"]),
+    ("def f(n): return f(n - 1)", (), ["f"]),             # calling itself is no use
+    ("class C: pass\nx = C()", (), []),
+    ("def f(): pass\nTABLE = {'f': f}", (), []),
+    ("def f(): pass\ndef g(): pass", ("g",), ["f"]),
+    ("def f():\n    def inner(): pass\n    return inner", (), ["f"]),
+])
+def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
+    found = unreferenced({"m.py": ast.parse(source)}, exported)
+    assert [name for _, name in found] == names

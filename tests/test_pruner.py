@@ -5,10 +5,11 @@ from dimprune.blocks import (
     AttentionParams,
     BackboneConfig,
     MlpParams,
-    backbone_forward,
+    WindowSpec,
     build_backbone,
-    msa_forward,
+    forward_batch,
     mlp_forward,
+    wmsa_forward,
 )
 from dimprune.errors import ConfigError, DimensionError
 from dimprune.pruner import (
@@ -140,11 +141,12 @@ def test_pruned_attention_equals_zero_masked_scores():
     alpha = r.normal(1.0, 0.4, size=4).astype(np.float32)
     keep = select_keep(FakeScore("s", alpha), 0.5)
     pruned = prune_attention(p, keep, alpha)
-    x = Tensor(r.normal(size=(5, 4)).astype(np.float32))
+    x = Tensor(r.normal(size=(9, 4)).astype(np.float32))
+    spec = WindowSpec(3, 3, 3)    # one window: attention over all nine rows
     masked = np.zeros(4, dtype=np.float32)
     masked[list(keep.indices)] = alpha[list(keep.indices)]
-    want = msa_forward(x, p, alpha=Tensor(masked)).data
-    got = msa_forward(x, pruned).data
+    want = wmsa_forward(x, p, spec, alpha=Tensor(masked)).data
+    got = wmsa_forward(x, pruned, spec).data
     assert np.abs(got - want).max() < 1e-5
 
 
@@ -177,10 +179,10 @@ def test_prune_rejects_mismatched_keep_width():
 def test_prune_model_identity_at_full_keep():
     model = build_backbone(BackboneConfig(), seed=0)
     img = rng(8).random((3, 32, 32)).astype(np.float32)
-    base, _ = backbone_forward(model, img)
+    base = forward_batch(model, img[None])
     scored = attach_scores(model)
     pruned, report = prune_model(scored, 1.0)
-    out, _ = backbone_forward(pruned, img)
+    out = forward_batch(pruned, img[None])
     assert np.array_equal(base.data, out.data)
     assert report.pre_params == report.post_params
     for (na, pa), (nb, pb) in zip(model.named_parameters(),
@@ -197,8 +199,8 @@ def test_prune_model_masked_equivalence():
             sv.alpha.data[:] = r.normal(1.0, 0.5, size=sv.length).astype(np.float32)
         pruned, report = prune_model(scored, rho)
         img = r.random((3, 32, 32)).astype(np.float32)
-        want, _ = backbone_forward(model, img, scores=masked_scores(scored, report))
-        got, _ = backbone_forward(pruned, img)
+        want = forward_batch(model, img[None], scores=masked_scores(scored, report))
+        got = forward_batch(pruned, img[None])
         assert np.abs(got.data - want.data).max() < 1e-4
 
 
@@ -247,6 +249,6 @@ def test_prune_model_with_relative_position_bias():
     assert dst.rpb is not None
     assert np.array_equal(dst.rpb[0].data, src.rpb[0].data)
     img = rng(11).random((3, 32, 32)).astype(np.float32)
-    want, _ = backbone_forward(model, img, scores=masked_scores(scored, report))
-    got, _ = backbone_forward(pruned, img)
+    want = forward_batch(model, img[None], scores=masked_scores(scored, report))
+    got = forward_batch(pruned, img[None])
     assert np.abs(got.data - want.data).max() < 1e-4

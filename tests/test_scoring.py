@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from dimprune import tensor as T
-from dimprune.blocks import BackboneConfig, backbone_forward, build_backbone
+from dimprune.blocks import (BackboneConfig, build_backbone, forward_batch, forward_features,
+                             sites)
 from dimprune.errors import ConfigError, UsageError
 from dimprune.scoring import (
     ScoredModel,
     attach_scores,
     score_l1,
     score_summary,
-    site_ids,
     total_loss,
 )
 from dimprune.tensor import Tape, Tensor, backward
@@ -41,7 +40,7 @@ def test_site_ids_match_independent_walker():
         for b in range(depth):
             for kind in ("attn", "mlp"):
                 walked.append(f"stage{s}.block{b}.{kind}")
-    assert set(site_ids(cfg)) == set(walked)
+    assert [site.id for site in sites(cfg)] == walked
     scored = attach_scores(build_backbone(cfg, seed=1))
     assert {s.site_id for s in scored.scores} == set(walked)
 
@@ -56,9 +55,9 @@ def test_double_attach_rejected():
 def test_fresh_scores_do_not_change_forward():
     model = tiny_model(seed=2)
     img = np.random.default_rng(0).random((3, 32, 32)).astype(np.float32)
-    plain, _ = backbone_forward(model, img)
+    plain = forward_batch(model, img[None])
     scored = attach_scores(model)
-    with_scores, _ = scored.forward(img)
+    with_scores = forward_batch(model, img[None], scores=scored.score_map())
     assert np.array_equal(plain.data, with_scores.data)
 
 
@@ -115,9 +114,8 @@ def test_score_gradient_splits_into_ce_and_sign_terms():
     def run(g):
         scored.zero_grads()
         with Tape() as tape:
-            logits, _ = scored.forward(img)
-            batch = T.reshape(logits, (1, model.config.num_classes))
-            loss = total_loss(batch, labels, scored.scores, g)
+            logits = forward_batch(model, img[None], scores=scored.score_map())
+            loss = total_loss(logits, labels, scored.scores, g)
         backward(loss, tape)
         return loss, {sv.site_id: sv.alpha.grad.copy() for sv in scored.scores}
 
@@ -132,9 +130,8 @@ def test_score_gradient_splits_into_ce_and_sign_terms():
 
     def f():
         with Tape() as tape:
-            logits, _ = scored.forward(img)
-            batch = T.reshape(logits, (1, model.config.num_classes))
-            return total_loss(batch, labels, scored.scores, gamma).item()
+            logits = forward_batch(model, img[None], scores=scored.score_map())
+            return total_loss(logits, labels, scored.scores, gamma).item()
 
     _, grads = run(gamma)
     assert_grad_matches(f, sv.alpha.data, grads[sv.site_id],
@@ -164,10 +161,10 @@ def test_scores_do_not_leak_into_earlier_stages():
     model = tiny_model(seed=9)
     scored = attach_scores(model)
     img = np.random.default_rng(9).random((3, 32, 32)).astype(np.float32)
-    _, base_features = backbone_forward(model, img, scores=scored.score_map())
+    _, base_features = forward_features(model, img[None], scores=scored.score_map())
     scored.score("stage1.block0.mlp").alpha.data[:] = 0.25
     scored.score("stage1.block0.attn").alpha.data[:] = -3.0
-    _, moved_features = backbone_forward(model, img, scores=scored.score_map())
+    _, moved_features = forward_features(model, img[None], scores=scored.score_map())
     assert np.array_equal(base_features[0].data, moved_features[0].data)
     assert not np.array_equal(base_features[1].data, moved_features[1].data)
 
