@@ -281,27 +281,24 @@ def block_forward(x: Tensor, bp: BlockParams, spec: WindowSpec,
         return T.add(x, mlp_forward(normed, bp.mlp, alpha_mlp))
 
 
-def patchify(image, patch_size: int) -> np.ndarray:
+def patchify(images: np.ndarray, patch_size: int) -> np.ndarray:
     """Flatten non-overlapping P x P patches row-major, channel-major within a
-    patch: a [C, H, W] image gives [n x C*P^2] rows, a [B, C, H, W] stack its
-    images' rows one image after another."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float32)
-    if img.ndim not in (3, 4):
-        raise DimensionError(f"image must be [C, H, W] or [B, C, H, W], got shape {img.shape}")
-    b, c, h, w = img.shape if img.ndim == 4 else (1, *img.shape)
+    patch: a [B, C, H, W] stack gives [B*n x C*P^2] rows, its images' rows one
+    image after another."""
+    b, c, h, w = images.shape
     if h % patch_size or w % patch_size:
         raise DimensionError(
             f"image {h}x{w} is not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
     # [B, C, gh, P, gw, P] -> patch-major rows, channel-major features
-    view = img.reshape(b, c, gh, patch_size, gw, patch_size)
+    view = images.reshape(b, c, gh, patch_size, gw, patch_size)
     rows = view.transpose(0, 2, 4, 1, 3, 5).reshape(b * gh * gw, c * patch_size * patch_size)
     return np.ascontiguousarray(rows, dtype=np.float32)
 
 
-def patch_embed(image, patch_size: int, weight: Tensor) -> Tensor:
+def patch_embed(images: np.ndarray, patch_size: int, weight: Tensor) -> Tensor:
     """Linear embedding of flattened patches: [B*n x C*P^2] @ [C*P^2 x d]."""
-    rows = patchify(image, patch_size)
+    rows = patchify(images, patch_size)
     if rows.shape[1] != weight.shape[0]:
         raise DimensionError(
             f"patch rows have width {rows.shape[1]}, embed weight is {weight.shape}")

@@ -8,12 +8,14 @@ run needs to resume lives in one file; loading rebuilds the exact arrays.
 A save writes each array's own buffer, so it holds no second copy of the
 payload. A load checks the whole header first, then reads each tensor
 straight into a fresh array, so it holds about one file's worth of memory
-and no two loaded arrays share a buffer. A header that breaks the schema,
-or whose config implies other tensor counts than its directory holds,
-raises FormatError. Files are written to a temporary name beside the
-target and renamed over it, so a reader sees the old file or the whole new
-one, never a part. A model restored from a Checkpoint holds its arrays, and
-a Checkpoint built from a model holds the model's; neither is written into.
+and no two loaded arrays share a buffer. A load may read only some tensor
+groups (prune and eval skip the optimizer moments) and seeks past the
+others' bytes. A header that breaks the schema, or whose config implies
+other tensor counts than its directory holds, raises FormatError. Files are
+written to a temporary name beside the target and renamed over it, so a
+reader sees the old file or the whole new one, never a part. A model
+restored from a Checkpoint holds its arrays, and a Checkpoint built from a
+model holds the model's; neither is written into.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class Checkpoint:
 
 
 _GROUPS = {"param": "params", "score": "scores", "optm": "opt_m", "optv": "opt_v"}
+TENSOR_GROUPS = tuple(_GROUPS.values())
 
 
 def _flatten(ckpt: Checkpoint):
@@ -235,7 +238,14 @@ def _check_against_config(path, ckpt: Checkpoint, directory: list):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, groups=TENSOR_GROUPS) -> Checkpoint:
+    """The Checkpoint saved at ``path``, with the tensors of ``groups`` (of
+    "params", "scores", "opt_m" and "opt_v") read and the others' tables
+    left empty. The header and the whole directory are checked either way;
+    the bytes of a group not read are skipped."""
+    unknown = set(groups) - set(TENSOR_GROUPS)
+    if unknown:
+        raise UsageError(f"unknown checkpoint tensor groups {sorted(unknown)}")
     start = len(MAGIC) + 4
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -253,6 +263,9 @@ def load_checkpoint(path) -> Checkpoint:
         directory = _directory(path, header["tensors"], size - start - hlen)
         _check_against_config(path, ckpt, directory)
         for attr, name, shape in directory:
+            if attr not in groups:
+                fh.seek(4 * math.prod(shape), os.SEEK_CUR)
+                continue
             arr = np.empty(shape, dtype=_F4)
             if fh.readinto(arr) != arr.nbytes:
                 raise FormatError(f"{path}: truncated payload for {name}")

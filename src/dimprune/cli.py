@@ -15,7 +15,7 @@ import os
 import sys
 
 from .blocks import build_backbone, sites
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import TENSOR_GROUPS, load_checkpoint, save_checkpoint, write_atomic
 from .config import config_echo, load_config, make_dataset
 from .costmodel import (Convention, calibrate_mac_factor, model_cost,
                         runtime_convention, swin_t_config)
@@ -59,10 +59,15 @@ def _model_counts(ckpt) -> dict:
     return {"params": rep.total_params, "flops": rep.total_flops}
 
 
-def _load_checkpoint_checked(path):
+# What prune and eval read of a checkpoint: the model and its scores, not
+# the optimizer moments (about two thirds of a search checkpoint).
+_MODEL_GROUPS = ("params", "scores")
+
+
+def _load_checkpoint_checked(path, groups=TENSOR_GROUPS):
     if not os.path.exists(path):
         raise FormatError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
+    return load_checkpoint(path, groups)
 
 
 def _train_stage(args, stage: str, start, run) -> int:
@@ -97,7 +102,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    ckpt = _load_checkpoint_checked(args.checkpoint)
+    ckpt = _load_checkpoint_checked(args.checkpoint, _MODEL_GROUPS)
     pruned, report = run_prune(ckpt, args.rho)
     out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
                                    f"pruned_{args.rho:g}.ckpt")
@@ -129,7 +134,7 @@ def _rho_of(ckpt) -> float:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set)
-    ckpt = _load_checkpoint_checked(args.checkpoint)
+    ckpt = _load_checkpoint_checked(args.checkpoint, _MODEL_GROUPS)
     dataset = make_dataset(cfg)
     metrics = evaluate(ckpt, dataset, batch_size=cfg.train.batch_size,
                        normalize=cfg.train.normalize)

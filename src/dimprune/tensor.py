@@ -9,11 +9,24 @@ ops (GELU among them) and the optimizer do;
 ``test_block_gradients_match_finite_differences`` and acceptance criteria
 3, 4 and 8 hold the gradients to that precision.
 
+Every forward product goes through ``_product64``. A 2-D product [m, k] @
+[k, p] that is narrow (k*p/(k+p) <= ``_NARROW``) and tall (m at least two
+chunks) runs in row chunks of about ``_CHUNK_BYTES`` of float64: a chunk's
+rows are cast into one float64 buffer, multiplied into a second and rounded
+into the float32 output's rows, so no full-size float64 array is allocated.
+Each chunk holds at least two rows, so it runs the BLAS GEMM the one-shot
+product runs (numpy runs a one-row product as a GEMV), and a GEMM row's
+result does not depend on the rows beside it: the bits are the one-shot
+product's. Every other product casts both operands whole and multiplies
+once.
+
 Softmax reduces its rows with ``_reduce_rows``: a row short enough (see
 ``_SHORT_ROW``) is reduced across a transposed copy, one elementwise pass
 per row position, because numpy charges a short-row reduce per row. The
 max is exact either way; a sum still accumulates in float64 and adds a
 short row's entries in order, whatever the number of rows stacked with it.
+A row short enough for both reductions has its whole softmax run on the
+copy.
 
 Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
@@ -256,6 +269,51 @@ def _product32(a, b, what: str):
     return out
 
 
+# A 2-D forward product does k*p MACs for the k + p float64 entries a row
+# casts and writes; at most _NARROW it is bound by that traffic, and the
+# allocator maps, faults in and trims its full-size float64 temporaries on
+# every forward. In a per-shape sweep (2-core Intel Xeon, 2 MB L2 a core,
+# numpy 2.4.6, OpenBLAS; BENCH_17.json), chunks of 256 KB ran the tiny
+# model's narrow products in 0.06-0.98 of their one-shot time, 128 KB in
+# 0.07-1.05 and 64 KB in 0.10-1.28. Swin-T's products, all wider than 24,
+# ran in 0.86-1.09 at 256 KB and up to 1.86 at 64 KB.
+_CHUNK_BYTES = 256 * 1024
+_NARROW = 24
+
+
+def _product64(a, b, what: str):
+    """``a @ b`` of two float32 arrays, accumulated in float64 and rounded to
+    float32, rejecting non-finite entries as ``_product32`` does. A narrow,
+    tall 2-D product runs in row chunks (see the module docstring)."""
+    if a.ndim == 2:
+        m, k = a.shape
+        p = b.shape[1]
+        rows = max(2, _CHUNK_BYTES // (8 * (k + p)))
+        if k * p <= _NARROW * (k + p) and m >= 2 * rows:
+            return _chunked_product(a, b, m // rows, what)
+    return _product32(a.astype(np.float64), b.astype(np.float64), what)
+
+
+def _chunked_product(a, b, chunks: int, what: str):
+    """``_product64`` of a 2-D product in ``chunks`` near-equal row chunks."""
+    m, k = a.shape
+    p = b.shape[1]
+    size = -(-m // chunks)
+    a64 = np.empty((size, k))
+    o64 = np.empty((size, p))
+    b64 = b.astype(np.float64)
+    out = np.empty((m, p), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(chunks):
+            lo, hi = i * m // chunks, (i + 1) * m // chunks
+            rows_in, rows_out = a64[:hi - lo], o64[:hi - lo]
+            rows_in[...] = a[lo:hi]
+            np.matmul(rows_in, b64, out=rows_out)
+            out[lo:hi] = rows_out
+    _finite_or_raise(out, what)
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading axes must be equal (no
     broadcasting). Counts batch*m*k*p MACs. The forward accumulates in
@@ -273,8 +331,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    out = Tensor(_product32(ad.astype(np.float64), bd.astype(np.float64), "matmul output"),
-                 requires_grad=_wants_grad(a, b))
+    out = Tensor(_product64(ad, bd, "matmul output"), requires_grad=_wants_grad(a, b))
     if out.requires_grad:
         _record(out, [
             (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
@@ -473,13 +530,30 @@ def _reduce_rows(ufunc, a, dtype=None):
 
 def _softmax(x):
     """Last-axis softmax of a float32 array as a fresh array, stabilised by
-    its max, with the row sums accumulated in float64."""
+    its max, with the row sums accumulated in float64.
+
+    A row short enough that both reductions run across ``_reduce_rows``'s
+    transposed copy has the subtract and exp run on that copy too, and the
+    divide writes from it into the output's rows: one elementwise pass per
+    row position, where on the rows themselves each op broadcasts a
+    [..., 1] column with one inner loop per row. The values are the same
+    either way."""
     _finite_or_raise(x, "softmax input")
-    with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
-        e = x - _reduce_rows(np.maximum, x)
-    np.exp(e, out=e)
-    e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
-    return e
+    n = x.shape[-1]
+    if n > _SHORT_ROW[np.add]:
+        with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
+            e = x - _reduce_rows(np.maximum, x)
+        np.exp(e, out=e)
+        e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
+        return e
+    cols = np.ascontiguousarray(x.reshape(-1, n).T)
+    with np.errstate(over="ignore"):
+        cols -= np.maximum.reduce(cols, axis=0)
+    np.exp(cols, out=cols)
+    out = np.empty_like(x)
+    np.divide(cols, np.add.reduce(cols, axis=0, dtype=np.float64).astype(np.float32),
+              out=out.reshape(-1, n).T)
+    return out
 
 
 def _softmax_grad(g, y):
@@ -522,14 +596,13 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     # before its product, so at most two of the casts are alive at once
     qd, kd, vd = (a.swapaxes(-3, -2) for a in np.moveaxis(qkv.data, -3, 0))
     f = np.float32(factor)
-    logits = _product32(qd.astype(np.float64), kd.astype(np.float64).swapaxes(-1, -2),
-                        "attention logits")
+    logits = _product64(qd, kd.swapaxes(-1, -2), "attention logits")
     logits *= f
     if mask is not None:
         logits += mask.data
     probs = _softmax(logits)
     del logits
-    heads = _product32(probs.astype(np.float64), vd.astype(np.float64), "attention output")
+    heads = _product64(probs, vd, "attention output")
     inputs = (qkv,) if mask is None else (qkv, mask)
     out = Tensor(heads.swapaxes(-3, -2).reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
     if out.requires_grad:

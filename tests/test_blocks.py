@@ -414,13 +414,13 @@ def test_block_gradients_match_finite_differences():
 
 def test_patchify_matches_reference():
     img = rng(25).normal(size=(3, 8, 8)).astype(np.float32)
-    assert np.abs(patchify(img, 4) - ref_patchify(img, 4)).max() == 0.0
-    assert patchify(img, 4).shape == (4, 48)
+    assert np.abs(patchify(img[None], 4) - ref_patchify(img, 4)).max() == 0.0
+    assert patchify(img[None], 4).shape == (4, 48)
 
 
 def test_patch_embed_whole_image_patch():
     img = rng(26).normal(size=(1, 2, 2)).astype(np.float32)
-    out = patch_embed(img, 2, Tensor(np.eye(4)))
+    out = patch_embed(img[None], 2, Tensor(np.eye(4)))
     assert out.shape == (1, 4)
     assert np.abs(out.data[0] - img.reshape(-1)).max() < 1e-6
 

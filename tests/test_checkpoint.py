@@ -60,6 +60,25 @@ def test_roundtrip_is_bitwise(tmp_path):
             assert b[name].dtype == np.float32
 
 
+def test_a_load_of_params_and_scores_equals_the_full_load_without_moments(tmp_path):
+    _, _, ckpt = fixture_checkpoint()
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, ckpt)
+    full = load_checkpoint(path)
+    part = load_checkpoint(path, ("params", "scores"))
+    assert part.opt_m == {} and part.opt_v == {} and full.opt_m and full.opt_v
+    for table in ("params", "scores"):
+        a, b = getattr(full, table), getattr(part, table)
+        assert list(a) == list(b)
+        for name in a:
+            assert a[name].dtype == b[name].dtype and a[name].shape == b[name].shape
+            assert a[name].tobytes() == b[name].tobytes(), name
+    for key in ("config", "site_dims", "step", "seed", "rng_state", "version"):
+        assert getattr(part, key) == getattr(full, key)
+    with pytest.raises(UsageError, match="moments"):
+        load_checkpoint(path, ("params", "moments"))
+
+
 def test_serialization_is_deterministic(tmp_path):
     _, _, ckpt = fixture_checkpoint()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -483,6 +483,29 @@ def test_search_resume_from_a_misshaped_optimizer_moment_exits_3(
     assert record["error"] == "FormatError" and name in record["message"]
 
 
+@pytest.mark.parametrize("command", ["prune", "eval"])
+@pytest.mark.parametrize("probe", sorted(MOMENT_PROBES))
+def test_prune_and_eval_skip_the_moments_but_a_misshaped_one_still_exits_3(
+        capsys, tiny_cfg, tmp_path, probe, command):
+    model = build_backbone(load_config(tiny_cfg).model, seed=0)
+    moments = {name: np.zeros(t.shape, dtype=np.float32)
+               for name, t in model.named_parameters()}
+    name, shape = MOMENT_PROBES[probe](moments["head"].shape)
+    moments[name] = np.zeros(shape, dtype=np.float32)
+    path = tmp_path / "moments.ckpt"
+    save_checkpoint(path, checkpoint_from_model(model, attach_scores(model), step=3,
+                                                opt_m=moments))
+    argv = (["eval", "--config", tiny_cfg, "--checkpoint", str(path)]
+            if command == "eval" else
+            ["prune", "--checkpoint", str(path), "--rho", "0.6",
+             "--out", str(tmp_path / "pruned.ckpt")])
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (3, "")
+    record = json.loads(err)
+    assert record["error"] == "FormatError" and name in record["message"]
+    assert not (tmp_path / "pruned.ckpt").exists()
+
+
 def test_eval_summary_writes_the_printed_record(capsys, tiny_cfg, tmp_path):
     out_dir = str(tmp_path / "run")
     setting = ["--set", f"run.output_dir={out_dir}"]

@@ -28,17 +28,78 @@ KEEP = {
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def bound_names(scope) -> set:
+    """Names a function, lambda or comprehension binds in its own scope: its
+    parameters or loop targets, and what its own body assigns, defines,
+    imports or catches, less what it declares global or nonlocal."""
+    if isinstance(scope, COMPREHENSIONS):
+        return {sub.id for gen in scope.generators for sub in ast.walk(gen.target)
+                if isinstance(sub, ast.Name)}
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    declared = set()
+    stack = [scope.body] if isinstance(scope, ast.Lambda) else list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
 def referenced_names(node) -> Counter:
-    """How often each name is read under ``node``: as a bare name, as an
-    attribute (``module.name``) or in ``from module import name``."""
+    """How often each name is read under ``node``: as a bare name that no
+    enclosing function, lambda or comprehension binds, as an attribute
+    (``module.name``) or in ``from module import name``."""
     found = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-        elif isinstance(sub, ast.ImportFrom):
-            found.update(alias.name for alias in sub.names)
+
+    def visit(node, bound):
+        if isinstance(node, ast.Name):
+            if node.id not in bound:
+                found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        if isinstance(node, FUNCTIONS):
+            # Decorators, defaults and annotations run in the enclosing scope.
+            inner = bound | bound_names(node)
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            for child in ast.iter_child_nodes(node):
+                if child not in body:
+                    visit(child, bound)
+            for child in body:
+                visit(child, inner)
+        elif isinstance(node, COMPREHENSIONS):
+            # The first iterable runs in the enclosing scope.
+            inner = bound | bound_names(node)
+            visit(node.generators[0].iter, bound)
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.comprehension):
+                    for part in ast.iter_child_nodes(child):
+                        if part is not node.generators[0].iter:
+                            visit(part, inner)
+                else:
+                    visit(child, inner)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, bound)
+
+    visit(node, frozenset())
     return found
 
 
@@ -87,6 +148,12 @@ def test_every_keep_entry_names_a_definition_nothing_else_keeps():
     ("def f(): pass\nTABLE = {'f': f}", (), []),
     ("def f(): pass\ndef g(): pass", ("g",), ["f"]),
     ("def f():\n    def inner(): pass\n    return inner", (), ["f"]),
+    ("def f(): pass\ndef g(f): return f", ("g",), ["f"]),    # a parameter is no use
+    ("def f(): pass\ndef g():\n    f = 1\n    return f", ("g",), ["f"]),
+    ("def f(): pass\ng = lambda f: f", (), ["f"]),
+    ("def f(): pass\nfs = [f for f in range(3)]", (), ["f"]),
+    ("def f(): pass\ndef g(x=f): return x", ("g",), []),    # a default is read outside
+    ("def f(): pass\ndef g():\n    global f\n    f = 1", ("g",), []),
 ])
 def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
     found = unreferenced({"m.py": ast.parse(source)}, exported)

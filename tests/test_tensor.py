@@ -90,6 +90,73 @@ def test_matmul_rejects_float32_overflow_from_finite_inputs():
         T.matmul(big, T.transpose(big))
 
 
+def chunk_rows(k, p):
+    """Rows per chunk of a 2-D [m, k] @ [k, p] forward product; it chunks
+    when narrow and m is at least two of these."""
+    return max(2, T._CHUNK_BYTES // (8 * (k + p)))
+
+
+def count_chunked(monkeypatch):
+    """Count the forward products that take the chunked path."""
+    calls = []
+    chunked = T._chunked_product
+
+    def spy(a, b, chunks, what):
+        calls.append(chunks)
+        return chunked(a, b, chunks, what)
+
+    monkeypatch.setattr(T, "_chunked_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k, p, narrow", [(16, 48, True), (32, 96, True),
+                                          (96, 384, False), (384, 96, False)])
+def test_forward_product_bits_equal_the_one_shot_product(monkeypatch, k, p, narrow):
+    assert (k * p <= T._NARROW * (k + p)) == narrow
+    calls = count_chunked(monkeypatch)
+    rows = chunk_rows(k, p)
+    b = rng(k).normal(size=(k, p)).astype(np.float32)
+    for m in (rows - 1, rows, rows + 1, 2 * rows + 3):
+        a = (rng(m).normal(size=(m, k)) * 10.0 ** rng(m + 1).integers(
+            -3, 4, size=(m, k))).astype(np.float32)
+        want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        before = len(calls)
+        got = T.matmul(Tensor(a), Tensor(b)).data
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+        assert len(calls) - before == (narrow and m >= 2 * rows)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_chunked_product_names_a_non_finite_operand_and_its_site(monkeypatch, bad):
+    calls = count_chunked(monkeypatch)
+    rows = chunk_rows(16, 48)
+    a = rng(40).normal(size=(2 * rows + 3, 16)).astype(np.float32)
+    a[rows + 7, 3] = bad
+    b = rng(41).normal(size=(16, 48)).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="matmul output .* in site stage0.block1.mlp"):
+            with T.mac_scope("stage0.block1.mlp"):
+                T.matmul(Tensor(a), Tensor(b))
+        with pytest.raises(NumericError, match="matmul output"):
+            T.matmul(Tensor(a.clip(-1, 1)), Tensor(np.where(np.arange(48) == 5, bad, b)))
+    assert calls == [2, 2]
+
+
+def test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone(monkeypatch):
+    from dimprune.blocks import BackboneConfig, build_backbone, forward_batch
+
+    cfg = BackboneConfig(depths=(2, 2))
+    model = build_backbone(cfg, seed=3)
+    imgs = rng(42).normal(size=(64, 3, 32, 32)).astype(np.float32)
+    calls = count_chunked(monkeypatch)
+    batched = forward_batch(model, imgs).data
+    assert len(calls) == 18       # every product but the [64, 32] @ [32, 4] head
+    for i in range(64):
+        assert np.array_equal(batched[i], forward_batch(model, imgs[i:i + 1]).data[0])
+    assert len(calls) == 18
+
+
 def test_mac_counter_counts_mkp():
     with T.count_macs() as c:
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
@@ -296,6 +363,22 @@ def test_short_row_sums_add_in_order_whatever_the_row_count():
             for i in range(1, n):
                 want = want + x[:, i]
             assert np.array_equal(T._reduce_rows(np.add, x, np.float64)[:, 0], want)
+
+
+def test_short_row_softmax_on_the_copy_gives_the_bits_of_the_row_ops():
+    """Rows of up to 24 run the whole softmax on a transposed copy; it must
+    give the bits of the subtract, exp and divide run on the rows."""
+    for n in (1, 2, 4, 16, 24):
+        x = (rng(n).normal(size=(5, 3, 7, n)) * 8.0).astype(np.float32)
+        x.reshape(-1)[::5] = -1.0e4
+        e = x - x.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        total = e[..., :1].astype(np.float64)
+        for i in range(1, n):
+            total = total + e[..., i:i + 1]
+        e /= total.astype(np.float32)
+        got = T._softmax(x)
+        assert got.flags.c_contiguous and np.array_equal(got, e)
 
 
 def softmax_fd_check(x, g, seed, points=8):
