@@ -143,34 +143,27 @@ def _relative_index(window):
 
 @dataclass
 class AttentionParams:
-    """Per-head projection weights for one attention site.
+    """Per-head projection weights for one attention site, and its per-head
+    relative-position tables when the model has them.
 
-    head_dim is the current (possibly pruned) per-head width; scale_dim is
-    the original width and stays fixed through pruning.
+    The per-head width is read from the weights, so it follows pruning;
+    scale_dim is the original width and stays fixed through pruning.
     """
 
     wq: list
     wk: list
     wv: list
     wo: Tensor
-    head_dim: int
     scale_dim: int
     rpb: list | None = None
-    rpb_index: np.ndarray | None = None
 
     @property
     def heads(self) -> int:
         return len(self.wq)
 
-    def named(self) -> list:
-        """(name, tensor) pairs within the site, in checkpoint order."""
-        out = []
-        for j in range(self.heads):
-            out += [(f"wq{j}", self.wq[j]), (f"wk{j}", self.wk[j]), (f"wv{j}", self.wv[j])]
-        out.append(("wo", self.wo))
-        if self.rpb is not None:
-            out += [(f"rpb{j}", t) for j, t in enumerate(self.rpb)]
-        return out
+    @property
+    def head_dim(self) -> int:
+        return self.wq[0].shape[1]
 
 
 @dataclass
@@ -182,10 +175,6 @@ class MlpParams:
     def hidden(self) -> int:
         return self.w1.shape[1]
 
-    def named(self) -> list:
-        """(name, tensor) pairs within the site, in checkpoint order."""
-        return [("w1", self.w1), ("w2", self.w2)]
-
 
 @dataclass
 class BlockParams:
@@ -195,7 +184,6 @@ class BlockParams:
     norm2_gain: Tensor
     norm2_bias: Tensor
     mlp: MlpParams
-    shift: int = 0
 
 
 @dataclass
@@ -227,10 +215,6 @@ def _attention(x: Tensor, p: AttentionParams, groups: tuple,
     qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv)), (*groups, m, 3, h, k))
     if alpha is not None:
         qkv = T.scale_columns(qkv, alpha)
-    if p.rpb is not None:
-        table = T.concat(p.rpb)  # [span, heads]
-        bias = T.reshape(T.transpose(T.gather_rows(table, p.rpb_index)), (h, m, m))
-        mask = bias if mask is None else T.add(mask, bias)
     out = T.attention_core(qkv, _logit_factor(p.scale_dim), mask)
     return T.matmul(out, p.wo)
 
@@ -240,7 +224,8 @@ def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
     """Window-partitioned attention with optional cyclic shift masking.
 
     x stacks the [tokens x d] rows of one or more images; all their windows
-    run through one batched attention core.
+    run through one batched attention core. A site with position tables adds
+    each head's relative-position bias to the mask.
     """
     images, extra = divmod(x.shape[0], spec.tokens)
     if images < 1 or extra:
@@ -250,6 +235,12 @@ def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
     mask = None
     if spec.shift:
         mask = _shift_mask(spec.height, spec.width, spec.window, spec.shift, p.heads)
+    if p.rpb is not None:
+        m = spec.window * spec.window
+        table = T.concat(p.rpb)  # [span, heads]
+        index = _relative_index(spec.window)
+        bias = T.reshape(T.transpose(T.gather_rows(table, index)), (p.heads, m, m))
+        mask = bias if mask is None else T.add(mask, bias)
     grouped = T.permute_rows(x, perm)
     out = _attention(grouped, p, (images, spec.num_windows), alpha, mask)
     return T.permute_rows(out, inverse)
@@ -487,7 +478,9 @@ class Backbone:
     site_dims maps site ids (see ``sites``) to kept widths: the per-head
     width of an attention site, the hidden width of an MLP site. Sites it
     leaves out keep their full width, so pruned variants of a config need
-    only name the sites they cut.
+    only name the sites they cut. The one walk that builds the tensors also
+    names them, in build order, in the table ``named_parameters`` returns; a
+    site's weights are named "<site id>.<weight>".
     """
 
     def __init__(self, config: BackboneConfig, site_dims: dict | None = None,
@@ -501,23 +494,25 @@ class Backbone:
         given = check_site_dims(config, site_dims or {})
         self.site_dims = {site.id: given.get(site.id, site.full) for site in sites(config)}
         self.scores_attached = False
-        names, missing, misshaped = [], [], []
+        self._table = {}
+        missing, misshaped = [], []
 
         def param(name, shape, fill=None):
+            self._table[name] = None
             if params is not None:
-                names.append(name)
                 arr = params.get(name)
-                if arr is not None and tuple(arr.shape) == shape:
-                    return Tensor(arr, requires_grad=True)
-                # Recorded, not built: a fault raises below once every entry
-                # is named, so no array of the config's size is allocated.
-                (missing if arr is None else misshaped).append(name)
-                return None
-            if fill is None and rng is not None:
+                if arr is None or tuple(arr.shape) != shape:
+                    # Recorded, not built: a fault raises below once every
+                    # entry is named, so no array of the config's size is
+                    # allocated.
+                    (missing if arr is None else misshaped).append(name)
+                    return None
+            elif fill is None and rng is not None:
                 arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
             else:
                 arr = (np.ones if fill else np.zeros)(shape, dtype=np.float32)
-            return Tensor(arr, requires_grad=True)
+            self._table[name] = Tensor(arr, requires_grad=True)
+            return self._table[name]
 
         patch_width = config.in_channels * config.patch_size ** 2
         self.patch_embed = param("patch_embed", (patch_width, config.base_dim))
@@ -532,19 +527,15 @@ class Backbone:
                 km = self.site_dims[mlp]
                 heads = range(geom.heads)
                 rpb = None
-                rpb_index = None
                 if config.use_relative_position_bias:
                     rpb = [param(f"{attn}.rpb{j}", (span, 1)) for j in heads]
-                    rpb_index = _relative_index(config.window)
                 attn_params = AttentionParams(
                     wq=[param(f"{attn}.wq{j}", (geom.dim, k)) for j in heads],
                     wk=[param(f"{attn}.wk{j}", (geom.dim, k)) for j in heads],
                     wv=[param(f"{attn}.wv{j}", (geom.dim, k)) for j in heads],
                     wo=param(f"{attn}.wo", (k * geom.heads, geom.dim)),
-                    head_dim=k,
                     scale_dim=geom.head_dim,
                     rpb=rpb,
-                    rpb_index=rpb_index,
                 )
                 blocks.append(BlockParams(
                     norm1_gain=param(f"{base}.norm1.gain", (geom.dim,), 1.0),
@@ -554,7 +545,6 @@ class Backbone:
                     norm2_bias=param(f"{base}.norm2.bias", (geom.dim,), 0.0),
                     mlp=MlpParams(w1=param(f"{mlp}.w1", (geom.dim, km)),
                                   w2=param(f"{mlp}.w2", (km, geom.dim))),
-                    shift=block_shift(config, geom.grid, b),
                 ))
             merge = None
             if geom.index < len(geoms) - 1:
@@ -564,31 +554,16 @@ class Backbone:
         self.final_gain = param("final_norm.gain", (last,), 1.0)
         self.final_bias = param("final_norm.bias", (last,), 0.0)
         self.head = param("head", (last, config.num_classes))
-        if params is not None and (missing or misshaped or len(params) != len(names)):
-            unexpected = set(params).difference(names)
+        if params is not None and (missing or misshaped or len(params) != len(self._table)):
+            unexpected = set(params).difference(self._table)
             raise DimensionError(
                 f"parameters do not match the model: missing {sorted(missing)}, "
                 f"unexpected {sorted(unexpected)}, misshaped "
                 f"{[(n, tuple(params[n].shape)) for n in misshaped]}")
 
     def named_parameters(self) -> list:
-        """(name, tensor) pairs; a site's weights are named "<site id>.<weight>"."""
-        out = [("patch_embed", self.patch_embed)]
-        for s, (stage, pairs) in enumerate(zip(self.stages, block_sites(self.config))):
-            for b, (blk, (attn_site, mlp_site)) in enumerate(zip(stage.blocks, pairs)):
-                base = block_id(s, b)
-                out.append((f"{base}.norm1.gain", blk.norm1_gain))
-                out.append((f"{base}.norm1.bias", blk.norm1_bias))
-                out.extend((f"{attn_site.id}.{name}", t) for name, t in blk.attn.named())
-                out.append((f"{base}.norm2.gain", blk.norm2_gain))
-                out.append((f"{base}.norm2.bias", blk.norm2_bias))
-                out.extend((f"{mlp_site.id}.{name}", t) for name, t in blk.mlp.named())
-            if stage.merge is not None:
-                out.append((f"stage{s}.merge", stage.merge))
-        out.append(("final_norm.gain", self.final_gain))
-        out.append(("final_norm.bias", self.final_bias))
-        out.append(("head", self.head))
-        return out
+        """(name, tensor) pairs of the build's name table, in build order."""
+        return list(self._table.items())
 
     def parameter_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
@@ -619,8 +594,9 @@ def forward_features(model: Backbone, images, scores: dict | None = None):
     scores = scores or {}
     geoms = stage_geometry(cfg)
     for geom, stage, pairs in zip(geoms, model.stages, block_sites(cfg)):
-        for blk, (attn, mlp) in zip(stage.blocks, pairs):
-            spec = WindowSpec(geom.grid, geom.grid, cfg.window, blk.shift)
+        for b, (blk, (attn, mlp)) in enumerate(zip(stage.blocks, pairs)):
+            shift = block_shift(cfg, geom.grid, b)
+            spec = WindowSpec(geom.grid, geom.grid, cfg.window, shift)
             x = block_forward(x, blk, spec, scores.get(attn.id), scores.get(mlp.id),
                               site_ids=(attn.id, mlp.id))
         features.append(x)

@@ -141,14 +141,11 @@ def synth_dataset(seed: int, num_classes: int = 4, n_per_class: int = 16,
 
 
 def resize_nearest(images: np.ndarray, size: int) -> np.ndarray:
-    """Nearest-neighbor resize of [N, C, H, W] (or [C, H, W]) images."""
-    single = images.ndim == 3
-    batch = images[None] if single else images
-    n, c, h, w = batch.shape
+    """Nearest-neighbor resize of [N, C, H, W] images."""
+    n, c, h, w = images.shape
     ri = (np.arange(size) * h // size).astype(np.int64)
     ci = (np.arange(size) * w // size).astype(np.int64)
-    out = batch[:, :, ri][:, :, :, ci]
-    return out[0] if single else out
+    return images[:, :, ri][:, :, :, ci]
 
 
 def _pad_crop(img: np.ndarray, pad: int, top: int, left: int) -> np.ndarray:

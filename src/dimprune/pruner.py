@@ -93,47 +93,39 @@ def _fold(weight: np.ndarray, idx, scale: np.ndarray) -> np.ndarray:
     return cols
 
 
-def prune_attention(p: AttentionParams, keep: KeepSet, alpha) -> AttentionParams:
-    """Cut per-head Q/K/V columns and the matching W_O rows, folding scores."""
+def prune_attention(p: AttentionParams, keep: KeepSet, alpha: np.ndarray) -> dict:
+    """Cut per-head Q/K/V columns and the matching W_O rows, folding scores;
+    the cut arrays keyed by their name within the site ("wq0", ..., "wo")."""
     idx = np.array(keep.indices, dtype=np.int64)
     if keep.original != p.head_dim:
         raise DimensionError(
             f"keep set built for width {keep.original}, site has {p.head_dim}")
-    a = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
-    scale = a[idx]
+    scale = alpha[idx]
     rows = np.concatenate([j * p.head_dim + idx for j in range(p.heads)])
-    return AttentionParams(
-        wq=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wq],
-        wk=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wk],
-        wv=[Tensor(_fold(wm.data, idx, scale), requires_grad=True) for wm in p.wv],
-        wo=Tensor(np.ascontiguousarray(p.wo.data[rows]), requires_grad=True),
-        head_dim=len(keep),
-        scale_dim=p.scale_dim,
-        rpb=None if p.rpb is None else
-            [Tensor(t.data, requires_grad=True) for t in p.rpb],
-        rpb_index=p.rpb_index,
-    )
+    cut = {f"{kind}{j}": _fold(t.data, idx, scale)
+           for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
+           for j, t in enumerate(heads)}
+    cut["wo"] = np.ascontiguousarray(p.wo.data[rows])
+    return cut
 
 
-def prune_mlp(p: MlpParams, keep: KeepSet, alpha) -> MlpParams:
-    """Cut hidden columns of W_1 (folding scores) and matching W_2 rows."""
+def prune_mlp(p: MlpParams, keep: KeepSet, alpha: np.ndarray) -> dict:
+    """Cut hidden columns of W_1 (folding scores) and matching W_2 rows; the
+    cut arrays keyed "w1" and "w2"."""
     idx = np.array(keep.indices, dtype=np.int64)
     if keep.original != p.hidden:
         raise DimensionError(
             f"keep set built for width {keep.original}, site has {p.hidden}")
-    a = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
-    return MlpParams(
-        w1=Tensor(_fold(p.w1.data, idx, a[idx]), requires_grad=True),
-        w2=Tensor(np.ascontiguousarray(p.w2.data[idx]), requires_grad=True),
-    )
+    return {"w1": _fold(p.w1.data, idx, alpha[idx]),
+            "w2": np.ascontiguousarray(p.w2.data[idx])}
 
 
 def prune_model(scored: ScoredModel, rho: float):
     """Apply select_keep and surgery at every site; returns (model, report)."""
     src = scored.model
-    # One walk over the weights: those outside the sites (embed, norms,
-    # merges, head) carry over as they are, and every site's weights are
-    # replaced by their cut and folded form.
+    # Surgery on the source's name table: the weights outside the sites
+    # (embed, norms, position tables, merges, head) carry over as they are,
+    # and every site's cut weights are written over theirs by name.
     params = {name: t.data for name, t in src.named_parameters()}
     report = PruneReport(rho=rho, pre_params=sum(a.size for a in params.values()))
 
@@ -147,10 +139,10 @@ def prune_model(scored: ScoredModel, rho: float):
 
     for site in sites(src.config):
         blk = src.stages[site.stage].blocks[site.block]
-        alpha = scored.score(site.id).alpha
+        alpha = scored.score(site.id).alpha.data
         cut = (prune_attention(blk.attn, keeps[site.id], alpha) if site.kind == "attn"
                else prune_mlp(blk.mlp, keeps[site.id], alpha))
-        params.update((f"{site.id}.{name}", t.data) for name, t in cut.named())
+        params.update((f"{site.id}.{name}", arr) for name, arr in cut.items())
     out = Backbone(src.config, site_dims={site: len(ks) for site, ks in keeps.items()},
                    params=params)
     report.post_params = sum(a.size for a in params.values())

@@ -263,7 +263,7 @@ def test_criterion_03_gradient_suite():
 
     # composed scored block: shifted window attention + MLP, both score
     # vectors as differentiable leaves alongside the weights
-    bp = make_block(r, d=4, heads=2, k=2, hidden=6, shift=1)
+    bp = make_block(r, d=4, heads=2, k=2, hidden=6)
     xb = Tensor(r.normal(size=(16, 4)).astype(np.float32))
     spec = WindowSpec(4, 4, 2, 1)
     a_attn = Tensor(r.normal(1.0, 0.3, size=2).astype(np.float32),

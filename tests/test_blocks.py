@@ -57,13 +57,11 @@ def make_attn(r, d, heads, k, scale_dim=None, rpb_window=None):
         wk=[w(r, d, k) for _ in range(heads)],
         wv=[w(r, d, k) for _ in range(heads)],
         wo=w(r, k * heads, d),
-        head_dim=k,
         scale_dim=scale_dim if scale_dim is not None else k,
     )
     if rpb_window is not None:
         span = (2 * rpb_window - 1) ** 2
         p.rpb = [w(r, span, 1) for _ in range(heads)]
-        p.rpb_index = B._relative_index(rpb_window)
     return p
 
 
@@ -329,7 +327,7 @@ def test_mlp_matches_reference():
     assert np.abs(got - ref_mlp(x, p.w1.data, p.w2.data, alpha)).max() < 1e-5
 
 
-def make_block(r, d, heads, k, hidden, shift=0, zero_out=False):
+def make_block(r, d, heads, k, hidden, zero_out=False):
     attn = make_attn(r, d, heads, k)
     mlp = MlpParams(w1=w(r, d, hidden), w2=w(r, hidden, d))
     if zero_out:
@@ -342,7 +340,6 @@ def make_block(r, d, heads, k, hidden, shift=0, zero_out=False):
         norm2_gain=Tensor(np.ones(d), requires_grad=True),
         norm2_bias=Tensor(np.zeros(d), requires_grad=True),
         mlp=mlp,
-        shift=shift,
     )
 
 
@@ -374,7 +371,7 @@ def ref_block(x, bp, spec, alpha_attn=None, alpha_mlp=None):
 
 def test_block_matches_composed_reference():
     r = rng(22)
-    bp = make_block(r, d=4, heads=2, k=2, hidden=8, shift=1)
+    bp = make_block(r, d=4, heads=2, k=2, hidden=8)
     x = r.normal(size=(16, 4)).astype(np.float32)
     spec = WindowSpec(4, 4, 2, 1)
     a_attn = r.normal(1.0, 0.3, size=2).astype(np.float32)
@@ -386,7 +383,7 @@ def test_block_matches_composed_reference():
 
 def test_block_gradients_match_finite_differences():
     r = rng(23)
-    bp = make_block(r, d=4, heads=2, k=2, hidden=6, shift=1)
+    bp = make_block(r, d=4, heads=2, k=2, hidden=6)
     x = Tensor(r.normal(size=(16, 4)).astype(np.float32))
     spec = WindowSpec(4, 4, 2, 1)
     a_attn = Tensor(r.normal(1.0, 0.3, size=2).astype(np.float32), requires_grad=True)
@@ -514,8 +511,8 @@ def ref_backbone_logits(model, img):
     x = ref_patchify(img, cfg.patch_size) @ model.patch_embed.data.astype(np.float64)
     grid = cfg.image_size // cfg.patch_size
     for s, stage in enumerate(model.stages):
-        for blk in stage.blocks:
-            spec = WindowSpec(grid, grid, cfg.window, blk.shift)
+        for b, blk in enumerate(stage.blocks):
+            spec = WindowSpec(grid, grid, cfg.window, B.block_shift(cfg, grid, b))
             x = ref_block(x, blk, spec)
         if stage.merge is not None:
             merged = []
@@ -536,11 +533,19 @@ def test_backbone_matches_full_reference_composition():
     assert np.abs(logits.data[0] - want).max() < 1e-4
 
 
-def test_backbone_alternating_blocks_shift():
+def test_backbone_alternating_blocks_shift(monkeypatch):
     cfg = BackboneConfig(depths=(2, 2), heads=(2, 4), window=2)
     model = build_backbone(cfg, seed=0)
-    assert [b.shift for b in model.stages[0].blocks] == [0, 1]
-    assert [b.shift for b in model.stages[1].blocks] == [0, 1]
+    shifts = []
+    block_forward = B.block_forward
+
+    def spy(x, bp, spec, *args, **kwargs):
+        shifts.append(spec.shift)
+        return block_forward(x, bp, spec, *args, **kwargs)
+
+    monkeypatch.setattr(B, "block_forward", spy)
+    forward_batch(model, np.zeros((1, 3, 32, 32), dtype=np.float32))
+    assert shifts == [0, 1, 0, 1]
 
 
 def test_forward_batch_stacks_single_image_rows():
@@ -716,17 +721,19 @@ def test_search_step_tape_size_is_independent_of_batch_heads_and_windows():
 
 @pytest.mark.parametrize("rpb", [False, True])
 def test_backbone_from_params_takes_each_array_by_name(rpb):
-    cfg = BackboneConfig(use_relative_position_bias=rpb)
-    dims = {"stage0.block0.attn": 3, "stage1.block0.mlp": 10}
-    model = Backbone(cfg, site_dims=dims, rng=np.random.default_rng(40))
-    arrays = {name: t.data for name, t in model.named_parameters()}
-    back = Backbone(cfg, site_dims=dims, params=arrays)
-    named = back.named_parameters()
-    assert [name for name, _ in named] == list(arrays)
-    assert all(t.data is arrays[name] and t.requires_grad for name, t in named)
+    cfg = BackboneConfig(depths=(2, 1), use_relative_position_bias=rpb)
     img = rng(41).random((3, 32, 32)).astype(np.float32)
-    assert np.array_equal(forward_batch(back, img[None]).data,
-                          forward_batch(model, img[None]).data)
+    for dims in ({}, {"stage0.block1.attn": 3, "stage1.block0.mlp": 10}):
+        model = Backbone(cfg, site_dims=dims, rng=np.random.default_rng(40))
+        names = [name for name, _ in model.named_parameters()]
+        assert len(set(names)) == len(names)
+        arrays = {name: t.data for name, t in model.named_parameters()}
+        back = Backbone(cfg, site_dims=dims, params=arrays)
+        named = back.named_parameters()
+        assert [name for name, _ in named] == names
+        assert all(t.data is arrays[name] and t.requires_grad for name, t in named)
+        assert np.array_equal(forward_batch(back, img[None]).data,
+                              forward_batch(model, img[None]).data)
 
 
 def test_backbone_from_params_names_every_fault():

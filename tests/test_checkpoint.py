@@ -481,7 +481,7 @@ def test_folded_columns_equal_the_float64_formula_bitwise(w_scale, a_scale):
     want = (w1[:, idx].astype(np.float64) * alpha.astype(np.float64)[idx]).astype(np.float32)
     out = prune_mlp(MlpParams(w1=Tensor(w1), w2=Tensor(np.ones((40, 6), np.float32))),
                     keep, alpha)
-    assert np.array_equal(out.w1.data.view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(out["w1"].view(np.uint32), want.view(np.uint32))
 
 
 def test_folded_attention_columns_equal_the_float64_formula_bitwise():

@@ -100,7 +100,7 @@ def test_counted_wmsa_forward_equals_the_paper_costs(grid, window, shift, heads,
     x = Tensor(np.random.default_rng(window).normal(size=(n, d)))
     with count_macs() as counter:
         wmsa_forward(x, p, WindowSpec(grid, grid, window, shift))
-    params = sum(t.size for _, t in p.named())
+    params = sum(t.size for t in p.wq + p.wk + p.wv + [p.wo])
     costs = [wmsa_cost(n, d, heads, window, rho)]
     if window == grid:
         costs.append(msa_cost(n, d, heads, rho))

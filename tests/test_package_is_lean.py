@@ -1,8 +1,10 @@
 """The package holds only what a stage runs.
 
-Every top-level function and class under ``src/dimprune/`` must be
-referenced somewhere in the package outside its own definition, be exported
-in ``dimprune.__all__``, or be named in ``KEEP`` with the reason it stays.
+Every top-level function and class under ``src/dimprune/``, and every
+method and property of such a class, must be referenced somewhere in the
+package outside its own definition, be exported in ``dimprune.__all__``, or
+be named in ``KEEP`` with the reason it stays. A method is named
+``Class.method``; a dunder method, which Python calls itself, is exempt.
 Code that only tests reach is a second path beside the one the stages run:
 move its tests onto that path and delete it. This test parses every module
 of the package, as ``test_no_inplace_writes.py`` does.
@@ -23,6 +25,7 @@ KEEP = {
     "msa_cost": "the paper's per-layer complexity formula for global MSA",
     "wmsa_cost": "the paper's per-layer complexity formula for W-MSA",
     "mlp_cost": "the paper's per-layer complexity formula for the MLP",
+    "Backbone.parameter_count": "criterion 5 compares the closed form with it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -103,19 +106,34 @@ def referenced_names(node) -> Counter:
     return found
 
 
+def definitions(tree):
+    """(name, node) of each top-level definition of a module, and of each
+    method or property of a top-level class as "Class.method", less the
+    dunder methods."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def unreferenced(trees, exported=()) -> list:
-    """(module, name) of every top-level definition that nothing outside
-    its own body refers to and that ``exported`` does not list."""
+    """(module, name) of every definition that nothing outside its own body
+    refers to and that ``exported`` does not list. A method counts as used
+    where any attribute of its name is read."""
     total = Counter()
     for tree in trees.values():
         total += referenced_names(tree)
     out = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, DEFINITIONS) or node.name in exported:
-                continue
-            if total[node.name] - referenced_names(node)[node.name] <= 0:
-                out.append((module, node.name))
+        for name, node in definitions(tree):
+            short = name.rpartition(".")[2]
+            if name not in exported and total[short] - referenced_names(node)[short] <= 0:
+                out.append((module, name))
     return out
 
 
@@ -134,8 +152,7 @@ def test_every_definition_is_used_exported_or_kept():
 
 def test_every_keep_entry_names_a_definition_nothing_else_keeps():
     trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
-    defined = {node.name for tree in trees.values() for node in tree.body
-               if isinstance(node, DEFINITIONS)}
+    defined = {name for tree in trees.values() for name, _ in definitions(tree)}
     assert set(KEEP) <= defined
     bare = {name for _, name in unreferenced(trees, set(dimprune.__all__))}
     assert set(KEEP) <= bare, "KEEP lists a name that is used or exported anyway"
@@ -154,6 +171,12 @@ def test_every_keep_entry_names_a_definition_nothing_else_keeps():
     ("def f(): pass\nfs = [f for f in range(3)]", (), ["f"]),
     ("def f(): pass\ndef g(x=f): return x", ("g",), []),    # a default is read outside
     ("def f(): pass\ndef g():\n    global f\n    f = 1", ("g",), []),
+    ("class C:\n    def used(self): pass\n    def unused(self): pass\nC().used()",
+     (), ["C.unused"]),
+    ("class C:\n    def __init__(self): pass\n    @property\n    def p(self): return 1\n"
+     "x = C().p", (), []),
+    ("class C:\n    def again(self): return self.again()\nx = C()", (), ["C.again"]),
+    ("class C:\n    def m(self): pass\n", ("C",), ["C.m"]),   # exporting C keeps no method
 ])
 def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
     found = unreferenced({"m.py": ast.parse(source)}, exported)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from dimprune import tensor as T
-from dimprune.blocks import BackboneConfig, build_backbone, forward_batch
+from dimprune.blocks import (BackboneConfig, block_shift, build_backbone, forward_batch,
+                             stage_geometry)
 from dimprune.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
 from dimprune.errors import ConfigError, DimensionError, NumericError, UsageError
 from dimprune.data import synth_dataset
@@ -535,6 +537,43 @@ def test_finetune_smoke_and_determinism():
     assert not tuned_a.has_scores()
     assert sum(v.size for v in tuned_a.params.values()) \
         == sum(v.size for v in pruned.params.values())
+
+
+def table_digest(ckpt):
+    """SHA-256 over every tensor table of a checkpoint: within each table
+    the names sorted, each followed by its array's bytes. The order a file
+    lists its tensors in does not enter."""
+    digest = hashlib.sha256()
+    for key in ("params", "scores", "opt_m", "opt_v"):
+        table = getattr(ckpt, key)
+        for name in sorted(table):
+            digest.update(f"{key}.{name}".encode())
+            digest.update(np.ascontiguousarray(table[name]).tobytes())
+    return digest.hexdigest()
+
+
+# A shifted, position-biased chain. A change that moves one of these must
+# say why in CHANGES.md.
+CHAIN_DIGESTS = {
+    "search": "5f9ce09249800f86e3ead88b2eae5ec0b27e2fee88bf696bb15e1da48ae251d8",
+    "prune": "f56b1a46d5d5dc577355e3716eb23f2042b58ce448967ac4defe092042720439",
+    "finetune": "89045034175291a2ef12c1a382b80f5e46fa8c3ec83c724a63135b5a8a2256da",
+}
+
+
+def test_search_prune_finetune_checkpoints_keep_their_pinned_digests():
+    cfg = tiny_config(image_size=16, base_dim=12, depths=(2, 1), heads=(3, 6),
+                      use_relative_position_bias=True)
+    assert block_shift(cfg, stage_geometry(cfg)[0].grid, 1) == 1   # a shifted block
+    data = synth_dataset(seed=11, num_classes=4, n_per_class=8, height=16, width=16,
+                         channels=1, noise_sigma=0.02)
+    searched = run_search(build_backbone(cfg, seed=11), data,
+                          settings(epochs=2, gamma=0.001, seed=11))
+    pruned, _ = run_prune(searched, 0.6)
+    tuned = run_finetune(pruned, data, settings(epochs=2, seed=12))
+    assert pruned.site_dims["stage0.block1.attn"] == 2
+    chain = {"search": searched, "prune": pruned, "finetune": tuned}
+    assert {stage: table_digest(ckpt) for stage, ckpt in chain.items()} == CHAIN_DIGESTS
 
 
 def test_evaluate_contract():

@@ -38,7 +38,16 @@ def make_attn(r, d, heads, k):
         wk=[t(d, k) for _ in range(heads)],
         wv=[t(d, k) for _ in range(heads)],
         wo=t(k * heads, d),
-        head_dim=k, scale_dim=k)
+        scale_dim=k)
+
+
+def attn_from(cut, heads, scale_dim):
+    """The attention site that ``prune_attention``'s arrays make."""
+    return AttentionParams(
+        wq=[Tensor(cut[f"wq{j}"]) for j in range(heads)],
+        wk=[Tensor(cut[f"wk{j}"]) for j in range(heads)],
+        wv=[Tensor(cut[f"wv{j}"]) for j in range(heads)],
+        wo=Tensor(cut["wo"]), scale_dim=scale_dim)
 
 
 class FakeScore:
@@ -119,20 +128,24 @@ def test_prune_attention_full_keep_is_bitwise_identity():
     p = make_attn(rng(3), d=4, heads=2, k=2)
     keep = KeepSet("s", (0, 1), 2, 1.0)
     out = prune_attention(p, keep, np.ones(2, dtype=np.float32))
-    for a, b in zip(out.wq + out.wk + out.wv + [out.wo],
-                    p.wq + p.wk + p.wv + [p.wo]):
-        assert np.array_equal(a.data, b.data)
-    assert out.head_dim == 2 and out.scale_dim == 2
+    want = {f"{kind}{j}": t.data
+            for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
+            for j, t in enumerate(heads)}
+    want["wo"] = p.wo.data
+    assert list(out) == list(want)
+    for name, arr in out.items():
+        assert np.array_equal(arr, want[name]), name
 
 
 def test_prune_attention_smallest_case():
     p = make_attn(rng(4), d=2, heads=1, k=2)
     alpha = np.array([0.7, 0.2], dtype=np.float32)
     out = prune_attention(p, KeepSet("s", (0,), 2, 0.5), alpha)
-    assert out.wq[0].shape == (2, 1)
-    assert np.allclose(out.wq[0].data[:, 0], p.wq[0].data[:, 0] * 0.7, atol=1e-7)
-    assert np.array_equal(out.wo.data, p.wo.data[0:1])
-    assert out.scale_dim == 2
+    assert sorted(out) == ["wk0", "wo", "wq0", "wv0"]
+    assert out["wq0"].shape == (2, 1)
+    assert np.allclose(out["wq0"][:, 0], p.wq[0].data[:, 0] * 0.7, atol=1e-7)
+    assert np.allclose(out["wv0"][:, 0], p.wv[0].data[:, 0] * 0.7, atol=1e-7)
+    assert np.array_equal(out["wo"], p.wo.data[0:1])
 
 
 def test_pruned_attention_equals_zero_masked_scores():
@@ -140,7 +153,7 @@ def test_pruned_attention_equals_zero_masked_scores():
     p = make_attn(r, d=4, heads=2, k=4)
     alpha = r.normal(1.0, 0.4, size=4).astype(np.float32)
     keep = select_keep(FakeScore("s", alpha), 0.5)
-    pruned = prune_attention(p, keep, alpha)
+    pruned = attn_from(prune_attention(p, keep, alpha), heads=2, scale_dim=4)
     x = Tensor(r.normal(size=(9, 4)).astype(np.float32))
     spec = WindowSpec(3, 3, 3)    # one window: attention over all nine rows
     masked = np.zeros(4, dtype=np.float32)
@@ -155,10 +168,12 @@ def test_prune_mlp_shapes_and_equivalence():
     p = MlpParams(w1=Tensor(r.normal(size=(2, 3)).astype(np.float32)),
                   w2=Tensor(r.normal(size=(3, 2)).astype(np.float32)))
     alpha = np.array([0.1, 0.9, -0.5], dtype=np.float32)
-    out = prune_mlp(p, KeepSet("s", (1,), 3, 1 / 3), alpha)
-    assert out.w1.shape == (2, 1) and out.w2.shape == (1, 2)
-    assert np.allclose(out.w1.data[:, 0], p.w1.data[:, 1] * 0.9, atol=1e-7)
-    assert np.array_equal(out.w2.data, p.w2.data[1:2])
+    cut = prune_mlp(p, KeepSet("s", (1,), 3, 1 / 3), alpha)
+    assert sorted(cut) == ["w1", "w2"]
+    assert cut["w1"].shape == (2, 1) and cut["w2"].shape == (1, 2)
+    assert np.allclose(cut["w1"][:, 0], p.w1.data[:, 1] * 0.9, atol=1e-7)
+    assert np.array_equal(cut["w2"], p.w2.data[1:2])
+    out = MlpParams(w1=Tensor(cut["w1"]), w2=Tensor(cut["w2"]))
 
     x = Tensor(r.normal(size=(4, 2)).astype(np.float32))
     masked = np.array([0.0, 0.9, 0.0], dtype=np.float32)
