@@ -28,6 +28,17 @@ short row's entries in order, whatever the number of rows stacked with it.
 A row short enough for both reductions has its whole softmax run on the
 copy.
 
+Layer norm's row statistics (forward mean and variance, and the two row
+means of its input gradient) are float64 sums by ``np.einsum("ij->i")``:
+one call of its contiguous inner loop per row, so a row's entries are added
+in an order set by the row length alone, whatever the number of rows
+stacked with it; on rows of 16-32 entries it is 2-4x faster than numpy's
+row reduce. A float64 BLAS product with a ones vector is faster still, but
+OpenBLAS sums a lone row and a block's tail rows in another order, so a
+row's statistic would depend on its batch.
+``test_layer_norm_of_stacked_rows_equals_each_row_alone_bitwise`` holds the
+invariance on float64 rows whose sums round.
+
 Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
 and drops each one, with its output's gradient, once its pulls have run. A
@@ -439,12 +450,12 @@ def permute_rows(x: Tensor, perm) -> Tensor:
     if (perm.shape != (n,) or perm.min() < 0 or perm.max() >= n
             or np.bincount(perm, minlength=n).max() != 1):
         raise DimensionError(f"permute_rows needs a permutation of {n} rows")
-    out = Tensor(x.data[perm], requires_grad=_wants_grad(x))
+    out = Tensor(np.take(x.data, perm, axis=0), requires_grad=_wants_grad(x))
     if out.requires_grad:
         def pull(g):
-            back = np.zeros_like(g)
-            back[perm] = g
-            return back
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(n)
+            return np.take(g, inverse, axis=0)
         _record(out, [(x, pull)])
     return out
 
@@ -633,6 +644,15 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     return out
 
 
+def _row_means(a64):
+    """Means of a 2-D float64 array's rows, as a [rows, 1] column: einsum
+    sums each row (module docstring), and the sum is divided by the row
+    length, as numpy's mean divides it."""
+    means = np.einsum("ij->i", a64)
+    means /= a64.shape[1]
+    return means[:, None]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalisation of a 2-D tensor with learned gain and bias.
 
@@ -644,21 +664,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    xd = x.data
-    mu = xd.mean(axis=1, keepdims=True, dtype=np.float64)
-    xhat = np.empty_like(xd)
-    np.subtract(xd, mu, out=xhat, casting="same_kind")
-    var = np.square(xhat, dtype=np.float64).mean(axis=1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    x64 = x.data.astype(np.float64)
+    x64 -= _row_means(x64)
+    xhat = x64.astype(np.float32)
+    np.square(xhat, out=x64, dtype=np.float64)
+    inv = (1.0 / np.sqrt(_row_means(x64) + eps)).astype(np.float32)
+    del x64
     xhat *= inv
-    out = Tensor(xhat * gain.data + bias.data, requires_grad=_wants_grad(x, gain, bias))
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, requires_grad=_wants_grad(x, gain, bias))
     if out.requires_grad:
         gd = gain.data
 
         def pull_x(g):
             gy = g * gd
-            m1 = gy.mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
-            m2 = (gy * xhat).mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+            g64 = gy.astype(np.float64)
+            m1 = _row_means(g64).astype(np.float32)
+            np.multiply(gy, xhat, out=g64)      # the float32 product, widened
+            m2 = _row_means(g64).astype(np.float32)
+            del g64
             gy -= m1
             gy -= xhat * m2
             gy *= inv

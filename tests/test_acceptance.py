@@ -320,33 +320,40 @@ def test_criterion_04_masked_equivalence_oracle():
     t0 = time.monotonic()
     worst = 0.0
     checks = 0
-    for i in range(20):
-        cfg = TINY_VARIANTS[i % len(TINY_VARIANTS)]
-        model = build_backbone(cfg, seed=i)
-        scored = attach_scores(model)
-        r = np.random.default_rng(1000 + i)
-        for sv in scored.scores:
-            sv.alpha.data[:] = r.normal(0.9, 0.5, size=sv.length).astype(np.float32)
-        x = r.normal(size=(2, cfg.in_channels, cfg.image_size,
-                           cfg.image_size)).astype(np.float32)
-        full = scored.score_map()
-        for rho in (0.25, 0.5, 0.75, 1.0):
-            pruned, report = prune_model(scored, rho)
-            masked = masked_scores(scored, report)
-            want = forward_batch(model, x, scores=masked).data
-            got = forward_batch(pruned, x).data
-            gap = float(np.abs(got - want).max())
-            worst = max(worst, gap)
-            checks += 1
-            assert gap <= 1e-4, (f"model {i} rho {rho}: pruned logits differ "
-                                 f"from zero-masked logits by {gap}")
-        # pruning must not have touched the scored model itself
-        assert np.array_equal(scored.score_map()["stage0.block0.attn"],
-                              full["stage0.block0.attn"])
+    closed_form = 0     # model_cost MACs of every forward the loop runs
+    with count_macs() as mc:
+        for i in range(20):
+            cfg = TINY_VARIANTS[i % len(TINY_VARIANTS)]
+            model = build_backbone(cfg, seed=i)
+            scored = attach_scores(model)
+            r = np.random.default_rng(1000 + i)
+            for sv in scored.scores:
+                sv.alpha.data[:] = r.normal(0.9, 0.5, size=sv.length).astype(np.float32)
+            x = r.normal(size=(2, cfg.in_channels, cfg.image_size,
+                               cfg.image_size)).astype(np.float32)
+            full = scored.score_map()
+            for rho in (0.25, 0.5, 0.75, 1.0):
+                pruned, report = prune_model(scored, rho)
+                masked = masked_scores(scored, report)
+                want = forward_batch(model, x, scores=masked).data
+                got = forward_batch(pruned, x).data
+                closed_form += len(x) * (
+                    model_cost(cfg).total_flops
+                    + model_cost(cfg, site_dims=pruned.site_dims).total_flops)
+                gap = float(np.abs(got - want).max())
+                worst = max(worst, gap)
+                checks += 1
+                assert gap <= 1e-4, (f"model {i} rho {rho}: pruned logits differ "
+                                     f"from zero-masked logits by {gap}")
+            # pruning must not have touched the scored model itself
+            assert np.array_equal(scored.score_map()["stage0.block0.attn"],
+                                  full["stage0.block0.attn"])
     elapsed = time.monotonic() - t0
-    ok = elapsed < 60.0
+    # the pruned forwards run the widths the surgery kept, no wider
+    ok = mc.macs == closed_form
     announce(4, ok, f"20 models x 4 keep ratios, max |logit gap| = "
-                    f"{worst:.2e} <= 1e-4, {elapsed:.1f}s")
+                    f"{worst:.2e} <= 1e-4, {mc.macs} MACs counted against "
+                    f"{closed_form} in closed form, {elapsed:.1f}s")
     assert ok
 
 
@@ -355,22 +362,26 @@ def test_criterion_04_masked_equivalence_oracle():
 
 def test_criterion_05_closed_form_equals_measured():
     t0 = time.monotonic()
-    for label, cfg, rho, dims in CONFIG_MATRIX:
-        model = Backbone(cfg, site_dims=dict(dims) if dims else uniform_dims(cfg, rho),
-                         rng=np.random.default_rng(0))
-        analytic = model_cost(cfg, rho, runtime_convention(cfg), site_dims=dims)
-        measured = measured_cost(model)
-        assert analytic.total_params == measured.total_params == \
-            model.parameter_count(), label
-        assert analytic.total_flops == measured.total_flops, label
-        got = {s.site_id: (s.params, s.flops) for s in measured.sites}
-        want = {s.site_id: (s.params, s.flops) for s in analytic.sites}
-        assert got == want, label
+    closed_form = 0
+    with count_macs() as mc:
+        for label, cfg, rho, dims in CONFIG_MATRIX:
+            model = Backbone(cfg, site_dims=dict(dims) if dims else uniform_dims(cfg, rho),
+                             rng=np.random.default_rng(0))
+            analytic = model_cost(cfg, rho, runtime_convention(cfg), site_dims=dims)
+            measured = measured_cost(model)
+            closed_form += analytic.total_flops
+            assert analytic.total_params == measured.total_params == \
+                model.parameter_count(), label
+            assert analytic.total_flops == measured.total_flops, label
+            got = {s.site_id: (s.params, s.flops) for s in measured.sites}
+            want = {s.site_id: (s.params, s.flops) for s in analytic.sites}
+            assert got == want, label
     elapsed = time.monotonic() - t0
-    ok = elapsed < 60.0
+    # the one counted forward per configuration is all the matmul work run
+    ok = mc.macs == closed_form
     announce(5, ok, f"{len(CONFIG_MATRIX)} configurations, analytic == "
                     f"enumerated params and instrumented matmul counts "
-                    f"exactly, {elapsed:.1f}s")
+                    f"exactly, {mc.macs} MACs in all, {elapsed:.1f}s")
     assert ok
 
 

@@ -232,6 +232,20 @@ def test_permute_rows_roundtrip_bitwise():
     assert np.array_equal(back.data, x.data)
 
 
+@pytest.mark.parametrize("rows, d", [(1, 3), (7, 2), (4096, 16), (3136, 96)])
+def test_permute_rows_forward_and_gradient_equal_fancy_indexing_and_scatter(rows, d):
+    x = leaf(rng(rows).normal(size=(rows, d)))
+    perm = rng(rows + 1).permutation(rows)
+    g = rng(rows + 2).normal(size=(rows, d)).astype(np.float32)
+    with Tape() as tape:
+        out = T.permute_rows(x, perm)
+    (_, [(_, pull)]), = tape._nodes
+    scattered = np.zeros_like(g)
+    scattered[perm] = g
+    assert np.array_equal(out.data, x.data[perm]) and out.data.flags.c_contiguous
+    assert np.array_equal(pull(g), scattered)
+
+
 def test_permute_rows_rejects_non_permutation():
     x = Tensor(np.ones((3, 1)))
     for perm in ([0, 0, 2],             # duplicate
@@ -424,6 +438,79 @@ def test_layer_norm_matches_reference():
     b = rng(13).normal(size=8).astype(np.float32)
     got = T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
     assert np.abs(got - ref_layer_norm(x, g, b)).max() < 1e-5
+
+
+def layer_norm_pulls(x, gain, bias, g):
+    """layer_norm's output and its three recorded pulls (x, gain, bias) of g."""
+    with Tape() as tape:
+        out = T.layer_norm(leaf(x), leaf(gain), leaf(bias))
+    (_, pulls), = tape._nodes
+    return [out.data] + [pull(g) for _, pull in pulls]
+
+
+def numpy_reduce_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The layer-norm forward and pulls with numpy's row means: the same
+    float64 statistics summed in numpy's order, the rest in float32."""
+    mu = x.mean(axis=1, keepdims=True, dtype=np.float64)
+    xhat = np.empty_like(x)
+    np.subtract(x, mu, out=xhat, casting="same_kind")
+    var = np.square(xhat, dtype=np.float64).mean(axis=1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    xhat *= inv
+    gy = g * gain
+    m1 = gy.mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+    m2 = (gy * xhat).mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+    gy -= m1
+    gy -= xhat * m2
+    gy *= inv
+    return [xhat * gain + bias, gy,
+            (g * xhat).sum(axis=0, dtype=np.float64).astype(np.float32),
+            g.sum(axis=0, dtype=np.float64).astype(np.float32)]
+
+
+def scaled_rows(r, rows, d):
+    """float32 rows with a random scale and offset per row."""
+    scale = 10.0 ** r.uniform(-3, 3, size=(rows, 1))
+    offset = r.normal(size=(rows, 1)) * 10.0 ** r.uniform(-2, 3, size=(rows, 1))
+    return (r.normal(size=(rows, d)) * scale + offset).astype(np.float32)
+
+
+def test_layer_norm_of_stacked_rows_equals_each_row_alone_bitwise():
+    """A row sum whose order depends on the rows stacked with it (a float64
+    BLAS product with a ones vector sums a block's tail rows in another
+    order) breaks batch invariance here. Sums of float32 entries are mostly
+    exact in float64, whatever their order, so the row means are also
+    checked on float64 rows whose sums round."""
+    for d in (2, 7, 16, 32, 96):
+        r = rng(d)
+        a64 = r.normal(size=(67, d)) * 10.0 ** r.uniform(-8, 8, size=(67, d))
+        means = [T._row_means(a64[i:i + 1]) for i in range(67)]
+        for rows in range(1, 68):
+            assert np.array_equal(T._row_means(a64[:rows]), np.concatenate(means[:rows])), \
+                (d, rows)
+        x = scaled_rows(r, 67, d)
+        g = r.normal(size=(67, d)).astype(np.float32)
+        gain = r.normal(1.0, 0.3, size=d).astype(np.float32)
+        bias = r.normal(size=d).astype(np.float32)
+        alone = [layer_norm_pulls(x[i:i + 1], gain, bias, g[i:i + 1])[:2] for i in range(67)]
+        for rows in range(1, 68):
+            out, grad = layer_norm_pulls(x[:rows], gain, bias, g[:rows])[:2]
+            assert np.array_equal(out, np.concatenate([a[0] for a in alone[:rows]])), (d, rows)
+            assert np.array_equal(grad, np.concatenate([a[1] for a in alone[:rows]])), (d, rows)
+
+
+@pytest.mark.parametrize("rows, d", [(1, 2), (5, 7), (512, 16), (4096, 16), (1024, 32),
+                                     (3136, 96), (49, 768)])
+def test_layer_norm_forward_and_pulls_equal_the_numpy_reduce_formula(rows, d):
+    r = rng(rows * 1000 + d)
+    x = scaled_rows(r, rows, d)
+    gain = r.normal(1.0, 0.3, size=d).astype(np.float32)
+    bias = r.normal(size=d).astype(np.float32)
+    g = r.normal(size=(rows, d)).astype(np.float32)
+    got = layer_norm_pulls(x, gain, bias, g)
+    want = numpy_reduce_layer_norm(x, gain, bias, g)
+    for name, a, b in zip(("forward", "x pull", "gain pull", "bias pull"), got, want):
+        assert a.dtype == np.float32 and np.array_equal(a, b), name
 
 
 def test_gelu_frozen_points():
