@@ -78,10 +78,7 @@ def total_loss(logits: Tensor, labels, scores, gamma: float) -> Tensor:
     loss = T.cross_entropy_with_logits(logits, labels)
     if gamma == 0 or not scores:
         return loss
-    reg = None
-    for sv in scores:
-        term = T.l1_norm(sv.alpha)
-        reg = term if reg is None else T.add(reg, term)
+    reg = T.l1_norm(*(sv.alpha for sv in scores))
     return T.add(loss, T.scale(reg, float(gamma)))
 
 

@@ -14,11 +14,15 @@ Every forward product goes through ``_product64``. A 2-D product [m, k] @
 chunks) runs in row chunks of about ``_CHUNK_BYTES`` of float64: a chunk's
 rows are cast into one float64 buffer, multiplied into a second and rounded
 into the float32 output's rows, so no full-size float64 array is allocated.
-Each chunk holds at least two rows, so it runs the BLAS GEMM the one-shot
-product runs (numpy runs a one-row product as a GEMV), and a GEMM row's
-result does not depend on the rows beside it: the bits are the one-shot
-product's. Every other product casts both operands whole and multiplies
-once.
+Each chunk holds at least two rows, so it runs a BLAS GEMM as the one-shot
+product does (numpy runs a one-row product as a GEMV). OpenBLAS does not
+keep a row's float64 result apart from the rows beside it: on narrow
+products the last float64 bits can differ between the one-shot product and
+the same rows taken in smaller blocks. What holds is the float32 rounding:
+at the chunk sizes used, the rounded chunks give the one-shot product's
+float32 bits, as ``test_forward_product_bits_equal_the_one_shot_product``
+and ``test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone``
+check. Every other product casts both operands whole and multiplies once.
 
 Softmax reduces its rows with ``_reduce_rows``: a row short enough (see
 ``_SHORT_ROW``) is reduced across a transposed copy, one elementwise pass
@@ -38,6 +42,20 @@ OpenBLAS sums a lone row and a block's tail rows in another order, so a
 row's statistic would depend on its batch.
 ``test_layer_norm_of_stacked_rows_equals_each_row_alone_bitwise`` holds the
 invariance on float64 rows whose sums round.
+
+A sum over leading axes (the pulls of ``scale_columns``' scores, of a
+trailing-axes ``add``, of layer norm's gain and bias and of the attention
+mask) is ``_column_sums``: from ``_EINSUM_MIN_ROWS`` rows on, one
+``np.einsum("ij->j")`` over the rows in float64. It adds each column's
+entries in row order, as numpy's sum over the leading axes does, so the
+bits are numpy's; on tall, narrow arrays it is up to 2x faster, because
+numpy casts through a buffer and runs one inner loop per short row. numpy
+sums a lone column pairwise, as a flat array, so a width of 1 keeps
+numpy's sum. ``scale_columns`` multiplies by its scores on wide rows
+(``_wide_rows``): rows of n entries viewed as rows of n*r, times the
+scores tiled r times, which gives the broadcast's products with one inner
+loop per wide row. ``test_column_sums_equal_numpy_float64_sums_over_leading_axes``
+and ``test_wide_row_scale_columns_equals_the_broadcast_bitwise`` hold both.
 
 Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
@@ -268,14 +286,18 @@ def _check_2d(t: Tensor, name: str):
 # ---------------------------------------------------------------- arithmetic
 
 
-def _product32(a, b, what: str):
-    """Product of two arrays rounded to float32, rejecting non-finite entries.
+def _product32(a, b, what: str, out=None):
+    """Product of two arrays rounded to float32, rejecting non-finite entries;
+    two float32 arrays may write their product into ``out``, a float32 view.
 
     The product and the cast run with overflow and invalid-value warnings
     off: an inf input or an overflow becomes inf or NaN, which the check
     turns into NumericError without a stray RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (a @ b).astype(np.float32, copy=False)
+        if out is None:
+            out = (a @ b).astype(np.float32, copy=False)
+        else:
+            np.matmul(a, b, out=out)
     _finite_or_raise(out, what)
     return out
 
@@ -351,6 +373,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+# ``_wide_rows`` views rows of n entries as rows of about _WIDE_ROW entries,
+# and does so from _WIDE_MIN_ROWS rows on; ``_column_sums`` runs einsum from
+# _EINSUM_MIN_ROWS rows on. Below those counts the fixed cost of the tile or
+# of einsum's set-up outweighs the per-row cost they save (float32 rows of
+# 8-512 entries, 2-core Intel Xeon, numpy 2.4.6; BENCH_20.json).
+_WIDE_ROW = 256
+_WIDE_MIN_ROWS = 1024
+_EINSUM_MIN_ROWS = 128
+
+
+def _wide_rows(shape, v):
+    """Shape [rows/r, n*r] to view rows of n entries through, and v tiled r
+    times to multiply that view by: the same entrywise products as
+    broadcasting v over the rows, which numpy runs as one inner loop per
+    row. r is the largest power of two that divides the row count with
+    n*r <= ``_WIDE_ROW``; it is 1 below ``_WIDE_MIN_ROWS`` rows."""
+    n = v.shape[0]
+    rows = math.prod(shape[:-1])
+    r = min(rows & -rows, 1 << max(0, (_WIDE_ROW // n).bit_length() - 1))
+    if r == 1 or rows < _WIDE_MIN_ROWS:
+        return (rows, n), v
+    tiled = np.empty((r, n), dtype=np.float32)
+    tiled[...] = v
+    return (rows // r, n * r), tiled.reshape(-1)
+
+
+def _column_sums(a, n):
+    """Float64 sums of the columns of ``a`` viewed as rows of n entries,
+    rounded to float32: the bits of ``sum`` over the leading axes with
+    ``dtype=np.float64`` (see the module docstring)."""
+    rows = a.reshape(-1, n)
+    # numpy sums a lone column pairwise, as a flat array; einsum adds in order
+    if n == 1 or len(rows) < _EINSUM_MIN_ROWS:
+        return rows.sum(axis=0, dtype=np.float64).astype(np.float32)
+    return np.einsum("ij->j", rows, dtype=np.float64).astype(np.float32)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also equal ``a``'s trailing axes (a row bias
     is the 1-D case), and its gradient then sums over the leading axes."""
@@ -363,7 +422,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
         _record(out, [
             (a, lambda g: g),
-            (b, lambda g: g.sum(axis=tuple(range(lead)), dtype=np.float64).astype(np.float32)),
+            (b, lambda g: _column_sums(g, b.size).reshape(b.shape)),
         ])
         return out
     raise DimensionError(f"add shapes are incompatible: {a.shape} vs {b.shape}")
@@ -378,16 +437,20 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def scale_columns(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply entry i of x's last axis by v[i] (right-multiply by diag(v))."""
-    if v.data.ndim != 1 or v.shape[0] != x.shape[-1]:
-        raise DimensionError(f"scale_columns needs v of length {x.shape[-1]}, got {v.shape}")
-    out = Tensor(x.data * v.data, requires_grad=_wants_grad(x, v))
+    """Multiply entry i of x's last axis by v[i] (right-multiply by diag(v)).
+
+    The forward and the x pull multiply wide rows by v tiled (see
+    ``_wide_rows``); the v pull sums the float32 product g * x by columns."""
+    n = x.shape[-1]
+    if v.data.ndim != 1 or v.shape[0] != n:
+        raise DimensionError(f"scale_columns needs v of length {n}, got {v.shape}")
+    xd, vd = x.data, v.data
+    wide, tiled = _wide_rows(x.shape, vd)
+    out = Tensor((xd.reshape(wide) * tiled).reshape(x.shape), requires_grad=_wants_grad(x, v))
     if out.requires_grad:
-        xd, vd = x.data, v.data
-        lead = tuple(range(x.data.ndim - 1))
         _record(out, [
-            (x, lambda g: g * vd),
-            (v, lambda g: (g * xd).sum(axis=lead, dtype=np.float64).astype(np.float32)),
+            (x, lambda g: (g.reshape(wide) * tiled).reshape(g.shape)),
+            (v, lambda g: _column_sums(g * xd, n)),
         ])
     return out
 
@@ -500,12 +563,23 @@ def mean_rows(x: Tensor) -> Tensor:
     return out
 
 
-def l1_norm(x: Tensor) -> Tensor:
-    """Sum of absolute values; the subgradient at 0 is 0."""
-    out = Tensor(np.float32(np.abs(x.data).sum(dtype=np.float64)), requires_grad=_wants_grad(x))
+def l1_norm(*xs: Tensor) -> Tensor:
+    """Sum of the absolute values of every entry of the tensors, as one tape
+    record; the subgradient at 0 is 0. Each tensor's norm accumulates in
+    float64 and is rounded to float32, and the norms are added in order in
+    float32, so ``l1_norm(a, b)`` gives the bits of ``add(l1_norm(a),
+    l1_norm(b))``."""
+    if not xs:
+        raise UsageError("l1_norm needs at least one tensor")
+    total = None
+    for x in xs:
+        norm = np.float32(np.abs(x.data).sum(dtype=np.float64))
+        total = norm if total is None else total + norm
+    out = Tensor(total, requires_grad=_wants_grad(*xs))
     if out.requires_grad:
-        sign = np.sign(x.data)
-        _record(out, [(x, lambda g: (g.reshape(()) * sign).astype(np.float32))])
+        def pull(sign):
+            return lambda g: (g.reshape(()) * sign).astype(np.float32)
+        _record(out, [(x, pull(np.sign(x.data))) for x in xs])
     return out
 
 
@@ -605,7 +679,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
         c.macs += macs
     # [*lead, heads, m, k] views of q, k and v; each is cast to float64 just
     # before its product, so at most two of the casts are alive at once
-    qd, kd, vd = (a.swapaxes(-3, -2) for a in np.moveaxis(qkv.data, -3, 0))
+    qd, kd, vd = (qkv.data[..., i, :, :].swapaxes(-3, -2) for i in range(3))
     f = np.float32(factor)
     logits = _product64(qd, kd.swapaxes(-1, -2), "attention logits")
     logits *= f
@@ -617,28 +691,32 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     inputs = (qkv,) if mask is None else (qkv, mask)
     out = Tensor(heads.swapaxes(-3, -2).reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
     if out.requires_grad:
-        shared = []     # [logit gradient, v gradient], made by the first pull to run
+        shared = []     # the logit gradient, made by the first pull to run
 
-        def logit_and_v_grads(g):
+        def logit_grad(g):
             if not shared:
                 go = g.reshape(*lead, m, h, k).swapaxes(-3, -2)
                 dprobs = _product32(go, vd.swapaxes(-1, -2), "attention probs gradient")
-                dv = _product32(probs.swapaxes(-1, -2), go, "attention v gradient")
-                shared.extend((_softmax_grad(dprobs, probs), dv))
-            return shared
+                shared.append(_softmax_grad(dprobs, probs))
+            return shared[0]
 
         def pull_qkv(g):
-            ds, dv = logit_and_v_grads(g)
-            ds = ds * f
-            dq = _product32(ds, kd, "attention q gradient")
-            dk = _product32(ds.swapaxes(-1, -2), qd, "attention k gradient")
-            return np.stack([a.swapaxes(-3, -2) for a in (dq, dk, dv)], axis=-3)
+            ds = logit_grad(g) * f
+            # each product writes into its [*lead, heads, m, k] view of one
+            # stacked gradient, so no per-gradient array is made and copied
+            grad = np.empty(qkv.shape, dtype=np.float32)
+            dq, dk, dv = (grad[..., i, :, :].swapaxes(-3, -2) for i in range(3))
+            _product32(ds, kd, "attention q gradient", out=dq)
+            _product32(ds.swapaxes(-1, -2), qd, "attention k gradient", out=dk)
+            _product32(probs.swapaxes(-1, -2), g.reshape(*lead, m, h, k).swapaxes(-3, -2),
+                       "attention v gradient", out=dv)
+            return grad
 
         def pull_mask(g):
-            ds = logit_and_v_grads(g)[0]
+            ds = logit_grad(g)
             if not extra:
                 return ds
-            return ds.sum(axis=tuple(range(extra)), dtype=np.float64).astype(np.float32)
+            return _column_sums(ds, mask.size).reshape(mask.shape)
 
         _record(out, [(qkv, pull_qkv)] + ([] if mask is None else [(mask, pull_mask)]))
     return out
@@ -691,8 +769,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
         _record(out, [
             (x, pull_x),
-            (gain, lambda g: (g * xhat).sum(axis=0, dtype=np.float64).astype(np.float32)),
-            (bias, lambda g: g.sum(axis=0, dtype=np.float64).astype(np.float32)),
+            (gain, lambda g: _column_sums(g * xhat, d)),
+            (bias, lambda g: _column_sums(g, d)),
         ])
     return out
 

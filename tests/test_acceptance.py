@@ -177,6 +177,18 @@ def _proj(out, c1, c2):
     return T.sum_all(T.matmul(T.transpose(T.matmul(out, c1)), c2))
 
 
+# Tape records each case's build makes: a change in how an op records itself
+# (one record per attention site, one l1 record for every score vector)
+# shows here as a changed count, whatever the machine's speed.
+CRITERION_03_TAPE_RECORDS = {
+    "matmul": 5, "add": 5, "scale": 5, "scale_columns": 5, "transpose": 5,
+    "reshape": 5, "concat_cols": 5, "permute_rows": 5, "gather_rows": 5,
+    "sum_all": 1, "mean_rows": 5, "l1_norm": 1, "attention_core": 5,
+    "layer_norm": 5, "gelu": 5, "cross_entropy": 1, "scored_block": 20,
+    "l1_norm_several": 1,
+}
+
+
 def test_criterion_03_gradient_suite():
     t0 = time.monotonic()
     r = np.random.default_rng(101)
@@ -278,10 +290,17 @@ def test_criterion_03_gradient_suite():
                    bp.attn.wo, bp.mlp.w1, bp.mlp.w2, bp.norm1_gain,
                    bp.norm2_bias]))
 
+    # several score vectors in one l1 record, as the search loss takes them
+    mags = [r.uniform(0.5, 1.5, size=n) * r.choice([-1.0, 1.0], size=n) for n in (3, 1, 5)]
+    l1s = [Tensor(m.astype(np.float32), requires_grad=True) for m in mags]
+    cases.append(("l1_norm_several", lambda: T.l1_norm(*l1s), l1s))
+
     checked = 0
+    records = {}
     for name, build, leaves in cases:
         with Tape() as tape:
             loss = build()
+        records[name] = len(tape._nodes)
         backward(loss, tape)
         for n, le in enumerate(leaves):
             assert le.grad is not None, f"{name}: leaf {n} has no gradient"
@@ -292,10 +311,11 @@ def test_criterion_03_gradient_suite():
             checked += 1
 
     elapsed = time.monotonic() - t0
-    ok = elapsed < 120.0
+    ok = records == CRITERION_03_TAPE_RECORDS
     announce(3, ok, f"{len(cases)} operations, {checked} leaves x 10 points "
-                    f"vs central differences, {elapsed:.1f}s")
-    assert ok
+                    f"vs central differences, {sum(records.values())} tape "
+                    f"records, {elapsed:.1f}s")
+    assert ok, records
 
 
 # -------------------------------------- criterion 4: masked equivalence

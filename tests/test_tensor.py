@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -281,6 +282,86 @@ def test_scale_columns_by_ones_is_bitwise_identity():
     assert np.array_equal(out.data, x)
 
 
+def order_sensitive(r, rows, n):
+    """float32 columns whose entries of +-2**60 cancel exactly, so which of
+    the small entries survive the float64 sum, and so its float32 value,
+    depends on the order of the additions."""
+    a = r.normal(size=(rows, n))
+    quarter = rows // 4
+    for j in range(n):
+        pos = r.permutation(rows)[:2 * quarter]
+        a[pos[:quarter], j] = 2.0 ** 60
+        a[pos[quarter:], j] = -2.0 ** 60
+    if n > 1:
+        a[:, 0] = -0.0      # a sum of -0.0 entries is +0.0 on both paths
+    return a.astype(np.float32)
+
+
+def periodic_columns(r, rows, n):
+    """Columns of +2**60, s, -2**60, s, ...: a sum in row order keeps every
+    s that follows a -2**60, numpy's pairwise sum of one column keeps none."""
+    a = r.uniform(0.5, 1.5, size=(rows, n))
+    a[0::4] = 2.0 ** 60
+    a[2::4] = -2.0 ** 60
+    return a.astype(np.float32)
+
+
+def test_order_sensitive_columns_tell_summation_orders_apart():
+    a = order_sensitive(rng(1), 1000, 8)
+    assert not np.array_equal(a.sum(axis=0, dtype=np.float64).astype(np.float32),
+                              a[::-1].sum(axis=0, dtype=np.float64).astype(np.float32))
+    a = periodic_columns(rng(1), 1000, 1)
+    assert (a.sum(dtype=np.float64) == 0.0
+            and np.einsum("ij->j", a, dtype=np.float64)[0] > 100.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 31, 49, 64, 96, 128, 192, 384, 768])
+def test_column_sums_equal_numpy_float64_sums_over_leading_axes(n):
+    r = rng(n)
+    for rows in (1, 2, 3, 4, 17, 127, 128, 129, 1000, 4097, 12000):
+        if rows * n > 1_600_000:
+            continue
+        spread = r.normal(size=(rows, n)) * 10.0 ** r.uniform(-8, 8, size=(rows, n))
+        for a in (order_sensitive(r, rows, n), periodic_columns(r, rows, n),
+                  spread.astype(np.float32)):
+            want = a.sum(axis=0, dtype=np.float64).astype(np.float32)
+            got = T._column_sums(a, n)
+            assert got.dtype == np.float32 and np.array_equal(got, want), (rows, n)
+    # 1-5 leading axes, and the mask pull's [images, windows, heads, m, m]
+    for shape in [(2, 3, 5, 4, n), (3, 2, 2, 3, 5, n), (3, 1, 7, n), (8, 16, 2, 4, 4)]:
+        a = order_sensitive(r, math.prod(shape[:-1]), shape[-1]).reshape(shape)
+        for lead in range(1, len(shape)):
+            want = a.sum(axis=tuple(range(lead)), dtype=np.float64).astype(np.float32)
+            got = T._column_sums(a, math.prod(shape[lead:])).reshape(shape[lead:])
+            assert np.array_equal(got, want), (shape, lead)
+
+
+def scale_columns_pulls(x, v, g):
+    with Tape() as tape:
+        out = T.scale_columns(leaf(x), leaf(v))
+    (_, pulls), = tape._nodes
+    return [out.data] + [pull(g) for _, pull in pulls]
+
+
+@pytest.mark.parametrize("shape", [(8, 16, 4, 3, 2, 8), (8, 4, 4, 3, 4, 8), (1, 64, 49, 3, 3, 32),
+                                   (4096, 16), (1025, 8), (1536, 3), (2048, 1), (1024, 96),
+                                   (1024, 300), (512, 32), (3, 5)])
+def test_wide_row_scale_columns_equals_the_broadcast_bitwise(shape):
+    r = rng(sum(shape))
+    n = shape[-1]
+    x = r.normal(size=shape).astype(np.float32)
+    v = r.normal(size=n).astype(np.float32)
+    g = order_sensitive(r, x.size // n, n).reshape(shape)
+    lead = tuple(range(len(shape) - 1))
+    want = [x * v, g * v, (g * x).sum(axis=lead, dtype=np.float64).astype(np.float32)]
+    got = scale_columns_pulls(x, v, g)
+    for name, a, b in zip(("forward", "x pull", "v pull"), got, want):
+        assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b), name
+    rows = x.size // n
+    widened = T._wide_rows(shape, v)[0] != (rows, n)
+    assert widened == (rows >= T._WIDE_MIN_ROWS and rows % 2 == 0 and 2 * n <= T._WIDE_ROW)
+
+
 # ----------------------------------------------------------------- reductions
 
 
@@ -301,6 +382,36 @@ def test_l1_norm_subgradient_sign_and_zero():
         loss = T.l1_norm(x)
     backward(loss, tape)
     assert x.grad.tolist() == [1.0, -1.0, 0.0]
+
+
+def test_l1_norm_of_several_tensors_is_one_record_with_the_bits_of_the_add_chain():
+    r = rng(12)
+    arrays = [(r.normal(size=n) * 10.0 ** r.uniform(-4, 4, size=n)).astype(np.float32)
+              for n in (8, 64, 1, 16, 128)]
+    arrays[2][0] = 0.0
+
+    def run(build):
+        xs = [leaf(a) for a in arrays]
+        with Tape() as tape:
+            loss = T.scale(build(xs), 1e-3)
+        records = len(tape._nodes)
+        backward(loss, tape)
+        return loss.data, [x.grad for x in xs], records
+
+    def chain(xs):
+        total = T.l1_norm(xs[0])
+        for x in xs[1:]:
+            total = T.add(total, T.l1_norm(x))
+        return total
+
+    value, grads, records = run(lambda xs: T.l1_norm(*xs))
+    value_chain, grads_chain, _ = run(chain)
+    assert records == 2
+    assert value.dtype == np.float32 and np.array_equal(value, value_chain)
+    for a, b in zip(grads, grads_chain):
+        assert a.dtype == np.float32 and np.array_equal(a, b)
+    with pytest.raises(UsageError):
+        T.l1_norm()
 
 
 # -------------------------------------------------------------- nonlinearities
@@ -1013,3 +1124,49 @@ def test_attention_core_gives_the_bits_of_the_composed_ops():
     heads = T.matmul(Tensor(T._softmax(logits.data)), Tensor(v))
     want = heads.data.swapaxes(1, 2).reshape(8, 6)
     assert np.array_equal(got, want)
+
+
+def stacked_attention_pulls(qkv, factor, mask, g):
+    """attention_core's pulls as one formula: q/k/v split by np.moveaxis,
+    float32 gradient products, the three gradients joined by np.stack and
+    the mask's summed over its repeated axes by numpy."""
+    *lead, m, _, h, k = qkv.shape
+    q, kk, v = (a.swapaxes(-3, -2) for a in np.moveaxis(qkv, -3, 0))
+    f = np.float32(factor)
+    logits = T.matmul(Tensor(q), Tensor(kk.swapaxes(-1, -2))).data * f
+    if mask is not None:
+        logits = logits + mask
+    probs = T._softmax(logits)
+    go = g.reshape(*lead, m, h, k).swapaxes(-3, -2)
+    dv = probs.swapaxes(-1, -2) @ go
+    ds = T._softmax_grad(go @ v.swapaxes(-1, -2), probs)
+    dq, dk = (ds * f) @ kk, (ds * f).swapaxes(-1, -2) @ q
+    pulls = [np.stack([a.swapaxes(-3, -2) for a in (dq, dk, dv)], axis=-3)]
+    if mask is not None:
+        extra = ds.ndim - mask.ndim
+        pulls.append(ds.sum(axis=tuple(range(extra)), dtype=np.float64).astype(np.float32)
+                     if extra else ds)
+    return pulls
+
+
+@pytest.mark.parametrize("shape, mask_shape", [
+    ((8, 16, 4, 3, 2, 8), (16, 2, 4, 4)), ((8, 4, 4, 3, 4, 8), (4, 4, 4, 4)),
+    ((3, 4, 9, 3, 2, 5), (2, 9, 9)), ((2, 4, 3, 2, 3), (2, 2, 4, 4)),
+    ((1, 4, 49, 3, 3, 32), (4, 3, 49, 49)), ((2, 4, 3, 2, 3), None)])
+def test_attention_core_pulls_equal_the_stacked_formula_bitwise(shape, mask_shape):
+    r = rng(sum(shape))
+    qkv = r.normal(size=shape).astype(np.float32)
+    mask = None
+    if mask_shape is not None:
+        mask = np.where(r.random(mask_shape) < 0.3, -100.0, r.normal(size=mask_shape))
+        mask = mask.astype(np.float32)
+    *lead, m, _, h, k = shape
+    g = r.normal(size=(math.prod(lead) * m, h * k)).astype(np.float32)
+    with Tape() as tape:
+        T.attention_core(leaf(qkv), 0.35, None if mask is None else leaf(mask))
+    (_, pulls), = tape._nodes
+    got = [pull(g) for _, pull in pulls]
+    want = stacked_attention_pulls(qkv, 0.35, mask, g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b)
