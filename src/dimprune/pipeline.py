@@ -156,7 +156,13 @@ class AdamW:
         values it read, and a Checkpoint built from the model or
         ``m``/``v`` keeps its values.
 
-        Raises UsageError, changing nothing, when a parameter has no gradient."""
+        Each parameter's gradient is released (``p.grad = None``) once its
+        block has read it, so gradient memory is freed block by block and a
+        model that is not stepped again holds none. Stepping again therefore
+        needs a fresh ``backward``.
+
+        Raises UsageError, changing nothing, when a parameter has no
+        gradient, as on a second step with no ``backward`` between."""
         for name, p in self.params:
             if p.grad is None:
                 raise UsageError(f"parameter {name} has no gradient; "
@@ -174,6 +180,8 @@ class AdamW:
             else:
                 g = np.concatenate([p.grad for _, p, _, _ in members], axis=None,
                                    out=self._grads[:block.size])
+            for _, p, _, _ in members:
+                p.grad = None
             p_old = block.gather("p", [p.data for _, p, _, _ in members])
             m_old = block.gather("m", [self.m[name] for name, _, _, _ in members])
             v_old = block.gather("v", [self.v[name] for name, _, _, _ in members])

@@ -432,8 +432,9 @@ def _run_sparsification(dataset):
 @pytest.fixture(scope="module")
 def sparsification_runs(tiny_data):
     t0 = time.monotonic()
-    runs = _run_sparsification(tiny_data)
-    return runs, time.monotonic() - t0
+    with count_macs() as mc:
+        runs = _run_sparsification(tiny_data)
+    return runs, time.monotonic() - t0, mc.macs
 
 
 def _score_stats(ckpt):
@@ -441,19 +442,23 @@ def _score_stats(ckpt):
     return float(np.abs(alphas).sum()), int((np.abs(alphas) < 0.1).sum())
 
 
-def test_criterion_06_sparsification_property(sparsification_runs):
-    runs, elapsed = sparsification_runs
+def test_criterion_06_sparsification_property(sparsification_runs, tiny_data):
+    runs, elapsed, macs = sparsification_runs
+    # each search runs one full-width forward per image per epoch, no more
+    images = len(runs) * _search_settings(0.0).epochs * len(tiny_data)
+    want = images * model_cost(TINY_CONFIG).total_flops
     l1_plain, below_plain = _score_stats(runs[0.0])
     l1_reg, below_reg = _score_stats(runs[1e-2])
     print(f"  gamma=0:    sum|a| = {l1_plain:.3f}, |a| < 0.1 count = {below_plain}")
     print(f"  gamma=1e-2: sum|a| = {l1_reg:.3f}, |a| < 0.1 count = {below_reg}")
-    ok = l1_reg < l1_plain and below_reg > below_plain and elapsed < 600.0
+    ok = l1_reg < l1_plain and below_reg > below_plain and macs == want
     announce(6, ok, f"20-epoch paired searches: sum|a| {l1_plain:.1f} -> "
                     f"{l1_reg:.2f}, near-zero count {below_plain} -> "
-                    f"{below_reg}, {elapsed:.1f}s")
+                    f"{below_reg}, {macs} forward MACs = {images} images x "
+                    f"model_cost, {elapsed:.1f}s")
     assert l1_reg < l1_plain
     assert below_reg > below_plain
-    assert elapsed < 600.0
+    assert macs == want
 
 
 PIPE_SETTINGS = TrainSettings(epochs=30, batch_size=8, lr=0.01,
@@ -472,25 +477,32 @@ def _run_pipeline(dataset):
 @pytest.fixture(scope="module")
 def pipeline_runs(tiny_data):
     t0 = time.monotonic()
-    runs = _run_pipeline(tiny_data)
-    return runs, time.monotonic() - t0
+    with count_macs() as mc:
+        runs = _run_pipeline(tiny_data)
+    return runs, time.monotonic() - t0, mc.macs
 
 
 def test_criterion_07_end_to_end_pipeline(pipeline_runs, tiny_data):
-    runs, elapsed = pipeline_runs
+    runs, elapsed, macs = pipeline_runs
+    # the search runs full width and the finetune the kept widths, one
+    # forward per image per epoch each; the prune runs no forward
+    images = PIPE_SETTINGS.epochs * len(tiny_data)
+    want = images * (model_cost(TINY_CONFIG).total_flops + model_cost(
+        TINY_CONFIG, site_dims=runs["pruned"].site_dims).total_flops)
     acc_search = evaluate(runs["search"], tiny_data)["accuracy"]
     acc_tuned = evaluate(runs["tuned"], tiny_data)["accuracy"]
     print(f"  search accuracy    = {acc_search:.4f}")
     print(f"  finetuned accuracy = {acc_tuned:.4f} after pruning at rho=0.6")
     ok = acc_search >= 0.95 and abs(acc_search - acc_tuned) <= 0.05 \
-        and elapsed < 1200.0
+        and macs == want
     announce(7, ok, f"search accuracy {acc_search:.1%} >= 95%, after "
                     f"prune at rho=0.6 + warm-start finetune "
                     f"{acc_tuned:.1%} (gap {abs(acc_search - acc_tuned):.1%} "
-                    f"<= 5 points), {elapsed:.1f}s")
+                    f"<= 5 points), {macs} forward MACs = {images} images "
+                    f"x model_cost at each stage's widths, {elapsed:.1f}s")
     assert acc_search >= 0.95
     assert abs(acc_search - acc_tuned) <= 0.05
-    assert elapsed < 1200.0
+    assert macs == want
 
 
 def _ckpt_bytes(ckpt, tmp_path, name):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,7 @@ def test_adamw_step_with_a_missing_gradient_changes_nothing():
     with pytest.raises(UsageError, match="parameter b has no gradient"):
         opt.step()
     assert float(a.data[0]) == 1.0 and float(b.data[0]) == 2.0
+    assert a.grad.tolist() == [1.0]             # not released either
     assert opt.step_count == 3
     for name in ("a", "b"):
         assert np.array_equal(opt.m[name], m0) and np.array_equal(opt.v[name], v0)
@@ -388,6 +390,42 @@ def test_blocked_step_hands_out_views_that_later_steps_leave_alone():
             assert a.tobytes() == before.tobytes()
     for name, p in opt.params:
         assert p.data is not held[name][0]
+
+
+def test_a_step_releases_every_gradient_it_reads():
+    # a pack of two, a parameter sliced over three blocks, and a lone small one
+    opt, _ = run_both([("a", (3,)), ("b", (4, 2)), ("big", (2 * _BLOCK + 1,)),
+                       ("c", (7,))], steps=2)
+    assert [len(block.members) for block in opt._blocks] == [2, 1, 1]
+    assert all(p.grad is None for _, p in opt.params)
+
+
+def test_a_second_step_without_backward_raises_and_changes_nothing():
+    opt, _ = run_both([("a", (3,)), ("b", (4, 2)), ("big", (_BLOCK + 1,))], steps=1)
+    held = {name: [a.tobytes() for a in (p.data, opt.m[name], opt.v[name])]
+            for name, p in opt.params}
+    with pytest.raises(UsageError, match="parameter a has no gradient"):
+        opt.step()
+    assert opt.step_count == 1
+    for name, p in opt.params:
+        assert [a.tobytes() for a in (p.data, opt.m[name], opt.v[name])] == held[name]
+
+
+def test_a_step_frees_the_gradients_it_has_read():
+    tracemalloc.start()
+    try:
+        # after one traced step, every array the next step rebinds is traced
+        opt, _ = run_both([("w", (_BLOCK + 1,)), ("u", (2 * _BLOCK + 3,))], steps=1)
+        r = np.random.default_rng(7)
+        for _, p in opt.params:
+            p.grad = r.normal(size=p.shape).astype(np.float32)
+        grad_bytes = sum(p.grad.nbytes for _, p in opt.params)
+        before = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert before - after >= grad_bytes
 
 
 def test_three_search_steps_on_a_real_model_match_the_loop_bit_for_bit():
