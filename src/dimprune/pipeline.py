@@ -158,8 +158,7 @@ class AdamW:
 
         Each parameter's gradient is released (``p.grad = None``) once its
         block has read it, so gradient memory is freed block by block and a
-        model that is not stepped again holds none. Stepping again therefore
-        needs a fresh ``backward``.
+        model that is not stepped again holds none.
 
         Raises UsageError, changing nothing, when a parameter has no
         gradient, as on a second step with no ``backward`` between."""
