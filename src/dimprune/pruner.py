@@ -30,14 +30,16 @@ class KeepSet:
     rho: float
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        arr = np.asarray(self.indices, dtype=np.int64)
+        idx = tuple(arr.tolist())
         object.__setattr__(self, "indices", idx)
-        if len(set(idx)) != len(idx):
+        ascending = bool(np.all(arr[1:] > arr[:-1]))
+        if not ascending and np.unique(arr).size != arr.size:
             raise DimensionError(f"duplicate keep indices for {self.site_id}: {idx}")
-        if idx and (min(idx) < 0 or max(idx) >= self.original):
+        if arr.size and (arr.min() < 0 or arr.max() >= self.original):
             raise DimensionError(
                 f"keep indices for {self.site_id} out of range [0, {self.original})")
-        if list(idx) != sorted(idx):
+        if not ascending:
             raise DimensionError(f"keep indices for {self.site_id} must be sorted")
 
     def __len__(self):
@@ -79,16 +81,19 @@ def select_keep(score, rho: float) -> KeepSet:
     k = score.alpha.size
     count = keep_count(k, rho)
     order = rank_order(score.alpha.data)
-    kept = np.sort(order[:count])
-    return KeepSet(site_id=score.site_id, indices=tuple(int(i) for i in kept),
+    return KeepSet(site_id=score.site_id, indices=np.sort(order[:count]),
                    original=k, rho=rho)
 
 
 def _fold(weight: np.ndarray, idx, scale: np.ndarray) -> np.ndarray:
-    """Columns ``idx`` of a float32 weight, each times its score. The product
-    of two float32 values is exact in float64, so one float32 multiply gives
-    the bits of the product taken in float64 and rounded to float32."""
-    cols = weight[:, idx]
+    """Columns ``idx`` of a float32 weight, each times its score, as one new
+    C-contiguous array that the pruned model takes as it is. ``np.take``
+    gathers in C order (``weight[:, idx]`` comes back in Fortran order, so
+    the fold would stride and ``Tensor`` would copy it again), and the score
+    is folded into it in place. The product of two float32 values is exact
+    in float64, so one float32 multiply gives the bits of the product taken
+    in float64 and rounded to float32."""
+    cols = np.take(weight, idx, axis=1)
     cols *= scale
     return cols
 
@@ -105,7 +110,7 @@ def prune_attention(p: AttentionParams, keep: KeepSet, alpha: np.ndarray) -> dic
     cut = {f"{kind}{j}": _fold(t.data, idx, scale)
            for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
            for j, t in enumerate(heads)}
-    cut["wo"] = np.ascontiguousarray(p.wo.data[rows])
+    cut["wo"] = p.wo.data[rows]
     return cut
 
 
@@ -117,7 +122,7 @@ def prune_mlp(p: MlpParams, keep: KeepSet, alpha: np.ndarray) -> dict:
         raise DimensionError(
             f"keep set built for width {keep.original}, site has {p.hidden}")
     return {"w1": _fold(p.w1.data, idx, alpha[idx]),
-            "w2": np.ascontiguousarray(p.w2.data[idx])}
+            "w2": p.w2.data[idx]}
 
 
 def prune_model(scored: ScoredModel, rho: float):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dimprune import pruner
 from dimprune.blocks import (
     AttentionParams,
     BackboneConfig,
@@ -113,12 +114,37 @@ def test_keep_sets_grow_monotonically_with_rho():
 
 
 def test_keep_set_validation():
-    with pytest.raises(DimensionError):
-        KeepSet("s", (0, 0), 4, 0.5)
-    with pytest.raises(DimensionError):
-        KeepSet("s", (3, 1), 4, 0.5)
-    with pytest.raises(DimensionError):
-        KeepSet("s", (0, 7), 4, 0.5)
+    """Duplicates are named before the range and the range before the
+    order; the same for a tuple, a list and an int64 array."""
+    cases = [
+        ((0, 0), "duplicate keep indices for s: (0, 0)"),
+        ((2, 1, 2), "duplicate keep indices for s: (2, 1, 2)"),
+        ((5, 5), "duplicate keep indices for s: (5, 5)"),
+        ((-1, 2), "keep indices for s out of range [0, 4)"),
+        ((0, 7), "keep indices for s out of range [0, 4)"),
+        ((0, 4), "keep indices for s out of range [0, 4)"),
+        ((3, 9, 1), "keep indices for s out of range [0, 4)"),
+        ((3, 1), "keep indices for s must be sorted"),
+        ((0, 2, 1, 3), "keep indices for s must be sorted"),
+    ]
+    for indices, message in cases:
+        for given in (indices, list(indices), np.array(indices, dtype=np.int64)):
+            with pytest.raises(DimensionError) as err:
+                KeepSet("s", given, 4, 0.5)
+            assert str(err.value) == message
+
+
+def test_keep_set_indices_are_a_tuple_of_python_ints():
+    for given in ((), (0, 2, 3), [1], np.array([0, 3], dtype=np.int64),
+                  np.array([1, 2], dtype=np.int32)):
+        ks = KeepSet("s", given, 4, 0.5)
+        assert isinstance(ks.indices, tuple)
+        assert ks.indices == tuple(int(i) for i in given)
+        assert all(type(i) is int for i in ks.indices)
+    ks = select_keep(FakeScore("s", [0.3, -0.9, 0.1, 0.8, 0.5]), 0.6)
+    assert ks.indices == (1, 3, 4)
+    assert all(type(i) is int for i in ks.indices)
+    assert str(ks.indices) == "(1, 3, 4)"
 
 
 # ------------------------------------------------------------------- surgery
@@ -252,6 +278,54 @@ def test_prune_model_halves_site_dims():
     assert blk1.attn.head_dim == 4 and blk1.attn.scale_dim == 8
     assert blk1.mlp.hidden == 32
     assert not pruned.scores_attached
+
+
+@pytest.mark.parametrize("cfg", [
+    BackboneConfig(depths=(2, 2)),
+    BackboneConfig(depths=(1, 2), use_relative_position_bias=True)])
+def test_surgery_writes_each_pruned_weight_once(cfg, monkeypatch):
+    """Every tensor of the pruned model is a C-contiguous float32 array that
+    surgery made or carried over, taken by the model without a copy, with
+    the bits of the gather-and-fold formula."""
+    model = build_backbone(cfg, seed=12)
+    scored = attach_scores(model)
+    r = rng(13)
+    for sv in scored.scores:
+        sv.alpha.data[:] = r.normal(1.0, 0.5, size=sv.length).astype(np.float32)
+    cuts = {}
+
+    def recorded(cut_site):
+        def cut(p, keep, alpha):
+            out = cut_site(p, keep, alpha)
+            cuts.update((f"{keep.site_id}.{name}", arr) for name, arr in out.items())
+            return out
+        return cut
+
+    monkeypatch.setattr(pruner, "prune_attention", recorded(prune_attention))
+    monkeypatch.setattr(pruner, "prune_mlp", recorded(prune_mlp))
+    pruned, report = prune_model(scored, 0.6)
+    parent = dict(model.named_parameters())
+    folded = ("wq", "wk", "wv", "w1")
+    assert set(cuts) < set(parent)
+    for name, t in pruned.named_parameters():
+        arr = t.data
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous, name
+        if name not in cuts:
+            assert arr is parent[name].data, name
+            continue
+        assert arr is cuts[name], name
+        site, weight = name.rsplit(".", 1)
+        keep = report.keep_for(site)
+        idx = list(keep.indices)
+        src = parent[name].data
+        if weight.startswith(folded):
+            want = src[:, idx] * scored.score(site).alpha.data[idx]
+        elif weight == "wo":
+            heads = src.shape[0] // keep.original
+            want = src[[j * keep.original + i for j in range(heads) for i in idx]]
+        else:
+            want = src[idx]
+        assert np.array_equal(arr.view(np.uint32), want.view(np.uint32)), name
 
 
 def test_prune_model_with_relative_position_bias():
