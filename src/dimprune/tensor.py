@@ -22,7 +22,8 @@ the same rows taken in smaller blocks. What holds is the float32 rounding:
 at the chunk sizes used, the rounded chunks give the one-shot product's
 float32 bits, as ``test_forward_product_bits_equal_the_one_shot_product``
 and ``test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone``
-check. Every other product casts both operands whole and multiplies once.
+check. Every other product casts both operands whole, to C-ordered float64
+arrays, and multiplies once.
 
 Softmax reduces its rows with ``_reduce_rows``: a row short enough (see
 ``_SHORT_ROW``) is reduced across a transposed copy, one elementwise pass
@@ -80,7 +81,15 @@ whose pull is written out by hand (as in FlashAttention, arXiv 2205.14135,
 without its tiling). Its forward takes the steps of ``matmul``, ``scale``
 and ``add``, the row softmax ``_softmax`` and ``matmul``, in that order and
 at their precision, so it gives the bits they give; its gradient products
-are float32, as ``matmul``'s are.
+are float32, as ``matmul``'s are. Its products cast the strided q, k^T and
+v views to C-ordered float64 stacks, the layout ``matmul`` casts a
+Tensor's contiguous array to, so both run the same float64 product. numpy
+multiplies strided stacks several times slower and, at Swin-T's head
+widths, adds some of their float64 sums in another order;
+``test_attention_core_gives_the_bits_of_the_composed_ops`` holds the
+equality on values whose sums depend on the order. The output is rounded
+through its [*, heads, m, k] view straight into the [rows, heads*k] rows
+it returns, so they are written once.
 """
 
 from __future__ import annotations
@@ -288,7 +297,8 @@ def _check_2d(t: Tensor, name: str):
 
 def _product32(a, b, what: str, out=None):
     """Product of two arrays rounded to float32, rejecting non-finite entries;
-    two float32 arrays may write their product into ``out``, a float32 view.
+    ``out``, a float32 view, takes the rounded product in place of a fresh
+    array.
 
     The product and the cast run with overflow and invalid-value warnings
     off: an inf input or an overflow becomes inf or NaN, which the check
@@ -314,17 +324,21 @@ _CHUNK_BYTES = 256 * 1024
 _NARROW = 24
 
 
-def _product64(a, b, what: str):
+def _product64(a, b, what: str, out=None):
     """``a @ b`` of two float32 arrays, accumulated in float64 and rounded to
-    float32, rejecting non-finite entries as ``_product32`` does. A narrow,
-    tall 2-D product runs in row chunks (see the module docstring)."""
-    if a.ndim == 2:
+    float32 (into ``out``, a float32 view, if given), rejecting non-finite
+    entries as ``_product32`` does. The operands are cast to C-ordered
+    float64 arrays, whatever the order of the views passed in. A narrow,
+    tall 2-D product with no ``out`` runs in row chunks (see the module
+    docstring)."""
+    if a.ndim == 2 and out is None:
         m, k = a.shape
         p = b.shape[1]
         rows = max(2, _CHUNK_BYTES // (8 * (k + p)))
         if k * p <= _NARROW * (k + p) and m >= 2 * rows:
             return _chunked_product(a, b, m // rows, what)
-    return _product32(a.astype(np.float64), b.astype(np.float64), what)
+    return _product32(a.astype(np.float64, order="C"), b.astype(np.float64, order="C"),
+                      what, out)
 
 
 def _chunked_product(a, b, chunks: int, what: str):
@@ -677,8 +691,9 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     macs = 2 * math.prod(lead) * h * m * m * k
     for c in _counters():
         c.macs += macs
-    # [*lead, heads, m, k] views of q, k and v; each is cast to float64 just
-    # before its product, so at most two of the casts are alive at once
+    # [*lead, heads, m, k] views of q, k and v; each is cast to a C-ordered
+    # float64 stack just before its product, so at most two of the casts
+    # are alive at once
     qd, kd, vd = (qkv.data[..., i, :, :].swapaxes(-3, -2) for i in range(3))
     f = np.float32(factor)
     logits = _product64(qd, kd.swapaxes(-1, -2), "attention logits")
@@ -687,9 +702,12 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
         logits += mask.data
     probs = _softmax(logits)
     del logits
-    heads = _product64(probs, vd, "attention output")
+    # the output is rounded through its [*lead, heads, m, k] view straight
+    # into the [*lead, m, heads, k] rows it is returned as
+    rows = np.empty((*lead, m, h, k), dtype=np.float32)
+    _product64(probs, vd, "attention output", out=rows.swapaxes(-3, -2))
     inputs = (qkv,) if mask is None else (qkv, mask)
-    out = Tensor(heads.swapaxes(-3, -2).reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
+    out = Tensor(rows.reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
     if out.requires_grad:
         shared = []     # the logit gradient, made by the first pull to run
 

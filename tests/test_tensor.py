@@ -1114,18 +1114,62 @@ def test_attention_core_counts_both_products_and_checks_its_mask():
         T.attention_core(Tensor(np.ones((4, 2, 2, 3))), 0.5)
 
 
-def test_attention_core_gives_the_bits_of_the_composed_ops():
+# qkv and mask shapes: the tiny model's stages, odd windows, Swin-T's
+# stage 1 and a pruned Swin-T head width (k = 19)
+ATTENTION_SHAPES = [
+    ((8, 16, 4, 3, 2, 8), (16, 2, 4, 4)), ((8, 4, 4, 3, 4, 8), (4, 4, 4, 4)),
+    ((3, 4, 9, 3, 2, 5), (2, 9, 9)), ((2, 4, 3, 2, 3), (2, 2, 4, 4)),
+    ((1, 4, 49, 3, 3, 32), (4, 3, 49, 49)), ((2, 4, 3, 2, 3), None),
+    ((1, 4, 49, 3, 3, 19), (4, 3, 49, 49))]
+
+
+def order_sensitive_qkv(r, shape):
+    """q/k/v entries of magnitude 1e-5 to 1e5 and either sign. In each run
+    of four entries along the head axis, the last two repeat q's first two
+    and negate k's, so large q*k products cancel in pairs two apart: which
+    small products survive the float64 logit sum, and so its float32
+    value, depends on the order of the additions."""
+    qkv = r.choice([-1.0, 1.0], size=shape) * 10.0 ** r.uniform(-5, 5, size=shape)
+    for j in range(shape[-1]):
+        if j % 4 >= 2:
+            qkv[..., 0, :, j] = qkv[..., 0, :, j - 2]
+            qkv[..., 1, :, j] = -qkv[..., 1, :, j - 2]
+    return qkv.astype(np.float32)
+
+
+@pytest.mark.parametrize("shape, mask_shape", ATTENTION_SHAPES)
+def test_attention_core_gives_the_bits_of_the_composed_ops(shape, mask_shape):
     # matmul, scale, add, the row softmax and matmul, one after another
-    r = rng(82)
-    qkv = r.normal(size=(2, 4, 3, 2, 3)).astype(np.float32)
-    mask = np.where(r.random((2, 4, 4)) < 0.3, -1e4, 0.0).astype(np.float32)
-    got = T.attention_core(Tensor(qkv), 0.5, Tensor(mask)).data
-    q, k, v = (qkv[:, :, i].swapaxes(1, 2) for i in range(3))   # [2, heads, 4, 3]
-    logits = T.matmul(Tensor(q), Tensor(k.swapaxes(-1, -2)))
-    logits = T.add(T.scale(logits, 0.5), Tensor(mask))
+    r = rng(82 + sum(shape))
+    qkv = order_sensitive_qkv(r, shape)
+    mask = None
+    if mask_shape is not None:
+        mask = np.where(r.random(mask_shape) < 0.3, -1e4, 0.0).astype(np.float32)
+    got = T.attention_core(Tensor(qkv), 0.5, None if mask is None else Tensor(mask)).data
+    *lead, m, _, h, k = shape
+    q, kk, v = (qkv[..., i, :, :].swapaxes(-3, -2) for i in range(3))   # [*lead, h, m, k]
+    logits = T.scale(T.matmul(Tensor(q), Tensor(kk.swapaxes(-1, -2))), 0.5)
+    if mask is not None:
+        logits = T.add(logits, Tensor(mask))
     heads = T.matmul(Tensor(T._softmax(logits.data)), Tensor(v))
-    want = heads.data.swapaxes(1, 2).reshape(8, 6)
+    want = heads.data.swapaxes(-3, -2).reshape(-1, h * k)
+    assert got.shape == (math.prod(lead) * m, h * k) and got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+def test_attention_output_rounding_to_inf_raises_without_warning():
+    # uniform probs of float32(1/7) sum to more than 1: seven rows of v at the
+    # float32 maximum give a finite float64 output that rounds to inf
+    top = np.finfo(np.float32).max
+    assert np.isfinite(7 * (float(np.float32(1) / np.float32(7)) * float(top)))
+    qkv = np.zeros((2, 7, 3, 2, 4), dtype=np.float32)
+    qkv[:, :, 2] = top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with T.mac_scope("stage2.block1.attn"):
+            with pytest.raises(NumericError,
+                               match="attention output .* in site stage2.block1.attn"):
+                T.attention_core(Tensor(qkv), 0.5)
 
 
 def stacked_attention_pulls(qkv, factor, mask, g):
@@ -1151,10 +1195,7 @@ def stacked_attention_pulls(qkv, factor, mask, g):
     return pulls
 
 
-@pytest.mark.parametrize("shape, mask_shape", [
-    ((8, 16, 4, 3, 2, 8), (16, 2, 4, 4)), ((8, 4, 4, 3, 4, 8), (4, 4, 4, 4)),
-    ((3, 4, 9, 3, 2, 5), (2, 9, 9)), ((2, 4, 3, 2, 3), (2, 2, 4, 4)),
-    ((1, 4, 49, 3, 3, 32), (4, 3, 49, 49)), ((2, 4, 3, 2, 3), None)])
+@pytest.mark.parametrize("shape, mask_shape", ATTENTION_SHAPES)
 def test_attention_core_pulls_equal_the_stacked_formula_bitwise(shape, mask_shape):
     r = rng(sum(shape))
     qkv = r.normal(size=shape).astype(np.float32)
