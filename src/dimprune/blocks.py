@@ -108,22 +108,19 @@ def _shift_mask(height, width, window, shift, heads):
     return Tensor(np.repeat(masks[:, None], heads, axis=1))
 
 
-def _stack(order, images):
+def _stack(order, images) -> T.Permutation:
     """One image's row order repeated for ``images`` stacked images, each
-    offset by the image's row count, and its inverse; both read-only."""
+    offset by the image's row count, checked and inverted once."""
     n = order.shape[0]
-    perm = (np.arange(images, dtype=np.int64)[:, None] * n + order).reshape(-1)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    perm.setflags(write=False)
-    inverse.setflags(write=False)
-    return perm, inverse
+    return T.Permutation((np.arange(images, dtype=np.int64)[:, None] * n + order).reshape(-1))
 
 
 @functools.lru_cache(maxsize=None)
 def _stacked_partition(images, height, width, window, shift):
-    """(order, inverse) grouping the shifted windows of stacked grids."""
-    return _stack(_partition_permutation(height, width, window, shift), images)
+    """The permutation grouping the shifted windows of stacked grids, and
+    its inverse."""
+    perm = _stack(_partition_permutation(height, width, window, shift), images)
+    return perm, perm.inverted()
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,7 +195,7 @@ class StageParams:
 def _logit_factor(scale_dim: int) -> float:
     if scale_dim < 1:
         raise ConfigError(f"scale_dim must be >= 1, got {scale_dim}")
-    return 1.0 / float(np.sqrt(scale_dim))
+    return 1.0 / math.sqrt(scale_dim)
 
 
 def _attention(x: Tensor, p: AttentionParams, groups: tuple,
@@ -312,7 +309,7 @@ def _merge_permutation(height, width):
 
 @functools.lru_cache(maxsize=None)
 def _stacked_merge(images, height, width):
-    return _stack(_merge_permutation(height, width), images)[0]
+    return _stack(_merge_permutation(height, width), images)
 
 
 def patch_merge(x: Tensor, height: int, width: int, weight: Tensor) -> Tensor:

@@ -39,11 +39,11 @@ class _Block:
     smaller than ``_BLOCK`` packed together, or one of at least ``_BLOCK``
     entries, updated in ``_BLOCK``-sized slices.
 
-    ``p``, ``m`` and ``v`` are the flat arrays whose views the optimizer
-    handed out at the last step (``held`` lists those views per table), so
-    a step gathers an array afresh only when its holder was rebound."""
+    ``m`` and ``v`` are the block's flat moments, and ``p`` is the flat
+    array whose views (``held``) the parameters were given at the last step,
+    so a step gathers the parameters afresh only when one was rebound."""
 
-    def __init__(self, run, shrink):
+    def __init__(self, run, shrink, m: dict, v: dict):
         self.members, start = [], 0         # (name, param, start, stop)
         for name, p in run:
             self.members.append((name, p, start, start + p.size))
@@ -61,22 +61,24 @@ class _Block:
             self.factor = np.concatenate([np.full(p.size, shrink if d else 1.0,
                                                   dtype=np.float32)
                                           for (_, p), d in zip(run, decayed)])
-        self.p = self.m = self.v = None
-        self.held = {"p": [None] * len(run)}
+        self.m, self.v = (_flat([np.asarray(given[name], dtype=np.float32) if name in given
+                                 else np.zeros(p.shape, dtype=np.float32)
+                                 for name, p in run])
+                          for given in (m, v))
+        self.p = None
+        self.held = [None] * len(run)
 
-    def gather(self, table: str, arrays):
+    def params(self):
         """The members' arrays as one flat array, copied only when one of
         them is not the view handed out at the last step."""
-        if all(a is h for a, h in zip(arrays, self.held[table])):
-            return getattr(self, table)
-        return _flat(arrays)
+        for (_, p, _, _), held in zip(self.members, self.held):
+            if p.data is not held:
+                return _flat([p.data for _, p, _, _ in self.members])
+        return self.p
 
-    def rebind(self, table: str, flat):
-        """Views of ``flat``, one per member, remembered for the next step."""
-        setattr(self, table, flat)
-        views = [flat[start:stop].reshape(p.shape) for _, p, start, stop in self.members]
-        self.held[table] = views
-        return views
+    def views(self, flat) -> list:
+        """One view of ``flat`` per member, in the member's shape."""
+        return [flat[start:stop].reshape(p.shape) for _, p, start, stop in self.members]
 
 
 def _flat(arrays):
@@ -85,18 +87,19 @@ def _flat(arrays):
     return arrays[0].reshape(-1) if len(arrays) == 1 else np.concatenate(arrays, axis=None)
 
 
-def _blocks(params, shrink) -> list:
+def _blocks(params, shrink, m: dict, v: dict) -> list:
     """``params`` in order as blocks; ``shrink`` is the factor of a decayed
-    entry, None without weight decay."""
+    entry, None without weight decay; ``m`` and ``v`` map a name to its
+    starting moment, zero for a name they leave out."""
     blocks, run, filled = [], [], 0
     for name, p in params:
         if run and (p.size >= _BLOCK or filled + p.size > _BLOCK):
-            blocks.append(_Block(run, shrink))
+            blocks.append(_Block(run, shrink, m, v))
             run, filled = [], 0
         run.append((name, p))
         filled += p.size
     if run:
-        blocks.append(_Block(run, shrink))
+        blocks.append(_Block(run, shrink, m, v))
     return blocks
 
 
@@ -108,8 +111,9 @@ class AdamW:
     are packed into one flat array, and a larger parameter is updated in
     block-sized slices. Every entry goes through the same float32
     operations in the same order whatever its block, so the result does
-    not depend on the blocking. ``m`` and ``v`` map each parameter name to
-    its moment, a view into the block's array after the first step."""
+    not depend on the blocking. Each block keeps its moments as two flat
+    arrays, which a step replaces and never writes into; ``m`` and ``v``
+    map each parameter name to a view of them, built when read."""
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
                  betas=(0.9, 0.999), eps: float = 1e-8,
@@ -135,26 +139,33 @@ class AdamW:
                         f"optimizer moment for parameter {name} has shape "
                         f"{np.shape(arr)}, the parameter has {shapes[name]}")
         shrink = (1.0 - self.lr * self.weight_decay) if self.weight_decay else None
-        self._blocks = _blocks(self.params, shrink)
-        self.m, self.v = {}, {}
-        for key, given, table in (("m", m or {}, self.m), ("v", v or {}, self.v)):
-            for block in self._blocks:
-                flat = _flat([np.asarray(given[name], dtype=np.float32) if name in given
-                              else np.zeros(p.shape, dtype=np.float32)
-                              for name, p, _, _ in block.members])
-                for (name, _, _, _), view in zip(block.members, block.rebind(key, flat)):
-                    table[name] = view
+        self._blocks = _blocks(self.params, shrink, m or {}, v or {})
         largest = max((b.size for b in self._blocks), default=0)
         self._scratch = np.empty(min(largest, _BLOCK), dtype=np.float32)
         self._grads = np.empty(min(largest, _BLOCK), dtype=np.float32)
 
+    @property
+    def m(self) -> dict:
+        """Each parameter's first moment by name, as views no step writes into."""
+        return self._by_name("m")
+
+    @property
+    def v(self) -> dict:
+        """Each parameter's second moment by name, as views no step writes into."""
+        return self._by_name("v")
+
+    def _by_name(self, table: str) -> dict:
+        return {name: view for block in self._blocks
+                for (name, _, _, _), view in zip(block.members,
+                                                  block.views(getattr(block, table)))}
+
     def step(self):
         """One update in float32 array arithmetic; the bias corrections and
-        the learning rate are folded into two scalars. Each parameter and
-        moment is rebound to a view of a fresh array and none is written
-        into, so a tape that recorded a parameter still pulls through the
-        values it read, and a Checkpoint built from the model or
-        ``m``/``v`` keeps its values.
+        the learning rate are folded into two scalars. Each parameter is
+        rebound to a view of a fresh array, and each block's moments to
+        fresh arrays; none is written into, so a tape that recorded a
+        parameter still pulls through the values it read, and a Checkpoint
+        built from the model or ``m``/``v`` keeps its values.
 
         Each parameter's gradient is released (``p.grad = None``) once its
         block has read it, so gradient memory is freed block by block and a
@@ -181,9 +192,7 @@ class AdamW:
                                    out=self._grads[:block.size])
             for _, p, _, _ in members:
                 p.grad = None
-            p_old = block.gather("p", [p.data for _, p, _, _ in members])
-            m_old = block.gather("m", [self.m[name] for name, _, _, _ in members])
-            v_old = block.gather("v", [self.v[name] for name, _, _, _ in members])
+            p_old, m_old, v_old = block.params(), block.m, block.v
             p_new, m_new, v_new = (np.empty(block.size, dtype=np.float32)
                                    for _ in range(3))
             # only a pack, which is one slice, has a factor array
@@ -191,12 +200,10 @@ class AdamW:
                 s = slice(lo, lo + _BLOCK)
                 self._update(g[s], p_old[s], m_old[s], v_old[s], block.factor,
                              p_new[s], m_new[s], v_new[s], step_size, eps_hat)
-            for (name, p, _, _), pv, mv, vv in zip(members, block.rebind("p", p_new),
-                                                   block.rebind("m", m_new),
-                                                   block.rebind("v", v_new)):
-                p.data = pv
-                self.m[name] = mv
-                self.v[name] = vv
+            held = block.views(p_new)
+            for (_, p, _, _), view in zip(members, held):
+                p.data = view
+            block.p, block.held, block.m, block.v = p_new, held, m_new, v_new
 
     def _update(self, g, p, m, v, factor, p_new, m_new, v_new, step_size, eps_hat):
         """The update of one block slice into fresh ``p_new``, ``m_new`` and

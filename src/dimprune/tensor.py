@@ -68,6 +68,24 @@ into an array a Tensor holds: an update builds a fresh array and rebinds
 until backward. Gradients may share arrays with each other, and nothing
 writes into a ``.grad`` in place.
 
+A thread's op state lives in ``_state``, a ``threading.local`` holding its
+active tape, the site its innermost ``mac_scope`` names and its list of
+active MAC counters. ``tape`` and ``site`` default to None at class level,
+so an op reads its tape once, in one attribute lookup, in a thread that
+never entered a ``Tape`` too. An op whose output is a non-empty
+C-contiguous float32 array of its own wraps it with ``_fresh``, skipping
+``Tensor()``'s conversion and empty-shape check; ``transpose`` (strided),
+``gather_rows`` (empty on no indices) and the scalar reductions keep
+``Tensor()``. Every pull returns a float32 array of its input's shape, so
+``backward`` adds gradients without a cast;
+``test_every_op_returns_c_contiguous_float32_and_pulls_float32`` holds
+both for every op.
+
+``permute_rows`` reorders rows by a ``Permutation``, a checked row order
+and its inverse, both read-only; raw indices become one at its top.
+``blocks`` caches its window and merge permutations as Permutations, so a
+forward neither checks nor inverts them again.
+
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
 bias is the 1-D case). Ops that act on rows act on the last axis of any
@@ -109,19 +127,19 @@ _GELU_CUBIC = 0.044715
 # and keeps x**3 and x**2 from overflowing.
 _GELU_SATURATED = 10.0
 
-_state = threading.local()
+
+class _ThreadState(threading.local):
+    """One thread's active tape, ``mac_scope`` site and MAC counters (see
+    the module docstring)."""
+
+    tape = None
+    site = None
+
+    def __init__(self):
+        self.mac_counters = []
 
 
-def _tape():
-    return getattr(_state, "tape", None)
-
-
-def _counters():
-    stack = getattr(_state, "mac_counters", None)
-    if stack is None:
-        stack = []
-        _state.mac_counters = stack
-    return stack
+_state = _ThreadState()
 
 
 class Tensor:
@@ -154,6 +172,18 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
+def _fresh(data, requires_grad: bool) -> Tensor:
+    """A Tensor holding ``data``, an op's own non-empty C-contiguous float32
+    output, as it is: ``Tensor()``'s conversion and shape check would find
+    nothing to do. ``test_every_op_returns_c_contiguous_float32_and_pulls_float32``
+    holds every op that builds its output this way to that."""
+    out = object.__new__(Tensor)
+    out.data = data
+    out.requires_grad = requires_grad
+    out.grad = None
+    return out
+
+
 class Tape:
     """Ordered record of operations for one backward pass.
 
@@ -167,7 +197,7 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        if _tape() is not None:
+        if _state.tape is not None:
             raise UsageError("a tape is already active on this thread")
         if self._consumed:
             raise UsageError("tape was already consumed by backward")
@@ -184,28 +214,28 @@ class Tape:
 
 def _finite_or_raise(arr, what: str):
     if not np.isfinite(arr).all():
-        site = getattr(_state, "site", None)
+        site = _state.site
         where = f" in site {site}" if site is not None else ""
         raise NumericError(f"{what} contains non-finite values{where}")
 
 
-def _record(out: Tensor, pulls):
-    tape = _tape()
-    if tape is not None and out.requires_grad:
-        tape._record(out, pulls)
-
-
-def _wants_grad(*tensors: Tensor) -> bool:
-    if _tape() is None:
-        return False
-    return any(t.requires_grad for t in tensors)
+def _grad_tape(*tensors: Tensor):
+    """The active tape if one of ``tensors`` requires a gradient, else None:
+    an op reads it once, builds its output with ``requires_grad`` set when
+    it is not None and records its pulls on it."""
+    tape = _state.tape
+    if tape is not None:
+        for t in tensors:
+            if t.requires_grad:
+                return tape
+    return None
 
 
 def _accumulate(t: Tensor, delta):
-    """Add a pull's output to ``t.grad``. The first one is kept as it is, so
-    a gradient may share its array with another tensor's or with the delta's
-    source; nothing writes into a ``.grad`` in place."""
-    delta = delta.astype(np.float32, copy=False)
+    """Add a pull's output, a float32 array of ``t``'s shape, to ``t.grad``.
+    The first one is kept as it is, so a gradient may share its array with
+    another tensor's or with the delta's source; nothing writes into a
+    ``.grad`` in place."""
     t.grad = delta if t.grad is None else t.grad + delta
 
 
@@ -253,11 +283,11 @@ class MacCounter:
 def count_macs():
     """Count matmul MACs executed inside the block (nesting adds to all)."""
     counter = MacCounter()
-    _counters().append(counter)
+    _state.mac_counters.append(counter)
     try:
         yield counter
     finally:
-        _counters().pop()
+        _state.mac_counters.pop()
 
 
 class mac_scope:
@@ -274,8 +304,8 @@ class mac_scope:
         self.name = name
 
     def __enter__(self):
-        self._start = [(c, c.macs) for c in _counters()]
-        self._outer = getattr(_state, "site", None)
+        self._start = [(c, c.macs) for c in _state.mac_counters]
+        self._outer = _state.site
         _state.site = self.name
 
     def __exit__(self, exc_type, exc, tb):
@@ -366,21 +396,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     broadcasting). Counts batch*m*k*p MACs. The forward accumulates in
     float64; the gradient products run in float32 over the operands' own
     arrays, which must not change before backward."""
-    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"matmul needs equal leading axes: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    *lead, m, k = a.shape
-    p = b.shape[-1]
-    macs = math.prod(lead) * m * k * p
-    for c in _counters():
-        c.macs += macs
     ad, bd = a.data, b.data
+    ashape, bshape = ad.shape, bd.shape
+    if len(ashape) < 2 or len(ashape) != len(bshape) or ashape[:-2] != bshape[:-2]:
+        raise DimensionError(f"matmul needs equal leading axes: {ashape} x {bshape}")
+    if ashape[-1] != bshape[-2]:
+        raise DimensionError(f"matmul inner dims differ: {ashape} x {bshape}")
+    *lead, m, k = ashape
+    p = bshape[-1]
+    macs = math.prod(lead) * m * k * p
+    for c in _state.mac_counters:
+        c.macs += macs
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    out = Tensor(_product64(ad, bd, "matmul output"), requires_grad=_wants_grad(a, b))
-    if out.requires_grad:
-        _record(out, [
+    tape = _grad_tape(a, b)
+    out = _fresh(_product64(ad, bd, "matmul output"), tape is not None)
+    if tape is not None:
+        tape._record(out, [
             (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
             (b, lambda g: _product32(ad.swapaxes(-1, -2), g, "matmul rhs gradient")),
         ])
@@ -427,26 +459,31 @@ def _column_sums(a, n):
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also equal ``a``'s trailing axes (a row bias
     is the 1-D case), and its gradient then sums over the leading axes."""
-    if a.shape == b.shape:
-        out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
-        _record(out, [(a, lambda g: g), (b, lambda g: g)])
-        return out
-    lead = a.data.ndim - b.data.ndim
-    if b.data.ndim >= 1 and lead > 0 and a.shape[lead:] == b.shape:
-        out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
-        _record(out, [
-            (a, lambda g: g),
-            (b, lambda g: _column_sums(g, b.size).reshape(b.shape)),
-        ])
-        return out
-    raise DimensionError(f"add shapes are incompatible: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    ashape, bshape = ad.shape, bd.shape
+    lead = len(ashape) - len(bshape)
+    if lead < 0 or ashape[lead:] != bshape or (lead and not bshape):
+        raise DimensionError(f"add shapes are incompatible: {ashape} vs {bshape}")
+    tape = _grad_tape(a, b)
+    out = _fresh(ad + bd, tape is not None)
+    if tape is not None:
+        if lead:
+            tape._record(out, [
+                (a, lambda g: g),
+                (b, lambda g: _column_sums(g, bd.size).reshape(bshape)),
+            ])
+        else:
+            tape._record(out, [(a, lambda g: g), (b, lambda g: g)])
+    return out
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply every entry by a Python scalar."""
-    f = float(factor)
-    out = Tensor(a.data * np.float32(f), requires_grad=_wants_grad(a))
-    _record(out, [(a, lambda g: g * np.float32(f))])
+    f = np.float32(float(factor))
+    tape = _grad_tape(a)
+    out = _fresh(a.data * f, tape is not None)
+    if tape is not None:
+        tape._record(out, [(a, lambda g: g * f)])
     return out
 
 
@@ -455,14 +492,16 @@ def scale_columns(x: Tensor, v: Tensor) -> Tensor:
 
     The forward and the x pull multiply wide rows by v tiled (see
     ``_wide_rows``); the v pull sums the float32 product g * x by columns."""
-    n = x.shape[-1]
-    if v.data.ndim != 1 or v.shape[0] != n:
-        raise DimensionError(f"scale_columns needs v of length {n}, got {v.shape}")
     xd, vd = x.data, v.data
-    wide, tiled = _wide_rows(x.shape, vd)
-    out = Tensor((xd.reshape(wide) * tiled).reshape(x.shape), requires_grad=_wants_grad(x, v))
-    if out.requires_grad:
-        _record(out, [
+    shape = xd.shape
+    n = shape[-1]
+    if vd.shape != (n,):
+        raise DimensionError(f"scale_columns needs v of length {n}, got {vd.shape}")
+    wide, tiled = _wide_rows(shape, vd)
+    tape = _grad_tape(x, v)
+    out = _fresh((xd.reshape(wide) * tiled).reshape(shape), tape is not None)
+    if tape is not None:
+        tape._record(out, [
             (x, lambda g: (g.reshape(wide) * tiled).reshape(g.shape)),
             (v, lambda g: _column_sums(g * xd, n)),
         ])
@@ -472,18 +511,23 @@ def scale_columns(x: Tensor, v: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     """Swap the two axes of a 2-D tensor."""
     _check_2d(a, "transpose input")
-    out = Tensor(a.data.T, requires_grad=_wants_grad(a))
-    _record(out, [(a, lambda g: g.T)])
+    tape = _grad_tape(a)
+    out = Tensor(a.data.T, requires_grad=tape is not None)
+    if tape is not None:
+        tape._record(out, [(a, lambda g: g.T)])
     return out
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size:
-        raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    out = Tensor(a.data.reshape(shape), requires_grad=_wants_grad(a))
-    _record(out, [(a, lambda g: g.reshape(old))])
+    ad = a.data
+    old = ad.shape
+    if math.prod(shape) != ad.size:
+        raise DimensionError(f"cannot reshape {old} to {shape}")
+    tape = _grad_tape(a)
+    out = _fresh(ad.reshape(shape), tape is not None)
+    if tape is not None:
+        tape._record(out, [(a, lambda g: g.reshape(old))])
     return out
 
 
@@ -494,15 +538,16 @@ def concat(tensors) -> Tensor:
         raise UsageError("concat needs at least one tensor")
     for t in ts:
         _check_2d(t, "concat input")
-    rows = ts[0].shape[0]
-    if any(t.shape[0] != rows for t in ts):
+    rows = ts[0].data.shape[0]
+    if any(t.data.shape[0] != rows for t in ts):
         raise DimensionError(f"concat row counts differ: {[t.shape for t in ts]}")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=1), requires_grad=_wants_grad(*ts))
-    if out.requires_grad:
+    tape = _grad_tape(*ts)
+    out = _fresh(np.concatenate([t.data for t in ts], axis=1), tape is not None)
+    if tape is not None:
         pulls = []
         offset = 0
         for t in ts:
-            lo, hi = offset, offset + t.shape[1]
+            lo, hi = offset, offset + t.data.shape[1]
 
             # A column block is copied out: as a strided view it would slow
             # every elementwise pass AdamW makes over the gradient of a
@@ -512,45 +557,86 @@ def concat(tensors) -> Tensor:
 
             pulls.append((t, pull))
             offset = hi
-        _record(out, pulls)
+        tape._record(out, pulls)
     return out
 
 
+def _indices(indices, op: str):
+    """``indices`` as an int64 array. Non-integer entries raise
+    DimensionError naming ``op``, as a cast would truncate them (2.9 to 2);
+    an empty array has none."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise DimensionError(f"{op} needs integer indices, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
+class Permutation:
+    """A validated row order, out[i] = x[order[i]], and its inverse, both
+    read-only int64 arrays. ``permute_rows`` turns raw indices into one; a
+    Permutation built once and passed again is neither checked nor inverted
+    again."""
+
+    __slots__ = ("order", "inverse")
+
+    def __init__(self, order):
+        # a copy, so that freezing it leaves the caller's array writeable
+        order = np.array(_indices(order, "permute_rows"))
+        n = order.shape[0] if order.ndim == 1 else 0
+        # O(n): n indices in [0, n) are a permutation when none repeats. The
+        # range check comes first, as bincount sizes its output by the largest
+        # index and raises on a negative one.
+        if (order.ndim != 1 or n == 0 or order.min() < 0 or order.max() >= n
+                or np.bincount(order, minlength=n).max() != 1):
+            raise DimensionError(f"permute_rows needs a permutation; indices of shape "
+                                 f"{order.shape} are not one")
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n)
+        order.setflags(write=False)
+        inverse.setflags(write=False)
+        self.order, self.inverse = order, inverse
+
+    def inverted(self) -> Permutation:
+        """The inverse permutation, sharing this one's two arrays."""
+        out = object.__new__(Permutation)
+        out.order, out.inverse = self.inverse, self.order
+        return out
+
+
 def permute_rows(x: Tensor, perm) -> Tensor:
-    """Reorder rows by a permutation: out[i] = x[perm[i]]."""
+    """Reorder rows by a permutation: out[i] = x[perm[i]]. ``perm`` is a
+    ``Permutation`` or the indices of one."""
     _check_2d(x, "permute_rows input")
-    n = x.shape[0]
-    perm = np.asarray(perm, dtype=np.int64)
-    # O(n): n indices in [0, n) are a permutation when none repeats. The
-    # range check comes first, as bincount sizes its output by the largest
-    # index and raises on a negative one.
-    if (perm.shape != (n,) or perm.min() < 0 or perm.max() >= n
-            or np.bincount(perm, minlength=n).max() != 1):
-        raise DimensionError(f"permute_rows needs a permutation of {n} rows")
-    out = Tensor(np.take(x.data, perm, axis=0), requires_grad=_wants_grad(x))
-    if out.requires_grad:
-        def pull(g):
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(n)
-            return np.take(g, inverse, axis=0)
-        _record(out, [(x, pull)])
+    if type(perm) is not Permutation:
+        perm = Permutation(perm)
+    n = x.data.shape[0]
+    if perm.order.shape[0] != n:
+        raise DimensionError(f"permute_rows needs a permutation of {n} rows, "
+                             f"got one of {perm.order.shape[0]}")
+    tape = _grad_tape(x)
+    out = _fresh(np.take(x.data, perm.order, axis=0), tape is not None)
+    if tape is not None:
+        inverse = perm.inverse
+        tape._record(out, [(x, lambda g: np.take(g, inverse, axis=0))])
     return out
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Pick rows by index, repeats allowed; gradient scatter-adds."""
     _check_2d(x, "gather_rows input")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.min(initial=0) < 0 or (idx.size and idx.max() >= x.shape[0]):
+    idx = _indices(indices, "gather_rows")
+    rows = x.data.shape[0]
+    if idx.ndim != 1 or idx.min(initial=0) < 0 or (idx.size and idx.max() >= rows):
         raise DimensionError(f"gather_rows indices out of range for shape {x.shape}")
-    rows = x.shape[0]
-    out = Tensor(x.data[idx], requires_grad=_wants_grad(x))
-    if out.requires_grad:
+    # Tensor() rejects an empty gather
+    tape = _grad_tape(x)
+    out = Tensor(x.data[idx], requires_grad=tape is not None)
+    if tape is not None:
         def pull(g):
             back = np.zeros((rows, g.shape[1]), dtype=np.float32)
             np.add.at(back, idx, g)
             return back
-        _record(out, [(x, pull)])
+        tape._record(out, [(x, pull)])
     return out
 
 
@@ -561,8 +647,11 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of every entry, accumulated in float64, as a scalar tensor. No
     stage records it: the benchmark's per-layer replay and the tests'
     scalar losses reduce an output with it."""
-    out = Tensor(np.float32(x.data.sum(dtype=np.float64)), requires_grad=_wants_grad(x))
-    _record(out, [(x, lambda g: np.full(x.shape, g.reshape(()), dtype=np.float32))])
+    tape = _grad_tape(x)
+    out = Tensor(np.float32(x.data.sum(dtype=np.float64)), requires_grad=tape is not None)
+    if tape is not None:
+        shape = x.data.shape
+        tape._record(out, [(x, lambda g: np.full(shape, g.reshape(()), dtype=np.float32))])
     return out
 
 
@@ -570,10 +659,12 @@ def mean_rows(x: Tensor) -> Tensor:
     """Mean over axis -2 (the rows of each trailing matrix), kept as one row."""
     if x.data.ndim < 2:
         raise DimensionError(f"mean_rows input must have at least 2 axes, got shape {x.shape}")
-    n = x.shape[-2]
+    n = x.data.shape[-2]
     out_data = x.data.mean(axis=-2, keepdims=True, dtype=np.float64).astype(np.float32)
-    out = Tensor(out_data, requires_grad=_wants_grad(x))
-    _record(out, [(x, lambda g: np.repeat(g / np.float32(n), n, axis=-2))])
+    tape = _grad_tape(x)
+    out = _fresh(out_data, tape is not None)
+    if tape is not None:
+        tape._record(out, [(x, lambda g: np.repeat(g / np.float32(n), n, axis=-2))])
     return out
 
 
@@ -589,11 +680,12 @@ def l1_norm(*xs: Tensor) -> Tensor:
     for x in xs:
         norm = np.float32(np.abs(x.data).sum(dtype=np.float64))
         total = norm if total is None else total + norm
-    out = Tensor(total, requires_grad=_wants_grad(*xs))
-    if out.requires_grad:
+    tape = _grad_tape(*xs)
+    out = Tensor(total, requires_grad=tape is not None)
+    if tape is not None:
         def pull(sign):
             return lambda g: (g.reshape(()) * sign).astype(np.float32)
-        _record(out, [(x, pull(np.sign(x.data))) for x in xs])
+        tape._record(out, [(x, pull(np.sign(x.data))) for x in xs])
     return out
 
 
@@ -679,17 +771,18 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     summed over the axes it was repeated along; the gradient products run
     in float32 over the forward's own arrays.
     """
-    if qkv.data.ndim < 4 or qkv.shape[-3] != 3:
+    qkv_shape = qkv.data.shape
+    if len(qkv_shape) < 4 or qkv_shape[-3] != 3:
         raise DimensionError(
-            f"attention_core needs [..., m, 3, heads, k] q/k/v, got {qkv.shape}")
-    *lead, m, _, h, k = qkv.shape
+            f"attention_core needs [..., m, 3, heads, k] q/k/v, got {qkv_shape}")
+    *lead, m, _, h, k = qkv_shape
     logit_shape = (*lead, h, m, m)
     extra = len(logit_shape) - (mask.data.ndim if mask is not None else 0)
-    if mask is not None and (extra < 0 or mask.shape != logit_shape[extra:]):
+    if mask is not None and (extra < 0 or mask.data.shape != logit_shape[extra:]):
         raise DimensionError(f"attention mask {mask.shape} does not match the trailing "
                              f"axes of the {logit_shape} logits")
     macs = 2 * math.prod(lead) * h * m * m * k
-    for c in _counters():
+    for c in _state.mac_counters:
         c.macs += macs
     # [*lead, heads, m, k] views of q, k and v; each is cast to a C-ordered
     # float64 stack just before its product, so at most two of the casts
@@ -706,9 +799,9 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     # into the [*lead, m, heads, k] rows it is returned as
     rows = np.empty((*lead, m, h, k), dtype=np.float32)
     _product64(probs, vd, "attention output", out=rows.swapaxes(-3, -2))
-    inputs = (qkv,) if mask is None else (qkv, mask)
-    out = Tensor(rows.reshape(-1, h * k), requires_grad=_wants_grad(*inputs))
-    if out.requires_grad:
+    tape = _grad_tape(qkv) if mask is None else _grad_tape(qkv, mask)
+    out = _fresh(rows.reshape(-1, h * k), tape is not None)
+    if tape is not None:
         shared = []     # the logit gradient, made by the first pull to run
 
         def logit_grad(g):
@@ -722,7 +815,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
             ds = logit_grad(g) * f
             # each product writes into its [*lead, heads, m, k] view of one
             # stacked gradient, so no per-gradient array is made and copied
-            grad = np.empty(qkv.shape, dtype=np.float32)
+            grad = np.empty(qkv_shape, dtype=np.float32)
             dq, dk, dv = (grad[..., i, :, :].swapaxes(-3, -2) for i in range(3))
             _product32(ds, kd, "attention q gradient", out=dq)
             _product32(ds.swapaxes(-1, -2), qd, "attention k gradient", out=dk)
@@ -734,9 +827,9 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
             ds = logit_grad(g)
             if not extra:
                 return ds
-            return _column_sums(ds, mask.size).reshape(mask.shape)
+            return _column_sums(ds, mask.data.size).reshape(mask.data.shape)
 
-        _record(out, [(qkv, pull_qkv)] + ([] if mask is None else [(mask, pull_mask)]))
+        tape._record(out, [(qkv, pull_qkv)] + ([] if mask is None else [(mask, pull_mask)]))
     return out
 
 
@@ -756,8 +849,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     formed in float64 and rounded once, so a large row mean costs no
     precision and a large row does not overflow; the rest is float32."""
     _check_2d(x, "layer_norm input")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    d = x.data.shape[1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     x64 = x.data.astype(np.float64)
@@ -769,8 +862,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat *= inv
     y = xhat * gain.data
     y += bias.data
-    out = Tensor(y, requires_grad=_wants_grad(x, gain, bias))
-    if out.requires_grad:
+    tape = _grad_tape(x, gain, bias)
+    out = _fresh(y, tape is not None)
+    if tape is not None:
         gd = gain.data
 
         def pull_x(g):
@@ -785,7 +879,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gy *= inv
             return gy
 
-        _record(out, [
+        tape._record(out, [
             (x, pull_x),
             (gain, lambda g: _column_sums(g * xhat, d)),
             (bias, lambda g: _column_sums(g, d)),
@@ -809,8 +903,9 @@ def gelu(x: Tensor) -> Tensor:
     y = t + 1.0
     y *= 0.5                        # before x: x * 2 overflows near float32 max
     y *= xd
-    out = Tensor(y, requires_grad=_wants_grad(x))
-    if out.requires_grad:
+    tape = _grad_tape(x)
+    out = _fresh(y, tape is not None)
+    if tape is not None:
         def pull(g):
             du = np.clip(xd, -_GELU_SATURATED, _GELU_SATURATED)
             np.square(du, out=du)
@@ -825,7 +920,7 @@ def gelu(x: Tensor) -> Tensor:
             local *= 0.5
             local *= g
             return local
-        _record(out, [(x, pull)])
+        tape._record(out, [(x, pull)])
     return out
 
 
@@ -844,8 +939,9 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     picked = z[np.arange(n), labels]
-    out = Tensor(np.float32((lse - picked).mean()), requires_grad=_wants_grad(logits))
-    if out.requires_grad:
+    tape = _grad_tape(logits)
+    out = Tensor(np.float32((lse - picked).mean()), requires_grad=tape is not None)
+    if tape is not None:
         probs = np.exp(z - lse[:, None])
 
         def pull(g):
@@ -853,5 +949,5 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
             grad[np.arange(n), labels] -= 1.0
             return (g.reshape(()) * grad / n).astype(np.float32)
 
-        _record(out, [(logits, pull)])
+        tape._record(out, [(logits, pull)])
     return out

@@ -9,6 +9,7 @@ from dimprune.errors import ConfigError, DimensionError
 from dimprune.scoring import attach_scores, total_loss
 from dimprune.tensor import Tape, Tensor, backward
 from dimprune import blocks as B
+from dimprune.costmodel import swin_t_config
 from dimprune.blocks import (
     AttentionParams,
     Backbone,
@@ -103,8 +104,8 @@ def test_window_spec_validation():
 
 
 def test_single_window_partition_is_input():
-    order, inverse = B._stacked_partition(1, 2, 2, 2, 0)
-    assert order.tolist() == inverse.tolist() == [0, 1, 2, 3]
+    perm, inverse = B._stacked_partition(1, 2, 2, 2, 0)
+    assert perm.order.tolist() == inverse.order.tolist() == [0, 1, 2, 3]
 
 
 def test_partition_reverse_roundtrip_bitwise():
@@ -127,6 +128,38 @@ def test_shifted_origin_lands_in_last_window():
     # i.e. the final slot of the final window.
     perm = B._partition_permutation(4, 4, 2, 1)
     assert perm[15] == 0
+
+
+def test_a_tiny_search_step_checks_and_inverts_no_cached_permutation(monkeypatch):
+    # the README model with two blocks per stage: shifted and unshifted
+    # windows, and a merge
+    scored = attach_scores(build_backbone(BackboneConfig(depths=(2, 2), heads=(2, 4)), seed=0))
+    images = rng(40).random((8, 3, 32, 32)).astype(np.float32)
+    labels = np.arange(8) % 4
+
+    def search_step():
+        scored.zero_grads()
+        with Tape() as tape:
+            logits = forward_batch(scored.model, images, scores=scored.score_map())
+            loss = total_loss(logits, labels, scored.scores, 1e-3)
+        backward(loss, tape)
+        return loss.item()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached permutation was checked or inverted again")
+
+    first = search_step()                   # builds the cached permutations
+    monkeypatch.setattr(T.Permutation, "__init__", refuse)
+    monkeypatch.setattr(np, "bincount", refuse)
+    assert search_step() == first
+
+
+def test_logit_factor_has_the_bits_of_the_numpy_square_root():
+    tiny = {g.head_dim for g in stage_geometry(BackboneConfig())}
+    swin = {g.head_dim for g in stage_geometry(swin_t_config())}
+    assert tiny == {8} and swin == {32}
+    for scale_dim in sorted(tiny | swin) + list(range(1, 4097)):
+        assert B._logit_factor(scale_dim).hex() == (1.0 / float(np.sqrt(scale_dim))).hex()
 
 
 def test_window_masks_match_reference():

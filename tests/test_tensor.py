@@ -1,4 +1,6 @@
+import inspect
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -260,6 +262,50 @@ def test_permute_rows_rejects_non_permutation():
                  []):
         with pytest.raises(DimensionError):
             T.permute_rows(x, perm)
+
+
+@pytest.mark.parametrize("op, indices", [
+    (T.permute_rows, [0.2, 2.9, 1.5]),      # a cast would read [0, 2, 1]
+    (T.permute_rows, [0.0, 2.0, 1.0]),      # integral floats are floats too
+    (T.permute_rows, [True, False, True]),
+    (T.gather_rows, [1.9, 0.7]),            # a cast would read rows 1 and 0
+    (T.gather_rows, np.array([2.0], dtype=np.float32)),
+    (T.gather_rows, [False, True]),
+])
+def test_row_ops_reject_non_integer_indices(op, indices):
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
+    with pytest.raises(DimensionError, match=f"{op.__name__} needs integer indices"):
+        op(x, indices)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_row_ops_take_any_integer_index_dtype(dtype):
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
+    assert T.permute_rows(x, np.array([2, 0, 1], dtype=dtype)).data.tolist() == \
+        [[4, 5], [0, 1], [2, 3]]
+    assert T.gather_rows(x, np.array([1, 1], dtype=dtype)).data.tolist() == [[2, 3], [2, 3]]
+
+
+def test_permutation_holds_a_read_only_order_and_its_inverse():
+    raw = np.array([2, 0, 3, 1])
+    perm = T.Permutation(raw)
+    assert raw.flags.writeable                  # the caller's array is not frozen
+    assert perm.order.tolist() == [2, 0, 3, 1]
+    assert perm.inverse.tolist() == np.argsort(raw).tolist()
+    assert perm.order.dtype == perm.inverse.dtype == np.int64
+    assert not perm.order.flags.writeable and not perm.inverse.flags.writeable
+    inverse = perm.inverted()
+    assert inverse.order is perm.inverse and inverse.inverse is perm.order
+    x = leaf(rng(7).normal(size=(4, 3)))
+    g = rng(8).normal(size=(4, 3)).astype(np.float32)
+    with Tape() as tape:
+        out = T.permute_rows(x, perm)
+    (_, [(_, pull)]), = tape._nodes
+    assert np.array_equal(out.data, x.data[raw])
+    assert np.array_equal(pull(g), g[perm.inverse])
+    assert np.array_equal(T.permute_rows(out, inverse).data, x.data)
+    with pytest.raises(DimensionError, match="permutation of 3 rows, got one of 4"):
+        T.permute_rows(Tensor(np.ones((3, 2))), perm)
 
 
 def test_gather_rows_with_repeats():
@@ -1213,3 +1259,147 @@ def test_attention_core_pulls_equal_the_stacked_formula_bitwise(shape, mask_shap
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b)
+
+
+# ------------------------------------------------ op outputs and pull results
+
+
+def normal32(r, *shape):
+    return r.normal(size=shape).astype(np.float32)
+
+
+# (op, case, build): build(r) gives an op's input leaves and the call that
+# runs it on them. Every op of tensor.py has a case, and an op with more than
+# one code path (chunked product, einsum column sums, wide rows, short and
+# long softmax rows, a repeated mask) has one per path.
+OP_CASES = [
+    ("matmul", "2d", lambda r: ([leaf(normal32(r, 5, 4)), leaf(normal32(r, 4, 3))], T.matmul)),
+    ("matmul", "chunked", lambda r: ([leaf(normal32(r, 4096, 16)), leaf(normal32(r, 16, 16))],
+                                     T.matmul)),
+    ("matmul", "stacked", lambda r: ([leaf(normal32(r, 2, 5, 4)), leaf(normal32(r, 2, 4, 3))],
+                                     T.matmul)),
+    ("add", "same-shape", lambda r: ([leaf(normal32(r, 3, 4)), leaf(normal32(r, 3, 4))], T.add)),
+    ("add", "trailing-axes", lambda r: ([leaf(normal32(r, 4, 3, 5)), leaf(normal32(r, 3, 5))],
+                                        T.add)),
+    ("add", "row-bias-einsum", lambda r: ([leaf(normal32(r, 256, 6)), leaf(normal32(r, 6))],
+                                          T.add)),
+    ("scale", "", lambda r: ([leaf(normal32(r, 3, 4))], lambda a: T.scale(a, 0.3))),
+    ("scale_columns", "narrow", lambda r: ([leaf(normal32(r, 6, 5)), leaf(normal32(r, 5))],
+                                           T.scale_columns)),
+    ("scale_columns", "wide-rows", lambda r: ([leaf(normal32(r, 2048, 8)), leaf(normal32(r, 8))],
+                                              T.scale_columns)),
+    ("transpose", "", lambda r: ([leaf(normal32(r, 3, 5))], T.transpose)),
+    ("reshape", "", lambda r: ([leaf(normal32(r, 2, 6))], lambda a: T.reshape(a, (3, 4)))),
+    ("concat", "", lambda r: ([leaf(normal32(r, 4, 2)), leaf(normal32(r, 4, 3)),
+                               leaf(normal32(r, 4, 1))], lambda *ts: T.concat(ts))),
+    ("permute_rows", "indices", lambda r: ([leaf(normal32(r, 5, 3))],
+                                           lambda x: T.permute_rows(x, [3, 0, 4, 1, 2]))),
+    ("permute_rows", "Permutation", lambda r: (
+        [leaf(normal32(r, 5, 3))], lambda x: T.permute_rows(x, T.Permutation([1, 2, 0, 4, 3])))),
+    ("gather_rows", "", lambda r: ([leaf(normal32(r, 5, 3))],
+                                   lambda x: T.gather_rows(x, [4, 0, 4]))),
+    ("sum_all", "", lambda r: ([leaf(normal32(r, 3, 4))], T.sum_all)),
+    ("mean_rows", "", lambda r: ([leaf(normal32(r, 2, 5, 3))], T.mean_rows)),
+    ("l1_norm", "", lambda r: ([leaf(normal32(r, 4)), leaf(normal32(r, 2, 3))], T.l1_norm)),
+    ("attention_core", "short-rows-mask", lambda r: (
+        [leaf(normal32(r, 2, 4, 3, 2, 3)), leaf(normal32(r, 2, 2, 4, 4))],
+        lambda qkv, mask: T.attention_core(qkv, 0.5, mask))),
+    ("attention_core", "repeated-mask", lambda r: (
+        [leaf(normal32(r, 2, 4, 3, 2, 3)), leaf(normal32(r, 2, 4, 4))],
+        lambda qkv, mask: T.attention_core(qkv, 0.5, mask))),
+    ("attention_core", "long-rows", lambda r: (
+        [leaf(normal32(r, 1, 2, 30, 3, 2, 4))], lambda qkv: T.attention_core(qkv, 0.5))),
+    ("layer_norm", "", lambda r: ([leaf(normal32(r, 6, 5)), leaf(normal32(r, 5)),
+                                   leaf(normal32(r, 5))], T.layer_norm)),
+    ("gelu", "", lambda r: ([leaf(normal32(r, 4, 5) * 4)], T.gelu)),
+    ("cross_entropy_with_logits", "", lambda r: (
+        [leaf(normal32(r, 4, 3))], lambda z: T.cross_entropy_with_logits(z, [0, 2, 1, 2]))),
+]
+
+
+def test_the_op_cases_cover_every_op():
+    ops = {name for name, f in vars(T).items()
+           if inspect.isfunction(f) and f.__module__ == T.__name__
+           and not name.startswith("_") and inspect.signature(f).return_annotation == "Tensor"}
+    assert ops == {op for op, _, _ in OP_CASES}
+
+
+@pytest.mark.parametrize("op, case, build", OP_CASES,
+                         ids=[f"{op}-{case}" if case else op for op, case, _ in OP_CASES])
+def test_every_op_returns_c_contiguous_float32_and_pulls_float32(op, case, build):
+    # What lets ops skip Tensor()'s conversion and backward skip a cast.
+    r = rng(len(op) + len(case))
+    inputs, call = build(r)
+    with Tape() as tape:
+        out = call(*inputs)
+    data = out.data
+    assert type(data) is np.ndarray and data.dtype == np.float32
+    assert data.flags.c_contiguous and 0 not in data.shape
+    (recorded, pulls), = tape._nodes
+    assert recorded is out and [t for t, _ in pulls] == inputs
+    g = normal32(r, *data.shape)
+    for t, pull in pulls:
+        got = pull(g)
+        assert type(got) is np.ndarray and got.dtype == np.float32
+        assert got.shape == t.data.shape
+
+
+# ------------------------------------------------------------ per-thread state
+
+
+def run_in_thread(fn):
+    """What ``fn`` returns when run in a fresh thread; an exception it
+    raises is raised here."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:        # handed to the caller
+            box["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_a_fresh_thread_has_no_tape_site_or_counter():
+    with Tape() as tape, T.count_macs(), T.mac_scope("stage0.block0.attn"):
+        here = (T._state.tape, T._state.site, len(T._state.mac_counters))
+        there = run_in_thread(
+            lambda: (T._state.tape, T._state.site, list(T._state.mac_counters)))
+    assert here == (tape, "stage0.block0.attn", 1)
+    assert there == (None, None, [])
+
+
+def test_count_macs_counts_only_its_own_threads_products():
+    def other():
+        with T.count_macs() as theirs:
+            T.matmul(Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))))
+        return theirs.macs
+
+    with T.count_macs() as mine:
+        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
+        theirs = run_in_thread(other)
+        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
+    assert (mine.macs, theirs) == (60, 64)
+
+
+def test_a_tape_entered_in_one_thread_is_invisible_to_another():
+    x = leaf(np.ones((2, 2)))
+
+    def other():
+        out = T.add(x, x)
+        with Tape() as own:                 # no tape is active in this thread
+            T.add(x, x)
+        return out.requires_grad, len(own._nodes)
+
+    with Tape() as tape:
+        seen = run_in_thread(other)
+        T.add(x, x)
+    assert seen == (False, 1)
+    assert len(tape._nodes) == 1
