@@ -383,8 +383,9 @@ def stage_geometry(config: BackboneConfig) -> tuple:
     """Every stage's shapes, in order; the one place they are worked out.
 
     Stage s is base_dim * 2^s wide, and its grid is the patch grid halved
-    once per merge before it. A shape that does not divide raises
-    ConfigError, so ``BackboneConfig`` rejects it on construction.
+    once per merge before it. A shape that does not divide, or a hidden width
+    longer than a numpy axis, raises ConfigError, so ``BackboneConfig``
+    rejects it on construction.
     """
     geoms = []
     grid = config.image_size // config.patch_size
@@ -396,6 +397,9 @@ def stage_geometry(config: BackboneConfig) -> tuple:
         if not math.isfinite(hidden) or hidden != int(hidden) or hidden < 1:
             raise ConfigError(
                 f"stage {s} hidden width {hidden} is not a positive integer")
+        if hidden > np.iinfo(np.intp).max:
+            raise ConfigError(f"stage {s} hidden width {int(hidden)} is longer than "
+                              "any array axis numpy can hold")
         if s > 0:
             if grid % 2:
                 raise ConfigError(

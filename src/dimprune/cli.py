@@ -2,7 +2,9 @@
 
 Stages communicate only through checkpoint files. Every command exits 0 on
 success; failures print one machine-parseable JSON error record to stderr
-and exit 2 (configuration or usage), 3 (I/O) or 4 (numeric failure).
+and exit 2 (configuration or usage, including a config whose model or
+dataset needs more memory than the machine gives), 3 (I/O) or 4 (numeric
+failure).
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, UsageError, DimensionError, NumericError,
-            FormatError, OSError) as exc:
+            FormatError, OSError, MemoryError) as exc:
         return _fail(exc)
 
 

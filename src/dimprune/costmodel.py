@@ -45,10 +45,10 @@ RUNTIME_CONVENTION = Convention()
 REFERENCE_CONVENTION = Convention(include_bias=True, include_rpb=True)
 
 
-def runtime_convention(config: BackboneConfig, mac_factor: int = 1) -> Convention:
-    """Convention matching the actual tensors a model of this config holds."""
-    return Convention(mac_factor=mac_factor,
-                      include_rpb=config.use_relative_position_bias)
+def runtime_convention(config: BackboneConfig) -> Convention:
+    """Convention matching the actual tensors a model of this config holds,
+    one FLOP per MAC."""
+    return Convention(include_rpb=config.use_relative_position_bias)
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,13 @@ def model_cost(config: BackboneConfig, rho: float = 1.0,
     return report
 
 
-def measured_cost(model: Backbone, mac_factor: int = 1) -> CostReport:
+def measured_cost(model: Backbone) -> CostReport:
     """Count parameters by enumerating tensors and FLOPs by one counted
-    forward pass, split per site by the forward's site scopes."""
+    forward pass, one FLOP per MAC, split per site by the forward's site
+    scopes."""
     cfg = model.config
     report = CostReport(config=cfg, rho=float("nan"),
-                        convention=runtime_convention(cfg, mac_factor))
+                        convention=runtime_convention(cfg))
     # A site's weights are named "<site id>.<weight>"; everything else is overhead.
     site_params = {site.id: 0 for site in sites(cfg)}
     for name, t in model.named_parameters():
@@ -188,8 +189,8 @@ def measured_cost(model: Backbone, mac_factor: int = 1) -> CostReport:
     with count_macs() as counter:
         forward_batch(model, img[None])
     for key, params in site_params.items():
-        report.sites.append(SiteCost(key, params, mac_factor * counter.scopes[key]))
-    report.overhead_flops = mac_factor * (counter.macs - sum(counter.scopes.values()))
+        report.sites.append(SiteCost(key, params, counter.scopes[key]))
+    report.overhead_flops = counter.macs - sum(counter.scopes.values())
     return report
 
 

@@ -32,6 +32,8 @@ def decay_exempt(name: str) -> bool:
 # Entries per block of an AdamW step: the temporaries of one block stay in
 # cache, and parameters smaller than a block are updated together.
 _BLOCK = 1 << 16
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
 
 
 class _Block:
@@ -104,7 +106,8 @@ def _blocks(params, shrink, m: dict, v: dict) -> list:
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay, beta = (0.9, 0.999).
+    """Adaptive moments with decoupled weight decay, beta = (0.9, 0.999) and
+    eps = 1e-8.
 
     A step runs over blocks of at most ``_BLOCK`` entries, so its
     temporaries stay in cache: consecutive parameters smaller than a block
@@ -116,7 +119,6 @@ class AdamW:
     map each parameter name to a view of them, built when read."""
 
     def __init__(self, named_params, lr: float, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
                  m: dict | None = None, v: dict | None = None, step: int = 0):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
@@ -128,8 +130,6 @@ class AdamW:
             raise UsageError("duplicate parameter names passed to optimizer")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.step_count = int(step)
         shapes = {n: p.shape for n, p in self.params}
         for given in (m or {}), (v or {}):
@@ -180,9 +180,9 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         # mhat / (sqrt(vhat) + eps) == m * sqrt(1-b2^t)/(1-b1^t) / (sqrt(v) + eps_hat)
-        root2 = math.sqrt(1.0 - self.beta2 ** t)
-        step_size = self.lr * root2 / (1.0 - self.beta1 ** t)
-        eps_hat = self.eps * root2
+        root2 = math.sqrt(1.0 - _BETA2 ** t)
+        step_size = self.lr * root2 / (1.0 - _BETA1 ** t)
+        eps_hat = _EPS * root2
         for block in self._blocks:
             members = block.members
             if len(members) == 1:
@@ -208,14 +208,13 @@ class AdamW:
     def _update(self, g, p, m, v, factor, p_new, m_new, v_new, step_size, eps_hat):
         """The update of one block slice into fresh ``p_new``, ``m_new`` and
         ``v_new``; one scratch buffer serves every temporary."""
-        b1, b2 = self.beta1, self.beta2
         update = self._scratch[:g.size]
-        np.multiply(g, 1.0 - b1, out=update)
-        np.multiply(m, b1, out=m_new)
+        np.multiply(g, 1.0 - _BETA1, out=update)
+        np.multiply(m, _BETA1, out=m_new)
         m_new += update
         np.multiply(g, g, out=update)
-        update *= 1.0 - b2
-        np.multiply(v, b2, out=v_new)
+        update *= 1.0 - _BETA2
+        np.multiply(v, _BETA2, out=v_new)
         v_new += update
         np.sqrt(v_new, out=update)
         update += eps_hat

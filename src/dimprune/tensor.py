@@ -25,13 +25,11 @@ and ``test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone``
 check. Every other product casts both operands whole, to C-ordered float64
 arrays, and multiplies once.
 
-Softmax reduces its rows with ``_reduce_rows``: a row short enough (see
-``_SHORT_ROW``) is reduced across a transposed copy, one elementwise pass
-per row position, because numpy charges a short-row reduce per row. The
-max is exact either way; a sum still accumulates in float64 and adds a
+Softmax reduces its rows with ``_reduce_rows``: a row of up to
+``_SHORT_ROW`` entries is reduced across a transposed copy, one elementwise
+pass per row position, because numpy charges a short-row reduce per row.
+The max is exact either way; a sum still accumulates in float64 and adds a
 short row's entries in order, whatever the number of rows stacked with it.
-A row short enough for both reductions has its whole softmax run on the
-copy.
 
 Layer norm's row statistics (forward mean and variance, and the two row
 means of its input gradient) are float64 sums by ``np.einsum("ij->i")``:
@@ -46,17 +44,13 @@ invariance on float64 rows whose sums round.
 
 A sum over leading axes (the pulls of ``scale_columns``' scores, of a
 trailing-axes ``add``, of layer norm's gain and bias and of the attention
-mask) is ``_column_sums``: from ``_EINSUM_MIN_ROWS`` rows on, one
-``np.einsum("ij->j")`` over the rows in float64. It adds each column's
-entries in row order, as numpy's sum over the leading axes does, so the
-bits are numpy's; on tall, narrow arrays it is up to 2x faster, because
-numpy casts through a buffer and runs one inner loop per short row. numpy
-sums a lone column pairwise, as a flat array, so a width of 1 keeps
-numpy's sum. ``scale_columns`` multiplies by its scores on wide rows
-(``_wide_rows``): rows of n entries viewed as rows of n*r, times the
-scores tiled r times, which gives the broadcast's products with one inner
-loop per wide row. ``test_column_sums_equal_numpy_float64_sums_over_leading_axes``
-and ``test_wide_row_scale_columns_equals_the_broadcast_bitwise`` hold both.
+mask) is ``_column_sums``: one ``np.einsum("ij->j")`` over the rows in
+float64. It adds each column's entries in row order, as numpy's sum over
+the leading axes does, so the bits are numpy's; on tall, narrow arrays it
+is up to 2x faster, because numpy casts through a buffer and runs one inner
+loop per short row. numpy sums a lone column pairwise, as a flat array, so
+a width of 1 keeps numpy's sum.
+``test_column_sums_equal_numpy_float64_sums_over_leading_axes`` holds it.
 
 Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
@@ -419,39 +413,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-# ``_wide_rows`` views rows of n entries as rows of about _WIDE_ROW entries,
-# and does so from _WIDE_MIN_ROWS rows on; ``_column_sums`` runs einsum from
-# _EINSUM_MIN_ROWS rows on. Below those counts the fixed cost of the tile or
-# of einsum's set-up outweighs the per-row cost they save (float32 rows of
-# 8-512 entries, 2-core Intel Xeon, numpy 2.4.6; BENCH_20.json).
-_WIDE_ROW = 256
-_WIDE_MIN_ROWS = 1024
-_EINSUM_MIN_ROWS = 128
-
-
-def _wide_rows(shape, v):
-    """Shape [rows/r, n*r] to view rows of n entries through, and v tiled r
-    times to multiply that view by: the same entrywise products as
-    broadcasting v over the rows, which numpy runs as one inner loop per
-    row. r is the largest power of two that divides the row count with
-    n*r <= ``_WIDE_ROW``; it is 1 below ``_WIDE_MIN_ROWS`` rows."""
-    n = v.shape[0]
-    rows = math.prod(shape[:-1])
-    r = min(rows & -rows, 1 << max(0, (_WIDE_ROW // n).bit_length() - 1))
-    if r == 1 or rows < _WIDE_MIN_ROWS:
-        return (rows, n), v
-    tiled = np.empty((r, n), dtype=np.float32)
-    tiled[...] = v
-    return (rows // r, n * r), tiled.reshape(-1)
-
-
 def _column_sums(a, n):
     """Float64 sums of the columns of ``a`` viewed as rows of n entries,
     rounded to float32: the bits of ``sum`` over the leading axes with
     ``dtype=np.float64`` (see the module docstring)."""
     rows = a.reshape(-1, n)
     # numpy sums a lone column pairwise, as a flat array; einsum adds in order
-    if n == 1 or len(rows) < _EINSUM_MIN_ROWS:
+    if n == 1:
         return rows.sum(axis=0, dtype=np.float64).astype(np.float32)
     return np.einsum("ij->j", rows, dtype=np.float64).astype(np.float32)
 
@@ -489,20 +457,16 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def scale_columns(x: Tensor, v: Tensor) -> Tensor:
     """Multiply entry i of x's last axis by v[i] (right-multiply by diag(v)).
-
-    The forward and the x pull multiply wide rows by v tiled (see
-    ``_wide_rows``); the v pull sums the float32 product g * x by columns."""
+    The v pull sums the float32 product g * x by columns."""
     xd, vd = x.data, v.data
-    shape = xd.shape
-    n = shape[-1]
+    n = xd.shape[-1]
     if vd.shape != (n,):
         raise DimensionError(f"scale_columns needs v of length {n}, got {vd.shape}")
-    wide, tiled = _wide_rows(shape, vd)
     tape = _grad_tape(x, v)
-    out = _fresh((xd.reshape(wide) * tiled).reshape(shape), tape is not None)
+    out = _fresh(xd * vd, tape is not None)
     if tape is not None:
         tape._record(out, [
-            (x, lambda g: (g.reshape(wide) * tiled).reshape(g.shape)),
+            (x, lambda g: g * vd),
             (v, lambda g: _column_sums(g * xd, n)),
         ])
     return out
@@ -698,53 +662,38 @@ def l1_norm(*xs: Tensor) -> Tensor:
 # [64,16,2,4,4] attention logit stack. Across the copy, shape [n, rows], it
 # is n elementwise passes plus the copy: 32 us. In a sweep of float32 rows of
 # length 4-96 at 1024 and 8192 rows (Intel Xeon, numpy 2.4.6), the copy was
-# faster for a max through length 48, even at 49 and 1.9x slower at 64; for
-# a float64 sum it was faster through 24 and slower from 28 (1.4x at 32).
-# (Ratios at 8192 rows.)
-_SHORT_ROW = {np.maximum: 48, np.add: 24}
+# faster for a float64 sum through 24 and slower from 28 (1.4x at 32), and
+# for a max through 48 (1.9x slower at 64). (Ratios at 8192 rows.) One
+# threshold serves both: no workload has softmax rows of 25-48 entries, as
+# 2x2 windows give rows of 4 and Swin-T's 7x7 windows rows of 49.
+_SHORT_ROW = 24
 
 
 def _reduce_rows(ufunc, a, dtype=None):
     """``ufunc.reduce`` of ``a`` over its last axis, kept as a length-1 axis.
 
-    Rows up to ``_SHORT_ROW[ufunc]`` long are reduced across a transposed
+    Rows up to ``_SHORT_ROW`` long are reduced across a transposed
     contiguous copy, one elementwise pass per row position, so a sum adds
     each row's entries in order, whatever the number of rows; longer rows
     go through numpy's own row reduce. Either way a max is exact and a
     float64 sum accumulates in float64."""
     n = a.shape[-1]
-    if n > _SHORT_ROW[ufunc]:
+    if n > _SHORT_ROW:
         return ufunc.reduce(a, axis=-1, dtype=dtype, keepdims=True)
     cols = np.ascontiguousarray(a.reshape(-1, n).T)
     return ufunc.reduce(cols, axis=0, dtype=dtype).reshape(a.shape[:-1] + (1,))
 
 
 def _softmax(x):
-    """Last-axis softmax of a float32 array as a fresh array, stabilised by
-    its max, with the row sums accumulated in float64.
-
-    A row short enough that both reductions run across ``_reduce_rows``'s
-    transposed copy has the subtract and exp run on that copy too, and the
-    divide writes from it into the output's rows: one elementwise pass per
-    row position, where on the rows themselves each op broadcasts a
-    [..., 1] column with one inner loop per row. The values are the same
-    either way."""
+    """Last-axis softmax of a float32 array as a fresh array: the exp of x
+    less its row max, divided by the row sums accumulated in float64, both
+    reductions by ``_reduce_rows``."""
     _finite_or_raise(x, "softmax input")
-    n = x.shape[-1]
-    if n > _SHORT_ROW[np.add]:
-        with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
-            e = x - _reduce_rows(np.maximum, x)
-        np.exp(e, out=e)
-        e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
-        return e
-    cols = np.ascontiguousarray(x.reshape(-1, n).T)
-    with np.errstate(over="ignore"):
-        cols -= np.maximum.reduce(cols, axis=0)
-    np.exp(cols, out=cols)
-    out = np.empty_like(x)
-    np.divide(cols, np.add.reduce(cols, axis=0, dtype=np.float64).astype(np.float32),
-              out=out.reshape(-1, n).T)
-    return out
+    with np.errstate(over="ignore"):    # x - max below -float32 max is -inf, exp 0
+        e = x - _reduce_rows(np.maximum, x)
+    np.exp(e, out=e)
+    e /= _reduce_rows(np.add, e, np.float64).astype(np.float32)
+    return e
 
 
 def _softmax_grad(g, y):
@@ -842,8 +791,9 @@ def _row_means(a64):
     return means[:, None]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalisation of a 2-D tensor with learned gain and bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalisation of a 2-D tensor with learned gain and bias, and
+    1e-5 added to each row's variance.
 
     Row statistics (squares included) accumulate in float64, and x - mean is
     formed in float64 and rounded once, so a large row mean costs no
@@ -857,7 +807,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     x64 -= _row_means(x64)
     xhat = x64.astype(np.float32)
     np.square(xhat, out=x64, dtype=np.float64)
-    inv = (1.0 / np.sqrt(_row_means(x64) + eps)).astype(np.float32)
+    inv = (1.0 / np.sqrt(_row_means(x64) + 1e-5)).astype(np.float32)
     del x64
     xhat *= inv
     y = xhat * gain.data

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -307,6 +308,34 @@ def test_a_negative_seed_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, key)
     record = json.loads(err)
     assert record["error"] == "ConfigError" and key in record["message"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("setting, error", [
+    ("model.base_dim=1099511627776", "MemoryError"),     # a 32 TiB patch embedding
+    ("model.num_classes=1000000000000", "MemoryError"),   # a 116 TiB head weight
+    ("data.n_per_class=100000000000", "MemoryError"),     # 93 TiB of images
+    ("model.mlp_ratio=1e30", "ConfigError"),              # a hidden width of 8e30
+])
+def test_a_setting_too_large_for_memory_exits_2_with_one_record(
+        capsys, tiny_cfg, tmp_path, setting, error):
+    # Each memory probe asks for TiB, so its allocation fails before a page
+    # is touched; the address-space cap keeps that so on a system that
+    # would grant it.
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    cap = mapped + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", setting,
+                                        "--set", f"run.output_dir={tmp_path / 'run'}"])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert rc == 2 and out == "" and "Traceback" not in err
+    (record,) = json_lines(err)
+    assert record["error"] == error
 
 
 def test_a_config_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path):

@@ -1,13 +1,15 @@
 """The package holds only what a stage runs.
 
-Every top-level function and class under ``src/dimprune/``, and every
-method and property of such a class, must be referenced somewhere in the
-package outside its own definition, be exported in ``dimprune.__all__``, or
-be named in ``KEEP`` with the reason it stays. A method is named
-``Class.method``; a dunder method, which Python calls itself, is exempt.
-Code that only tests reach is a second path beside the one the stages run:
-move its tests onto that path and delete it. This test parses every module
-of the package, as ``test_no_inplace_writes.py`` does.
+Every top-level function, class and assigned name (a constant) under
+``src/dimprune/``, and every method and property of such a class, must be
+referenced somewhere in the package outside its own definition, be exported
+in ``dimprune.__all__``, or be named in ``KEEP`` with the reason it stays. A
+method is named ``Class.method``; a dunder method, which Python calls
+itself, and a dunder name such as ``__all__`` are exempt. Code that only
+tests reach is a second path beside the one the stages run: move its tests
+onto that path and delete it; a constant nothing reads is what a retired
+path leaves behind. This test parses every module of the package, as
+``test_no_inplace_writes.py`` does.
 """
 
 import ast
@@ -29,6 +31,7 @@ KEEP = {
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -106,31 +109,44 @@ def referenced_names(node) -> Counter:
     return found
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(name, node) of each top-level definition of a module, and of each
-    method or property of a top-level class as "Class.method", less the
-    dunder methods."""
+    """(name, node) of each top-level definition of a module, of each name a
+    top-level assignment binds, and of each method or property of a
+    top-level class as "Class.method", less the dunders."""
     for node in tree.body:
+        if isinstance(node, ASSIGNMENTS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not dunder(sub.id):
+                        yield sub.id, node
         if not isinstance(node, DEFINITIONS):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                        sub.name.startswith("__") and sub.name.endswith("__")):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not dunder(
+                        sub.name):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def unreferenced(trees, exported=()) -> list:
+def unreferenced(trees, exported=(), constants=False) -> list:
     """(module, name) of every definition that nothing outside its own body
-    refers to and that ``exported`` does not list. A method counts as used
-    where any attribute of its name is read."""
+    refers to and that ``exported`` does not list; assigned names count as
+    definitions only with ``constants``. A method counts as used where any
+    attribute of its name is read."""
     total = Counter()
     for tree in trees.values():
         total += referenced_names(tree)
     out = []
     for module, tree in trees.items():
         for name, node in definitions(tree):
+            if not constants and isinstance(node, ASSIGNMENTS):
+                continue
             short = name.rpartition(".")[2]
             if name not in exported and total[short] - referenced_names(node)[short] <= 0:
                 out.append((module, name))
@@ -144,7 +160,7 @@ def parse(path: Path):
 def test_every_definition_is_used_exported_or_kept():
     trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
     found = [f"{module}: {name}" for module, name
-             in unreferenced(trees, set(dimprune.__all__) | set(KEEP))]
+             in unreferenced(trees, set(dimprune.__all__) | set(KEEP), constants=True)]
     assert not found, ("defined in the package but used by no stage; move its tests "
                        "onto the code the stages run and delete it, or add it to KEEP "
                        "with a reason:\n" + "\n".join(found))
@@ -154,7 +170,7 @@ def test_every_keep_entry_names_a_definition_nothing_else_keeps():
     trees = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
     defined = {name for tree in trees.values() for name, _ in definitions(tree)}
     assert set(KEEP) <= defined
-    bare = {name for _, name in unreferenced(trees, set(dimprune.__all__))}
+    bare = {name for _, name in unreferenced(trees, set(dimprune.__all__), constants=True)}
     assert set(KEEP) <= bare, "KEEP lists a name that is used or exported anyway"
 
 
@@ -180,4 +196,22 @@ def test_every_keep_entry_names_a_definition_nothing_else_keeps():
 ])
 def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
     found = unreferenced({"m.py": ast.parse(source)}, exported)
+    assert [name for _, name in found] == names
+
+
+# The cases above bind module-level names only to use a definition; here
+# those names are definitions themselves.
+@pytest.mark.parametrize("source, exported, names", [
+    ("class C: pass\nx = C()", (), ["x"]),
+    ("X = 1\ndef f(): return 2", ("f",), ["X"]),
+    ("X = 1\ndef f(): return X", ("f",), []),
+    ("X = 1", ("X",), []),
+    ("__all__ = ['f']\ndef f(): pass", ("f",), []),            # a dunder is exempt
+    ("A, B = 1, 2\nC = A", ("C",), ["B"]),
+    ("X: int = 1\nY = Z = 2\ndef f(): return Z", ("f",), ["X", "Y"]),
+    ("X = 1\ndef f():\n    X = 2\n    return X", ("f",), ["X"]),  # a local is no use
+    ("X = 1\nclass C:\n    Y = X", ("C",), []),              # a class body reads it
+])
+def test_the_lint_flags_exactly_the_unread_constants(source, exported, names):
+    found = unreferenced({"m.py": ast.parse(source)}, exported, constants=True)
     assert [name for _, name in found] == names

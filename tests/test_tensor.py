@@ -403,9 +403,6 @@ def test_wide_row_scale_columns_equals_the_broadcast_bitwise(shape):
     got = scale_columns_pulls(x, v, g)
     for name, a, b in zip(("forward", "x pull", "v pull"), got, want):
         assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b), name
-    rows = x.size // n
-    widened = T._wide_rows(shape, v)[0] != (rows, n)
-    assert widened == (rows >= T._WIDE_MIN_ROWS and rows % 2 == 0 and 2 * n <= T._WIDE_ROW)
 
 
 # ----------------------------------------------------------------- reductions
@@ -509,8 +506,8 @@ def test_softmax_matches_reference():
     assert np.abs(got - ref_softmax(x)).max() < 1e-6
 
 
-# Row lengths on both sides of each crossover in tensor._SHORT_ROW (a max
-# runs across a transposed copy through 48, a float64 sum through 24).
+# Row lengths on both sides of the one crossover, tensor._SHORT_ROW: a max
+# and a float64 sum run across a transposed copy through 24 entries.
 ROW_LENGTHS = (4, 16, 24, 25, 31, 32, 48, 49, 96)
 
 
@@ -537,19 +534,24 @@ def test_short_row_sums_add_in_order_whatever_the_row_count():
 
 
 def test_short_row_softmax_on_the_copy_gives_the_bits_of_the_row_ops():
-    """Rows of up to 24 run the whole softmax on a transposed copy; it must
-    give the bits of the subtract, exp and divide run on the rows."""
+    """A short row's softmax, its max and sum taken across a transposed
+    copy, gives the bits of the subtract, exp and divide run on the rows,
+    with the row's sum added in order. A lone row, whose transpose is
+    already contiguous, is not written in place."""
     for n in (1, 2, 4, 16, 24):
-        x = (rng(n).normal(size=(5, 3, 7, n)) * 8.0).astype(np.float32)
-        x.reshape(-1)[::5] = -1.0e4
-        e = x - x.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        total = e[..., :1].astype(np.float64)
-        for i in range(1, n):
-            total = total + e[..., i:i + 1]
-        e /= total.astype(np.float32)
-        got = T._softmax(x)
-        assert got.flags.c_contiguous and np.array_equal(got, e)
+        for shape in ((5, 3, 7, n), (1, n)):
+            x = (rng(n).normal(size=shape) * 8.0).astype(np.float32)
+            x.reshape(-1)[::5] = -1.0e4
+            before = x.copy()
+            e = x - x.max(axis=-1, keepdims=True)
+            np.exp(e, out=e)
+            total = e[..., :1].astype(np.float64)
+            for i in range(1, n):
+                total = total + e[..., i:i + 1]
+            e /= total.astype(np.float32)
+            got = T._softmax(x)
+            assert got.flags.c_contiguous and np.array_equal(got, e)
+            assert np.array_equal(x, before)
 
 
 def softmax_fd_check(x, g, seed, points=8):
