@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, refuse_oversized
 from .tensor import Tensor
 
 MASK_VALUE = -1.0e4
@@ -508,10 +508,12 @@ class Backbone:
                     # allocated.
                     (missing if arr is None else misshaped).append(name)
                     return None
-            elif fill is None and rng is not None:
-                arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
             else:
-                arr = (np.ones if fill else np.zeros)(shape, dtype=np.float32)
+                refuse_oversized(math.prod(shape), f"parameter {name}")
+                if fill is None and rng is not None:
+                    arr = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+                else:
+                    arr = (np.ones if fill else np.zeros)(shape, dtype=np.float32)
             self._table[name] = Tensor(arr, requires_grad=True)
             return self._table[name]
 
@@ -583,7 +585,15 @@ def forward_features(model: Backbone, images, scores: dict | None = None):
     the stacked [B*n x d] token rows, and each stage's output rows.
 
     scores maps site ids to the score vectors that scale each site's
-    per-head or hidden columns; a site it leaves out runs unscaled."""
+    per-head or hidden columns; a site it leaves out runs unscaled. The
+    pass is one ``T.checked_forward``: its finiteness is checked once, on
+    the logits, and a pass that fails that check runs again to name the op
+    and site where the non-finite value appeared."""
+    return T.checked_forward("logits", _features, model, images, scores or {})
+
+
+def _features(model: Backbone, images, scores: dict):
+    """The pass of ``forward_features``."""
     cfg = model.config
     images = np.asarray(images, dtype=np.float32)
     side = cfg.image_size
@@ -592,7 +602,6 @@ def forward_features(model: Backbone, images, scores: dict | None = None):
     count = images.shape[0]
     x = patch_embed(images, cfg.patch_size, model.patch_embed)
     features = []
-    scores = scores or {}
     geoms = stage_geometry(cfg)
     for geom, stage, pairs in zip(geoms, model.stages, block_sites(cfg)):
         for b, (blk, (attn, mlp)) in enumerate(zip(stage.blocks, pairs)):

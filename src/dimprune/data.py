@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, refuse_oversized
 
 CIFAR10_RECORD = 3073   # 1 label byte + 3 * 32 * 32 pixels
 CIFAR100_RECORD = 3074  # coarse + fine label bytes + pixels
@@ -113,8 +113,11 @@ def synth_dataset(seed: int, num_classes: int = 4, n_per_class: int = 16,
         raise ConfigError("need at least 2 classes and 1 sample per class")
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    rng = np.random.default_rng(seed)
     dim = channels * height * width
+    # no array below (the images, the float64 prototypes and noise) has
+    # more entries than the whole image stack
+    refuse_oversized(num_classes * n_per_class * dim, "the synthetic dataset")
+    rng = np.random.default_rng(seed)
     margin = 4.0 * noise_sigma * np.sqrt(dim)
     for _ in range(max_retries):
         protos = rng.random((num_classes, channels, height, width))

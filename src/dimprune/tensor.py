@@ -63,8 +63,9 @@ until backward. Gradients may share arrays with each other, and nothing
 writes into a ``.grad`` in place.
 
 A thread's op state lives in ``_state``, a ``threading.local`` holding its
-active tape, the site its innermost ``mac_scope`` names and its list of
-active MAC counters. ``tape`` and ``site`` default to None at class level,
+active tape, the site its innermost ``mac_scope`` names, its list of
+active MAC counters and ``deferred``, set while a checked pass runs (below).
+``tape`` and ``site`` default to None and ``deferred`` to False at class level,
 so an op reads its tape once, in one attribute lookup, in a thread that
 never entered a ``Tape`` too. An op whose output is a non-empty
 C-contiguous float32 array of its own wraps it with ``_fresh``, skipping
@@ -74,6 +75,44 @@ C-contiguous float32 array of its own wraps it with ``_fresh``, skipping
 ``backward`` adds gradients without a cast;
 ``test_every_op_returns_c_contiguous_float32_and_pulls_float32`` holds
 both for every op.
+
+Finiteness is checked once per pass, not once per op. Outside a checked
+pass every product (``_product32``, ``_chunked_product``) runs under its
+own ``np.errstate`` and scans its output, and a non-finite entry raises
+NumericError naming the op and the innermost ``mac_scope`` site; so do the
+softmax input and the cross-entropy logits. The forward of
+``blocks.forward_features`` (through ``checked_forward``) and ``backward``
+are checked passes: each runs under one ``np.errstate(over="ignore",
+invalid="ignore")`` with ``deferred`` set, and the products run bare. A
+forward then scans its output, the logits, once. If that scan fails, or a
+check kept inside the pass raises, the same forward runs again with
+``deferred`` off and no tape or MAC counter, and the first op whose check
+fails raises its usual NumericError, naming the op and the site where the
+value appeared; the forward is deterministic and nothing writes into a
+Tensor's array, so the replay sees the first pass's values. A backward,
+once every pull has run, scans the gradients of the leaves it filled
+(inputs no record produced): gradients smaller than ``_SCAN_PACK`` entries
+are joined into packs of at most that many, as ``AdamW`` packs them, and
+each pack is scanned once; a larger gradient is scanned alone. Its error
+names a leaf gradient by shape, not a gradient product or a site.
+
+One scan at the end sees every non-finite value only where no op on the
+way turns one finite again. These ops cannot: a product (every input entry
+reaches some output entry, and inf * 0 is NaN); ``add``, ``scale`` and
+``scale_columns`` (inf - inf and inf * 0 are NaN); layer norm (a
+non-finite entry makes its row's mean non-finite, so every entry of the
+row); GELU (inf stays inf, and -inf gives 0 * -inf, NaN); ``mean_rows``;
+permutes, reshapes, transposes and ``concat``, which move every entry; and
+``gather_rows`` as ``wmsa_forward`` uses it, since ``_relative_index``
+reaches every row of the position table. Their pulls pass a non-finite
+gradient on in the same way, except that ``concat`` drops the columns of
+an input that needs no gradient (the package joins only parameters): a
+value dropped there reaches no leaf and changes nothing the pass returns.
+The softmax can heal: exp(-inf) is 0, so a -inf logit from the mask or
+the position bias leaves its row finite. Its input check stays on inside a
+checked pass, and a NumericError it raises there starts the replay, so the
+error names the site where the value first appeared, not a later
+attention site that saw it.
 
 ``permute_rows`` reorders rows by a ``Permutation``, a checked row order
 and its inverse, both read-only; raw indices become one at its top.
@@ -108,7 +147,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -123,11 +162,13 @@ _GELU_SATURATED = 10.0
 
 
 class _ThreadState(threading.local):
-    """One thread's active tape, ``mac_scope`` site and MAC counters (see
-    the module docstring)."""
+    """One thread's active tape, ``mac_scope`` site, MAC counters and
+    whether a checked pass (``checked_forward`` or ``backward``) is running
+    (see the module docstring)."""
 
     tape = None
     site = None
+    deferred = False
 
     def __init__(self):
         self.mac_counters = []
@@ -206,11 +247,15 @@ class Tape:
         self._nodes.append((out, pulls))
 
 
+def _non_finite(what: str) -> NumericError:
+    site = _state.site
+    where = f" in site {site}" if site is not None else ""
+    return NumericError(f"{what} contains non-finite values{where}")
+
+
 def _finite_or_raise(arr, what: str):
     if not np.isfinite(arr).all():
-        site = _state.site
-        where = f" in site {site}" if site is not None else ""
-        raise NumericError(f"{what} contains non-finite values{where}")
+        raise _non_finite(what)
 
 
 def _grad_tape(*tensors: Tensor):
@@ -233,12 +278,20 @@ def _accumulate(t: Tensor, delta):
     t.grad = delta if t.grad is None else t.grad + delta
 
 
+# Entries per scan of the leaf gradients at the end of ``backward``: smaller
+# gradients are packed together up to this many, as ``AdamW`` packs them.
+_SCAN_PACK = 1 << 16
+
+
 def backward(loss: Tensor, tape: Tape):
     """Run reverse-mode accumulation from a scalar loss through the tape.
 
     Each record is dropped once its pulls have run, with the gradient of its
     output (the loss keeps its own), so what the forward saved is freed as
-    the pass goes; leaf gradients are kept."""
+    the pass goes; leaf gradients are kept. The pulls run as one checked
+    pass: one error state and no per-product scans, then one scan of the
+    gradients of the leaves (inputs no record produced) the pass filled
+    (see the module docstring)."""
     if tape._consumed:
         raise UsageError("tape was already consumed by backward")
     if loss.size != 1:
@@ -246,19 +299,81 @@ def backward(loss: Tensor, tape: Tape):
     tape._consumed = True
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
+    produced = {id(out) for out, _ in nodes}
+    leaves = {}
+    outer, _state.deferred = _state.deferred, True
     try:
-        while nodes:
-            out, pulls = nodes.pop()
-            g = out.grad
-            if g is None:
-                continue
-            for inp, pull in pulls:
-                if inp.requires_grad:
-                    _accumulate(inp, pull(g))
-            if out is not loss:
-                out.grad = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            while nodes:
+                out, pulls = nodes.pop()
+                g = out.grad
+                if g is None:
+                    continue
+                for inp, pull in pulls:
+                    if inp.requires_grad:
+                        _accumulate(inp, pull(g))
+                        if id(inp) not in produced:
+                            leaves[id(inp)] = inp
+                if out is not loss:
+                    out.grad = None
     finally:
+        _state.deferred = outer
         nodes.clear()
+    _scan_gradients(leaves.values())
+
+
+def _scan_gradients(leaves):
+    """Raise NumericError naming the first leaf whose gradient holds a
+    non-finite entry. Gradients smaller than ``_SCAN_PACK`` entries are
+    joined into packs of at most that many and each pack is scanned once; a
+    larger one is scanned alone."""
+    pack, filled = [], 0
+    for leaf in leaves:
+        if pack and filled + leaf.grad.size > _SCAN_PACK:
+            _scan_pack(pack)
+            pack, filled = [], 0
+        pack.append(leaf)
+        filled += leaf.grad.size
+    if pack:
+        _scan_pack(pack)
+
+
+def _scan_pack(pack):
+    grads = [t.grad for t in pack]
+    if not np.isfinite(grads[0] if len(grads) == 1 else np.concatenate(grads, axis=None)).all():
+        for t in pack:
+            _finite_or_raise(t.grad, f"gradient of a {t.grad.shape} leaf")
+
+
+def checked_forward(what: str, forward, *args):
+    """``forward(*args)``, whose result's first element is the pass's output
+    Tensor (``what``), run as one checked pass: under one error state, with
+    the products' own checks off, and one scan of that output.
+
+    If the scan or a check kept inside the pass fails, the pass runs again
+    with every check on and no tape or MAC counter, so the first op to see
+    the non-finite value raises its NumericError, naming itself and its
+    site; a replay that raises nothing ends in a NumericError naming
+    ``what``. See the module docstring."""
+    outer, _state.deferred = _state.deferred, True
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = forward(*args)
+        if np.isfinite(result[0].data).all():
+            return result
+    except NumericError:
+        pass
+    finally:
+        _state.deferred = outer
+    result = None       # the failed pass's arrays are not needed by the replay
+    saved = _state.tape, _state.mac_counters, _state.deferred
+    _state.tape, _state.mac_counters, _state.deferred = None, [], False
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward(*args)
+    finally:
+        _state.tape, _state.mac_counters, _state.deferred = saved
+    raise _non_finite(what)
 
 
 class MacCounter:
@@ -326,7 +441,13 @@ def _product32(a, b, what: str, out=None):
 
     The product and the cast run with overflow and invalid-value warnings
     off: an inf input or an overflow becomes inf or NaN, which the check
-    turns into NumericError without a stray RuntimeWarning."""
+    turns into NumericError without a stray RuntimeWarning. Inside a checked
+    pass the pass holds that error state and checks later, so the product
+    runs bare."""
+    if _state.deferred:
+        if out is None:
+            return (a @ b).astype(np.float32, copy=False)
+        return np.matmul(a, b, out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         if out is None:
             out = (a @ b).astype(np.float32, copy=False)
@@ -374,14 +495,16 @@ def _chunked_product(a, b, chunks: int, what: str):
     o64 = np.empty((size, p))
     b64 = b.astype(np.float64)
     out = np.empty((m, p), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
+    deferred = _state.deferred
+    with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
         for i in range(chunks):
             lo, hi = i * m // chunks, (i + 1) * m // chunks
             rows_in, rows_out = a64[:hi - lo], o64[:hi - lo]
             rows_in[...] = a[lo:hi]
             np.matmul(rows_in, b64, out=rows_out)
             out[lo:hi] = rows_out
-    _finite_or_raise(out, what)
+    if not deferred:
+        _finite_or_raise(out, what)
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dimprune import tensor as T
-from dimprune.errors import ConfigError, DimensionError
+from dimprune.errors import ConfigError, DimensionError, NumericError
 from dimprune.scoring import attach_scores, total_loss
 from dimprune.tensor import Tape, Tensor, backward
 from dimprune import blocks as B
@@ -792,3 +792,101 @@ def test_backbone_from_params_builds_nothing_the_config_size_for_a_fault():
     msg = str(err.value)
     assert "missing [], unexpected []" in msg
     assert "('patch_embed', (48, 16))" in msg and "('head', (32, 4))" in msg
+
+
+# ------------------------------------------------------------- numeric checks
+
+
+def test_a_value_only_the_softmax_check_sees_is_named_at_its_site(monkeypatch):
+    # -inf in a relative-position table reaches the logits only through the
+    # mask, and exp(-inf) = 0 turns it finite: the logits cannot show it
+    cfg = BackboneConfig(depths=(2, 2), use_relative_position_bias=True)
+    model = build_backbone(cfg, seed=5)
+    dict(model.named_parameters())["stage0.block1.attn.rpb0"].data[4, 0] = -np.inf
+    imgs = np.random.default_rng(6).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    with pytest.raises(NumericError, match=r"softmax input .* in site stage0\.block1\.attn$"):
+        forward_batch(model, imgs)
+
+    checked = T._finite_or_raise
+
+    def without_softmax_check(arr, what):
+        if what != "softmax input":
+            checked(arr, what)
+
+    monkeypatch.setattr(T, "_finite_or_raise", without_softmax_check)
+    assert np.isfinite(forward_batch(model, imgs).data).all()
+
+
+def assert_thread_state_is_default():
+    assert (T._state.tape, T._state.site, T._state.deferred) == (None, None, False)
+    nan = np.ones((2, 2), dtype=np.float32)
+    nan[1, 0] = np.nan
+    with pytest.raises(NumericError, match=r"matmul output .* in site stage1\.block0\.mlp"):
+        with T.mac_scope("stage1.block0.mlp"):
+            T.matmul(Tensor(nan), Tensor(np.ones((2, 2))))
+    with Tape():
+        pass
+
+
+def test_a_failed_forward_or_backward_restores_the_thread_state():
+    model = build_backbone(BackboneConfig(depths=(2, 2)), seed=7)
+    dict(model.named_parameters())["stage1.block1.mlp.w2"].data[3, 1] = np.inf
+    imgs = np.random.default_rng(8).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    with Tape():
+        with pytest.raises(NumericError, match=r"matmul output .* in site stage1\.block1\.mlp$"):
+            forward_batch(model, imgs)
+    assert_thread_state_is_default()
+    # a finite forward whose gradient overflows: the head's input gradient
+    # is g @ head^T, and a head entry near the float32 maximum overflows it
+    model = build_backbone(BackboneConfig(depths=(2, 2)), seed=7)
+    model.head.data[0, 0] = 3e38
+    imgs = np.zeros((1, 3, 32, 32), dtype=np.float32)
+    with Tape() as tape:
+        loss = T.sum_all(T.scale(forward_batch(model, imgs), 1e3))
+    assert np.isfinite(loss.item())
+    with pytest.raises(NumericError, match="gradient of a .* leaf"):
+        backward(loss, tape)
+    assert_thread_state_is_default()
+
+
+def count_guards(monkeypatch):
+    """Count numpy error-state blocks entered and finiteness scans run."""
+    counts = {"errstate": 0, "isfinite": 0}
+    errstate, isfinite = np.errstate, np.isfinite
+
+    def errstate_spy(**kwargs):
+        counts["errstate"] += 1
+        return errstate(**kwargs)
+
+    def isfinite_spy(arr):
+        counts["isfinite"] += 1
+        return isfinite(arr)
+
+    monkeypatch.setattr(np, "errstate", errstate_spy)
+    monkeypatch.setattr(np, "isfinite", isfinite_spy)
+    return counts
+
+
+def test_a_finite_step_and_eval_run_no_per_product_scan(monkeypatch):
+    # a tiny step runs 19 forward matmuls, 8 attention products and their
+    # gradient products; none of them opens an error state or scans
+    cfg = BackboneConfig(depths=(2, 2))
+    scored = attach_scores(build_backbone(cfg, seed=9))
+    imgs = np.random.default_rng(10).normal(size=(64, 3, 32, 32)).astype(np.float32)
+    labels = np.arange(64) % cfg.num_classes
+    passes = []
+    features = B._features
+    monkeypatch.setattr(B, "_features", lambda *a: passes.append(1) or features(*a))
+    counts = count_guards(monkeypatch)
+    with Tape() as tape:
+        logits = forward_batch(scored.model, imgs[:8], scores=scored.score_map())
+        loss = total_loss(logits, labels[:8], scored.scores, 1e-3)
+    backward(loss, tape)
+    # error states: the forward, each of the 4 softmaxes, the backward;
+    # scans: the logits, the 4 softmax inputs, the cross-entropy logits and
+    # one pack of the 24096 leaf gradient entries
+    assert counts == {"errstate": 6, "isfinite": 7}
+    counts.update(errstate=0, isfinite=0)
+    forward_batch(scored.model, imgs, scores=scored.score_map())
+    assert counts == {"errstate": 5, "isfinite": 5}
+    assert len(passes) == 2                 # no replay

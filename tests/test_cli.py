@@ -314,6 +314,9 @@ def test_a_negative_seed_exits_2_before_the_run(capsys, tiny_cfg, tmp_path, key)
     ("model.base_dim=1099511627776", "MemoryError"),     # a 32 TiB patch embedding
     ("model.num_classes=1000000000000", "MemoryError"),   # a 116 TiB head weight
     ("data.n_per_class=100000000000", "MemoryError"),     # 93 TiB of images
+    # more bytes than numpy can count: it refuses these with a ValueError
+    ("data.n_per_class=100000000000000000", "MemoryError"),
+    ("model.num_classes=1000000000000000000", "MemoryError"),
     ("model.mlp_ratio=1e30", "ConfigError"),              # a hidden width of 8e30
 ])
 def test_a_setting_too_large_for_memory_exits_2_with_one_record(

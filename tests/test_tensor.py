@@ -922,6 +922,46 @@ def test_matmul_gradient_overflow_raises_without_warning():
             backward(loss, tape)
 
 
+def test_an_overflow_in_an_elementwise_gradient_raises_without_warning():
+    # the forward stays finite (1e20, then 1e30); the score pull's g * x is
+    # 1e10 * 1e30, which overflows float32, and only the leaf check sees it
+    x = leaf([[1e30]])
+    v = leaf([1e-10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            loss = T.sum_all(T.scale(T.scale_columns(x, v), 1e10))
+        with pytest.raises(NumericError, match=r"gradient of a \(1,\) leaf"):
+            backward(loss, tape)
+    assert (T._state.tape, T._state.site, T._state.deferred) == (None, None, False)
+
+
+def test_checked_forward_replays_a_failed_pass_with_every_check_on():
+    passes = []
+
+    def forward(a, b):
+        passes.append(T._state.deferred)
+        with T.mac_scope("stage0.block0.mlp"):
+            return (T.matmul(a, b),)
+
+    ones = Tensor(np.ones((2, 2)))
+    T.checked_forward("logits", forward, Tensor(np.ones((1, 2))), ones)
+    assert passes == [True]             # a finite pass runs once
+    passes.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape, T.count_macs() as counter:
+            with pytest.raises(NumericError, match="matmul output .* in site stage0.block0.mlp"):
+                T.checked_forward("logits", forward, leaf([[np.inf, 1.0]]), ones)
+    # the replay runs with the checks on, off the tape and the counters
+    assert passes == [True, False]
+    assert len(tape._nodes) == 1 and counter.macs == 4
+    assert (T._state.tape, T._state.site, T._state.deferred) == (None, None, False)
+    # a replay in which no check fails names the pass's output
+    with pytest.raises(NumericError, match="^logits contains non-finite values$"):
+        T.checked_forward("logits", lambda: (Tensor([[np.nan]]),))
+
+
 def test_batched_matmul_matches_per_slice_naive_loops():
     a = rng(70).normal(size=(2, 3, 4, 5)).astype(np.float32)
     b = rng(71).normal(size=(2, 3, 5, 2)).astype(np.float32)
