@@ -204,14 +204,14 @@ def _attention(x: Tensor, p: AttentionParams, groups: tuple,
 
     x holds prod(groups) groups of m rows; the logits are [*groups, heads,
     m, m], and mask must equal their trailing axes. Q, K and V are one
-    matmul against the site's per-head weights joined column-wise, and
-    ``T.attention_core`` runs every group and head as one op.
+    matmul against the site's per-head weights joined column-wise, with
+    alpha (one entry per head column, repeated over q/k/v and the heads)
+    as its scale, and ``T.attention_core`` runs every group and head as one
+    op.
     """
     m = x.shape[0] // math.prod(groups)
     h, k = p.heads, p.head_dim
-    qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv)), (*groups, m, 3, h, k))
-    if alpha is not None:
-        qkv = T.scale_columns(qkv, alpha)
+    qkv = T.reshape(T.matmul(x, T.concat(p.wq + p.wk + p.wv), alpha), (*groups, m, 3, h, k))
     out = T.attention_core(qkv, _logit_factor(p.scale_dim), mask)
     return T.matmul(out, p.wo)
 
@@ -244,11 +244,9 @@ def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
 
 
 def mlp_forward(x: Tensor, p: MlpParams, alpha: Tensor | None = None) -> Tensor:
-    """Two-layer MLP with GELU; alpha scales the hidden columns before GELU."""
-    h = T.matmul(x, p.w1)
-    if alpha is not None:
-        h = T.scale_columns(h, alpha)
-    return T.matmul(T.gelu(h), p.w2)
+    """Two-layer MLP with GELU; alpha scales the hidden columns before GELU,
+    folded into the W_1 product."""
+    return T.matmul(T.gelu(T.matmul(x, p.w1, alpha)), p.w2)
 
 
 def block_forward(x: Tensor, bp: BlockParams, spec: WindowSpec,

@@ -42,15 +42,37 @@ row's statistic would depend on its batch.
 ``test_layer_norm_of_stacked_rows_equals_each_row_alone_bitwise`` holds the
 invariance on float64 rows whose sums round.
 
-A sum over leading axes (the pulls of ``scale_columns``' scores, of a
-trailing-axes ``add``, of layer norm's gain and bias and of the attention
-mask) is ``_column_sums``: one ``np.einsum("ij->j")`` over the rows in
-float64. It adds each column's entries in row order, as numpy's sum over
-the leading axes does, so the bits are numpy's; on tall, narrow arrays it
-is up to 2x faster, because numpy casts through a buffer and runs one inner
-loop per short row. numpy sums a lone column pairwise, as a flat array, so
-a width of 1 keeps numpy's sum.
-``test_column_sums_equal_numpy_float64_sums_over_leading_axes`` holds it.
+A sum over leading axes (the pulls of a trailing-axes ``add``, of layer
+norm's gain and bias and of the attention mask) is ``_column_sums``: one
+``np.einsum("ij->j")`` over the rows in float64. It adds each column's
+entries in row order, as numpy's sum over the leading axes does, so the
+bits are numpy's; on tall, narrow arrays it is up to 2x faster, because
+numpy casts through a buffer and runs one inner loop per short row. numpy
+sums a lone column pairwise, as a flat array, so a width of 1 keeps numpy's
+sum. ``test_column_sums_equal_numpy_float64_sums_over_leading_axes`` holds
+it. The scale pull of a scored product (below) sums float64 products the
+same way, with ``np.einsum("ij,ij->j")``;
+``test_scale_gradient_equals_numpy_float64_sums_on_order_sensitive_data``
+holds it.
+
+A scored product, ``matmul(a, b, scale)``, applies the score to the weight,
+as surgery (``pruner._fold``) does, not to the product's [rows, p] output:
+a [d, p] weight is smaller than a batch's activations wherever the rows
+outnumber d. The forward multiplies b by the scale inside b's float64
+cast, one pass writing the float64 array the product reads, which is not
+copied again. Each multiply by a scale of n entries repeated over p columns
+takes the scale repeated once into a row of p, made once per call: numpy
+runs one inner loop per row, so [-1, n] views of short rows cost several
+times more. A product of two float32 values is exact
+in float64, so the scored product is rounded once, by the product; scaling
+the float32 output instead rounded it twice. The record keeps only a, b
+and the repeated scale. Its b and scale pulls share G = a^T g, one float32
+product made once per record (as ``attention_core`` shares its logit
+gradient): the scale gets the float64 sums of G * b over b's rows and
+repeated column groups, and b gets G s, scaled in place once those sums
+have read G; a gets (g s) b^T. Folding in float32 (b s rounded, then a
+plain product) would give surgery's bits instead, but its rounding moves
+``test_block_gradients_match_finite_differences`` past its tolerance.
 
 Operations executed inside an active ``Tape`` context record how to pull
 gradients back to their inputs; ``backward`` replays the records in reverse
@@ -98,8 +120,9 @@ names a leaf gradient by shape, not a gradient product or a site.
 
 One scan at the end sees every non-finite value only where no op on the
 way turns one finite again. These ops cannot: a product (every input entry
-reaches some output entry, and inf * 0 is NaN); ``add``, ``scale`` and
-``scale_columns`` (inf - inf and inf * 0 are NaN); layer norm (a
+reaches some output entry, and inf * 0 is NaN), a scored one too (a scale
+entry reaches every entry of its columns); ``add`` and ``scale`` (inf - inf
+and inf * 0 are NaN); layer norm (a
 non-finite entry makes its row's mean non-finite, so every entry of the
 row); GELU (inf stays inf, and -inf gives 0 * -inf, NaN); ``mean_rows``;
 permutes, reshapes, transposes and ``concat``, which move every entry; and
@@ -473,17 +496,18 @@ def _product64(a, b, what: str, out=None):
     """``a @ b`` of two float32 arrays, accumulated in float64 and rounded to
     float32 (into ``out``, a float32 view, if given), rejecting non-finite
     entries as ``_product32`` does. The operands are cast to C-ordered
-    float64 arrays, whatever the order of the views passed in. A narrow,
-    tall 2-D product with no ``out`` runs in row chunks (see the module
-    docstring)."""
+    float64 arrays, whatever the order of the views passed in; a b already
+    in C-ordered float64 (a scored product's folded weight) is used as it
+    is. A narrow, tall 2-D product with no ``out`` runs in row chunks (see
+    the module docstring)."""
     if a.ndim == 2 and out is None:
         m, k = a.shape
         p = b.shape[1]
         rows = max(2, _CHUNK_BYTES // (8 * (k + p)))
         if k * p <= _NARROW * (k + p) and m >= 2 * rows:
             return _chunked_product(a, b, m // rows, what)
-    return _product32(a.astype(np.float64, order="C"), b.astype(np.float64, order="C"),
-                      what, out)
+    return _product32(a.astype(np.float64, order="C", copy=False),
+                      b.astype(np.float64, order="C", copy=False), what, out)
 
 
 def _chunked_product(a, b, chunks: int, what: str):
@@ -493,7 +517,7 @@ def _chunked_product(a, b, chunks: int, what: str):
     size = -(-m // chunks)
     a64 = np.empty((size, k))
     o64 = np.empty((size, p))
-    b64 = b.astype(np.float64)
+    b64 = b.astype(np.float64, copy=False)
     out = np.empty((m, p), dtype=np.float32)
     deferred = _state.deferred
     with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
@@ -508,11 +532,16 @@ def _chunked_product(a, b, chunks: int, what: str):
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
     """Product over the last two axes; leading axes must be equal (no
     broadcasting). Counts batch*m*k*p MACs. The forward accumulates in
     float64; the gradient products run in float32 over the operands' own
-    arrays, which must not change before backward."""
+    arrays, which must not change before backward.
+
+    ``scale``, a 1-D tensor whose length n divides the p columns of a 2-D
+    b, gives a @ (b diag(s)): column j of b is scaled by scale[j % n]. The
+    scale is applied in b's float64 cast, so the scored product is rounded
+    once (see the module docstring)."""
     ad, bd = a.data, b.data
     ashape, bshape = ad.shape, bd.shape
     if len(ashape) < 2 or len(ashape) != len(bshape) or ashape[:-2] != bshape[:-2]:
@@ -521,19 +550,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul inner dims differ: {ashape} x {bshape}")
     *lead, m, k = ashape
     p = bshape[-1]
+    if scale is not None and (len(bshape) != 2 or scale.data.ndim != 1
+                              or p % scale.data.shape[0]):
+        raise DimensionError(f"matmul scale {scale.shape} needs a 2-D product whose "
+                             f"column count its length divides: {ashape} x {bshape}")
     macs = math.prod(lead) * m * k * p
     for c in _state.mac_counters:
         c.macs += macs
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
     # check of the output also catches non-finite inputs and float32 overflow.
-    tape = _grad_tape(a, b)
-    out = _fresh(_product64(ad, bd, "matmul output"), tape is not None)
+    if scale is None:
+        tape = _grad_tape(a, b)
+        out = _fresh(_product64(ad, bd, "matmul output"), tape is not None)
+        if tape is not None:
+            tape._record(out, [
+                (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
+                (b, lambda g: _product32(ad.swapaxes(-1, -2), g, "matmul rhs gradient")),
+            ])
+        return out
+    n = scale.data.shape[0]
+    row = _repeated(scale.data, p)
+    tape = _grad_tape(a, b, scale)
+    out = _fresh(_product64(ad, _folded(bd, row), "matmul output"), tape is not None)
     if tape is not None:
+        shared = []     # b's and the scale's gradients, made by the first pull
+
+        def rhs_grads(g):
+            """Both from one float32 product G = a^T g: the scale's float64
+            sums of G * b over the rows of their [-1, n] views, then G,
+            scaled in place, as b's gradient."""
+            if not shared:
+                rhs = _product32(ad.T, g, "matmul rhs gradient")
+                shared.append(_product_column_sums(rhs.reshape(-1, n), bd.reshape(-1, n)))
+                rhs *= row
+                shared.append(rhs)
+            return shared
+
         tape._record(out, [
-            (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
-            (b, lambda g: _product32(ad.swapaxes(-1, -2), g, "matmul rhs gradient")),
+            (a, lambda g: _product32(g * row, bd.T, "matmul lhs gradient")),
+            (b, lambda g: rhs_grads(g)[1]),
+            (scale, lambda g: rhs_grads(g)[0]),
         ])
     return out
+
+
+def _repeated(s, p):
+    """The scale s repeated over p columns, entry j being s[j % n], so a
+    multiply by it runs over whole rows of p entries, not short rows of n."""
+    if s.shape[0] == p:
+        return s
+    row = np.empty(p, dtype=np.float32)
+    row.reshape(-1, s.shape[0])[...] = s
+    return row
+
+
+def _folded(b, row):
+    """A 2-D float32 weight b cast to a C-ordered float64 array with each row
+    multiplied by ``row``, in one pass. A product of two float32 values is
+    exact in float64, so the fold rounds nothing."""
+    w64 = np.empty(b.shape)
+    # inf * 0 gives NaN, which the product's own check then sees
+    with nullcontext() if _state.deferred else np.errstate(invalid="ignore"):
+        np.multiply(b, row, out=w64, dtype=np.float64)
+    return w64
 
 
 def _column_sums(a, n):
@@ -545,6 +624,17 @@ def _column_sums(a, n):
     if n == 1:
         return rows.sum(axis=0, dtype=np.float64).astype(np.float32)
     return np.einsum("ij->j", rows, dtype=np.float64).astype(np.float32)
+
+
+def _product_column_sums(x, y):
+    """``_column_sums`` of the float64 products of two [rows, n] float32
+    arrays, without an array of the products: one
+    ``np.einsum("ij,ij->j")`` in float64 adds each column's products in row
+    order. einsum adds a lone column in another order, so a width of 1
+    keeps numpy's sum, as ``_column_sums`` does."""
+    if x.shape[1] == 1:
+        return np.multiply(x, y, dtype=np.float64).sum(axis=0).astype(np.float32)
+    return np.einsum("ij,ij->j", x, y, dtype=np.float64).astype(np.float32)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -575,23 +665,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     out = _fresh(a.data * f, tape is not None)
     if tape is not None:
         tape._record(out, [(a, lambda g: g * f)])
-    return out
-
-
-def scale_columns(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply entry i of x's last axis by v[i] (right-multiply by diag(v)).
-    The v pull sums the float32 product g * x by columns."""
-    xd, vd = x.data, v.data
-    n = xd.shape[-1]
-    if vd.shape != (n,):
-        raise DimensionError(f"scale_columns needs v of length {n}, got {vd.shape}")
-    tape = _grad_tape(x, v)
-    out = _fresh(xd * vd, tape is not None)
-    if tape is not None:
-        tape._record(out, [
-            (x, lambda g: g * vd),
-            (v, lambda g: _column_sums(g * xd, n)),
-        ])
     return out
 
 

@@ -181,10 +181,10 @@ def _proj(out, c1, c2):
 # (one record per attention site, one l1 record for every score vector)
 # shows here as a changed count, whatever the machine's speed.
 CRITERION_03_TAPE_RECORDS = {
-    "matmul": 5, "add": 5, "scale": 5, "scale_columns": 5, "transpose": 5,
+    "matmul": 5, "add": 5, "scale": 5, "matmul_scaled": 5, "transpose": 5,
     "reshape": 5, "concat_cols": 5, "permute_rows": 5, "gather_rows": 5,
     "sum_all": 1, "mean_rows": 5, "l1_norm": 1, "attention_core": 5,
-    "layer_norm": 5, "gelu": 5, "cross_entropy": 1, "scored_block": 20,
+    "layer_norm": 5, "gelu": 5, "cross_entropy": 1, "scored_block": 18,
     "l1_norm_several": 1,
 }
 
@@ -212,9 +212,11 @@ def test_criterion_03_gradient_suite():
     a3, p3, q3 = leaf(3, 4), const(4, 1), const(3, 1)
     cases.append(("scale", lambda: _proj(T.scale(a3, 1.7), p3, q3), [a3]))
 
-    x4, v4, p4, q4 = leaf(6, 5), leaf(5), const(5, 1), const(6, 1)
-    cases.append(("scale_columns",
-                  lambda: _proj(T.scale_columns(x4, v4), p4, q4), [x4, v4]))
+    # a score of length 3 repeated over the 6 columns of b, as q/k/v and
+    # the heads repeat an attention site's score
+    x4, b4, v4, p4, q4 = leaf(6, 5), leaf(5, 6), leaf(3), const(6, 1), const(6, 1)
+    cases.append(("matmul_scaled",
+                  lambda: _proj(T.matmul(x4, b4, v4), p4, q4), [x4, b4, v4]))
 
     a5, p5, q5 = leaf(3, 5), const(3, 1), const(5, 1)
     cases.append(("transpose", lambda: _proj(T.transpose(a5), p5, q5), [a5]))

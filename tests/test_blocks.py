@@ -666,9 +666,11 @@ def test_wmsa_stacked_images_shifted_with_bias_match_reference():
 
 
 def test_attention_core_gradients_through_a_shift_mask_match_finite_differences():
+    # alpha scales the Q/K/V product's columns, repeated over q/k/v and heads
     r = rng(36)
-    heads, k, m, windows = 2, 3, 4, 4
-    qkv = w(r, 2, windows, m, 3, heads, k)
+    heads, k, m, windows, d = 2, 3, 4, 4, 4
+    x = w(r, 2 * windows * m, d)
+    wqkv = w(r, d, 3 * heads * k)
     alpha = Tensor(r.normal(1.0, 0.3, size=k).astype(np.float32), requires_grad=True)
     table = w(r, 9, heads)
     shift = B._shift_mask(4, 4, 2, 1, heads)
@@ -678,14 +680,15 @@ def test_attention_core_gradients_through_a_shift_mask_match_finite_differences(
     def build():
         bias = T.reshape(T.transpose(T.gather_rows(table, B._relative_index(2))),
                          (heads, m, m))
-        out = T.attention_core(T.scale_columns(qkv, alpha), 0.5, T.add(shift, bias))
+        qkv = T.reshape(T.matmul(x, wqkv, alpha), (2, windows, m, 3, heads, k))
+        out = T.attention_core(qkv, 0.5, T.add(shift, bias))
         return T.sum_all(T.matmul(T.transpose(T.matmul(out, c1)), c2))
 
     with Tape() as tape:
         loss = build()
     backward(loss, tape)
     check = rng(37)
-    for leaf in (qkv, alpha, table):
+    for leaf in (x, wqkv, alpha, table):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
         assert_grad_matches(lambda: build().item(), leaf.data, leaf.grad, check, points=6)
 
@@ -749,7 +752,25 @@ def test_search_step_tape_size_is_independent_of_batch_heads_and_windows():
               for batch, heads, size in [(1, (2, 4), 32), (8, (2, 4), 32),
                                          (8, (4, 8), 32), (8, (2, 4), 64)]}
     assert len(set(counts.values())) == 1, counts
-    assert counts[(8, (2, 4), 32)] == 77
+    assert counts[(8, (2, 4), 32)] == 69
+
+
+def test_scores_add_no_tape_record_to_the_forward():
+    # each score is folded into its site's product: a scored step records
+    # what an unscored one does, plus the loss's l1 term (l1_norm, scale, add)
+    cfg = BackboneConfig(depths=(2, 2))
+    scored = attach_scores(build_backbone(cfg, seed=0))
+    imgs = rng(36).random((8, 3, 32, 32)).astype(np.float32)
+    labels = np.arange(8) % cfg.num_classes
+
+    def records(scores):
+        with Tape() as tape:
+            logits = forward_batch(scored.model, imgs,
+                                   scores=scored.score_map() if scores else None)
+            total_loss(logits, labels, scored.scores if scores else [], 1e-3)
+        return len(tape._nodes)
+
+    assert records(True) == records(False) + 3
 
 
 @pytest.mark.parametrize("rpb", [False, True])

@@ -593,9 +593,9 @@ def table_digest(ckpt):
 # A shifted, position-biased chain. A change that moves one of these must
 # say why in CHANGES.md.
 CHAIN_DIGESTS = {
-    "search": "5f9ce09249800f86e3ead88b2eae5ec0b27e2fee88bf696bb15e1da48ae251d8",
-    "prune": "f56b1a46d5d5dc577355e3716eb23f2042b58ce448967ac4defe092042720439",
-    "finetune": "89045034175291a2ef12c1a382b80f5e46fa8c3ec83c724a63135b5a8a2256da",
+    "search": "613de3ff22f96c2b458f22a004113bad8cb833ed47b1073f40017f5a199304fd",
+    "prune": "2ac5e54b72662387b5b2d825e909bceee6c3e1a19509cbfc05b3b677a9aefb2a",
+    "finetune": "cf429f186bb19813cf8bc6be2fef81744f3b483940ab01bb85c09ff7cf2120b5",
 }
 
 

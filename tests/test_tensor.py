@@ -314,18 +314,22 @@ def test_gather_rows_with_repeats():
     assert out.data.tolist() == [[4, 5], [0, 1], [4, 5]]
 
 
-def test_scale_columns_matches_diag_product():
+def test_scaled_matmul_matches_diag_product():
     x = rng(7).normal(size=(3, 4)).astype(np.float32)
+    b = rng(11).normal(size=(4, 4)).astype(np.float32)
     v = rng(8).normal(size=4).astype(np.float32)
-    got = T.scale_columns(Tensor(x), Tensor(v)).data
-    want = x.astype(np.float64) @ np.diag(v.astype(np.float64))
+    got = T.matmul(Tensor(x), Tensor(b), Tensor(v)).data
+    want = x.astype(np.float64) @ b.astype(np.float64) @ np.diag(v.astype(np.float64))
     assert np.abs(got - want).max() < 1e-6
 
 
-def test_scale_columns_by_ones_is_bitwise_identity():
-    x = rng(9).normal(size=(5, 3)).astype(np.float32)
-    out = T.scale_columns(Tensor(x), Tensor(np.ones(3)))
-    assert np.array_equal(out.data, x)
+@pytest.mark.parametrize("m, k, p", [(5, 3, 6), (2 * chunk_rows(16, 48) + 3, 16, 48)])
+def test_scaled_matmul_by_ones_gives_the_plain_product_bitwise(m, k, p):
+    a = rng(9).normal(size=(m, k)).astype(np.float32)
+    b = rng(10).normal(size=(k, p)).astype(np.float32)
+    plain = T.matmul(Tensor(a), Tensor(b)).data
+    for n in (p, p // 3):
+        assert np.array_equal(T.matmul(Tensor(a), Tensor(b), Tensor(np.ones(n))).data, plain)
 
 
 def order_sensitive(r, rows, n):
@@ -382,27 +386,85 @@ def test_column_sums_equal_numpy_float64_sums_over_leading_axes(n):
             assert np.array_equal(got, want), (shape, lead)
 
 
-def scale_columns_pulls(x, v, g):
+# ------------------------------------------------------------ scored product
+
+
+def repeated(s, p):
+    """A length-n scale repeated over p columns: column j takes s[j % n]."""
+    return np.tile(s, p // s.shape[0])
+
+
+def scaled_pulls(a, b, s, g):
+    """The forward and the a, b and scale pulls of matmul(a, b, s)."""
     with Tape() as tape:
-        out = T.scale_columns(leaf(x), leaf(v))
+        out = T.matmul(leaf(a), leaf(b), leaf(s))
     (_, pulls), = tape._nodes
     return [out.data] + [pull(g) for _, pull in pulls]
 
 
-@pytest.mark.parametrize("shape", [(8, 16, 4, 3, 2, 8), (8, 4, 4, 3, 4, 8), (1, 64, 49, 3, 3, 32),
-                                   (4096, 16), (1025, 8), (1536, 3), (2048, 1), (1024, 96),
-                                   (1024, 300), (512, 32), (3, 5)])
-def test_wide_row_scale_columns_equals_the_broadcast_bitwise(shape):
-    r = rng(sum(shape))
-    n = shape[-1]
-    x = r.normal(size=shape).astype(np.float32)
-    v = r.normal(size=n).astype(np.float32)
-    g = order_sensitive(r, x.size // n, n).reshape(shape)
-    lead = tuple(range(len(shape) - 1))
-    want = [x * v, g * v, (g * x).sum(axis=lead, dtype=np.float64).astype(np.float32)]
-    got = scale_columns_pulls(x, v, g)
-    for name, a, b in zip(("forward", "x pull", "v pull"), got, want):
-        assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b), name
+def scale_grad_reference(a, b, g, n):
+    """The scale's gradient: numpy's float64 sums of (a^T g) * b, the
+    float32 product a^T g widened, over the leading axis of their [-1, n]
+    view (b's rows and its repeated column groups)."""
+    prods = (a.T @ g).astype(np.float64) * b.astype(np.float64)
+    return prods.reshape(-1, n).sum(axis=0).astype(np.float32)
+
+
+# [m, k] @ [k, p] with a scale of length n: the tiny model's stage-0
+# attention (48 columns repeating a score of 8) and MLP, Swin-T's stage-0
+# attention (288 columns repeating 32), a full-length score of 384, and tall
+# narrow products that run in row chunks
+SCALED_SHAPES = [(128, 16, 48, 8), (128, 16, 32, 32), (49, 96, 288, 32), (64, 96, 384, 384),
+                 (2 * chunk_rows(16, 48) + 3, 16, 48, 8),
+                 (2 * chunk_rows(16, 48) + 3, 16, 48, 48)]
+
+
+@pytest.mark.parametrize("m, k, p, n", SCALED_SHAPES)
+def test_scaled_product_bits_equal_the_float64_formula(monkeypatch, m, k, p, n):
+    calls = count_chunked(monkeypatch)
+    r = rng(m + k + p + n)
+    a = (r.normal(size=(m, k)) * 10.0 ** r.integers(-3, 4, size=(m, k))).astype(np.float32)
+    b = r.normal(size=(k, p)).astype(np.float32)
+    s = r.normal(size=n).astype(np.float32)
+    want = (a.astype(np.float64) @ (b.astype(np.float64) * repeated(s, p))).astype(np.float32)
+    got = T.matmul(Tensor(a), Tensor(b), Tensor(s)).data
+    assert got.dtype == np.float32 and got.flags.c_contiguous and np.array_equal(got, want)
+    assert len(calls) == (m >= 2 * chunk_rows(k, p))
+
+
+@pytest.mark.parametrize("m, k, p, n", SCALED_SHAPES)
+def test_scaled_product_pulls_equal_the_formulas_bitwise(m, k, p, n):
+    r = rng(m + k + p + n)
+    a, b, g = normal32(r, m, k), normal32(r, k, p), normal32(r, m, p)
+    s = normal32(r, n)
+    sp = repeated(s, p)
+    want = [(g * sp) @ b.T, (a.T @ g) * sp, scale_grad_reference(a, b, g, n)]
+    for name, got, ref in zip(("a pull", "b pull", "scale pull"), scaled_pulls(a, b, s, g)[1:],
+                              want):
+        assert got.dtype == np.float32 and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("k, p, n", [(16, 48, 8), (32, 96, 96), (8, 4, 1), (32, 64, 1)])
+def test_scale_gradient_equals_numpy_float64_sums_on_order_sensitive_data(k, p, n):
+    # a permutation matrix makes a^T g an exact row permutation of g, so the
+    # products G * b are g's order-sensitive entries, b being ones
+    r = rng(k + p + n)
+    a = np.eye(k, dtype=np.float32)[r.permutation(k)]
+    b = np.ones((k, p), dtype=np.float32)
+    for g in (order_sensitive(r, k * p // n, n), periodic_columns(r, k * p // n, n)):
+        g = g.reshape(k, p)
+        got = scaled_pulls(a, b, normal32(r, n), g)[3]
+        assert np.array_equal(got, scale_grad_reference(a, b, g, n))
+
+
+def test_scaled_matmul_rejects_a_scale_that_does_not_fit():
+    a2, b2 = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 6)))
+    a3, b3 = Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 6)))
+    for a, b, s in [(a2, b2, np.ones(4)), (a2, b2, np.ones(12)), (a2, b2, np.ones((2, 3))),
+                    (a3, b3, np.ones(6)), (a3, b3, np.ones(3))]:
+        with pytest.raises(DimensionError, match="matmul scale"):
+            T.matmul(a, b, Tensor(s))
 
 
 # ----------------------------------------------------------------- reductions
@@ -751,7 +813,7 @@ def test_shared_subexpression_gradients_accumulate():
     x = leaf([1.0, -2.0, 3.0])
     with Tape() as tape:
         row = T.reshape(x, (1, 3))
-        loss = T.sum_all(T.scale_columns(row, x))
+        loss = T.sum_all(T.matmul(Tensor([[1.0]]), row, x))
     backward(loss, tape)
     assert np.abs(x.grad - 2 * x.data).max() < 1e-6
 
@@ -833,12 +895,13 @@ def test_grad_scale_and_reshape_and_transpose():
     fd_check(build, [x], 33)
 
 
-def test_grad_scale_columns_both_inputs():
+def test_grad_scaled_matmul_all_inputs():
     x = leaf(rng(34).normal(size=(4, 3)))
+    b = leaf(rng(134).normal(size=(3, 3)))
     v = leaf(rng(35).normal(size=3))
     c1 = Tensor(rng(36).normal(size=(3, 1)))
     c2 = Tensor(rng(37).normal(size=(4, 1)))
-    fd_check(lambda: proj_loss(T.scale_columns(x, v), c1, c2), [x, v], 38)
+    fd_check(lambda: proj_loss(T.matmul(x, b, v), c1, c2), [x, b, v], 38)
 
 
 def test_grad_concat_permute_gather():
@@ -923,14 +986,15 @@ def test_matmul_gradient_overflow_raises_without_warning():
 
 
 def test_an_overflow_in_an_elementwise_gradient_raises_without_warning():
-    # the forward stays finite (1e20, then 1e30); the score pull's g * x is
-    # 1e10 * 1e30, which overflows float32, and only the leaf check sees it
+    # the forward stays finite (1e20, then 1e30); the score pull's float64
+    # sum (a^T g) * b is 1e10 * 1e30, which overflows float32 as it is
+    # rounded, and only the leaf check sees it
     x = leaf([[1e30]])
     v = leaf([1e-10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            loss = T.sum_all(T.scale(T.scale_columns(x, v), 1e10))
+            loss = T.sum_all(T.scale(T.matmul(Tensor([[1.0]]), x, v), 1e10))
         with pytest.raises(NumericError, match=r"gradient of a \(1,\) leaf"):
             backward(loss, tape)
     assert (T._state.tape, T._state.site, T._state.deferred) == (None, None, False)
@@ -1009,15 +1073,12 @@ def test_transpose_axes_values_and_rejections():
 
 def test_nd_rows_ops_match_per_matrix_results():
     x = rng(75).normal(size=(2, 3, 4, 5)).astype(np.float32)
-    v = rng(76).normal(size=5).astype(np.float32)
     soft = T._softmax(x)
-    scaled = T.scale_columns(Tensor(x), Tensor(v)).data
     means = T.mean_rows(Tensor(x)).data
     assert means.shape == (2, 3, 1, 5)
     for i in range(2):
         for j in range(3):
             assert np.array_equal(soft[i, j], T._softmax(x[i, j]))
-            assert np.array_equal(scaled[i, j], T.scale_columns(Tensor(x[i, j]), Tensor(v)).data)
             assert np.array_equal(means[i, j], T.mean_rows(Tensor(x[i, j])).data)
 
 
@@ -1051,10 +1112,13 @@ def test_grad_softmax_4d():
     softmax_fd_check(rng(91).normal(size=(2, 2, 3, 4)), rng(92).normal(size=(2, 2, 3, 4)), 94)
 
 
-def test_grad_scale_columns_nd():
-    x = leaf(rng(95).normal(size=(2, 3, 4)))
+def test_grad_scaled_matmul_repeated_scale():
+    # a score of length 4 repeated over 3 column groups, the product viewed
+    # as [2, 3, 4] as an attention site views its Q/K/V columns
+    x = leaf(rng(95).normal(size=(2, 5)))
+    b = leaf(rng(195).normal(size=(5, 12)))
     v = leaf(rng(96).normal(size=4))
-    fd_check(lambda: flat_loss(T.scale_columns(x, v), 97), [x, v], 99)
+    fd_check(lambda: flat_loss(T.reshape(T.matmul(x, b, v), (2, 3, 4)), 97), [x, b, v], 99)
 
 
 def test_grad_mean_rows_nd():
@@ -1092,6 +1156,31 @@ def test_matmul_pulls_hold_no_float64_array():
             if isinstance(cell.cell_contents, np.ndarray)]
     assert held and all(arr.dtype == np.float32 for arr in held)
     assert {id(arr) for arr in held} <= {id(a.data), id(b.data)}
+
+
+def test_scaled_matmul_record_holds_only_its_operands():
+    # the scale is folded into the weight, so no activation-sized array of
+    # the product before its scale stays on the tape
+    a, b, s = leaf(normal32(rng(116), 64, 4)), leaf(normal32(rng(117), 4, 6)), leaf([1.0, 2.0])
+    with Tape() as tape:
+        T.matmul(a, b, s)
+    (_, pulls), = tape._nodes
+    held, seen = [], set()
+    cells = [cell for _, pull in pulls for cell in pull.__closure__ or ()]
+    while cells:
+        value = cells.pop().cell_contents
+        if inspect.isfunction(value) and id(value) not in seen:
+            seen.add(id(value))
+            cells.extend(value.__closure__ or ())
+        elif isinstance(value, (np.ndarray, list)):
+            held.append(value)
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    assert {id(a.data), id(b.data)} <= {id(v) for v in arrays}
+    # besides the operands, only the scale repeated over b's 6 columns
+    rows = [v for v in arrays if v is not a.data and v is not b.data]
+    assert rows and all(np.array_equal(v, [1, 2, 1, 2, 1, 2]) for v in rows)
+    # the b and scale gradients, made by the first of their pulls to run
+    assert [v for v in held if isinstance(v, list)] == [[]]
 
 
 def test_concat_column_gradients_are_contiguous():
@@ -1318,6 +1407,11 @@ OP_CASES = [
     ("matmul", "2d", lambda r: ([leaf(normal32(r, 5, 4)), leaf(normal32(r, 4, 3))], T.matmul)),
     ("matmul", "chunked", lambda r: ([leaf(normal32(r, 4096, 16)), leaf(normal32(r, 16, 16))],
                                      T.matmul)),
+    ("matmul", "scaled", lambda r: ([leaf(normal32(r, 5, 4)), leaf(normal32(r, 4, 6)),
+                                     leaf(normal32(r, 3))], T.matmul)),
+    ("matmul", "scaled-tall", lambda r: ([leaf(normal32(r, 4096, 16)),
+                                          leaf(normal32(r, 16, 48)), leaf(normal32(r, 8))],
+                                         T.matmul)),
     ("matmul", "stacked", lambda r: ([leaf(normal32(r, 2, 5, 4)), leaf(normal32(r, 2, 4, 3))],
                                      T.matmul)),
     ("add", "same-shape", lambda r: ([leaf(normal32(r, 3, 4)), leaf(normal32(r, 3, 4))], T.add)),
@@ -1326,10 +1420,6 @@ OP_CASES = [
     ("add", "row-bias-einsum", lambda r: ([leaf(normal32(r, 256, 6)), leaf(normal32(r, 6))],
                                           T.add)),
     ("scale", "", lambda r: ([leaf(normal32(r, 3, 4))], lambda a: T.scale(a, 0.3))),
-    ("scale_columns", "narrow", lambda r: ([leaf(normal32(r, 6, 5)), leaf(normal32(r, 5))],
-                                           T.scale_columns)),
-    ("scale_columns", "wide-rows", lambda r: ([leaf(normal32(r, 2048, 8)), leaf(normal32(r, 8))],
-                                              T.scale_columns)),
     ("transpose", "", lambda r: ([leaf(normal32(r, 3, 5))], T.transpose)),
     ("reshape", "", lambda r: ([leaf(normal32(r, 2, 6))], lambda a: T.reshape(a, (3, 4)))),
     ("concat", "", lambda r: ([leaf(normal32(r, 4, 2)), leaf(normal32(r, 4, 3)),
