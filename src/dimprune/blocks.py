@@ -566,9 +566,6 @@ class Backbone:
         """(name, tensor) pairs of the build's name table, in build order."""
         return list(self._table.items())
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def zero_grads(self):
         for _, p in self.named_parameters():
             p.grad = None

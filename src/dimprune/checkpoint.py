@@ -34,7 +34,6 @@ import numpy as np
 from .blocks import Backbone, BackboneConfig, check_site_dims
 from .errors import ConfigError, DimensionError, FormatError, UsageError
 from .scoring import ScoredModel, attach_scores
-from .tensor import Tensor
 
 MAGIC = b"DIMPRUNE"
 VERSION = 1
@@ -62,8 +61,8 @@ class Checkpoint:
     opt_v: dict = field(default_factory=dict)
     step: int = 0
     seed: int = 0
+    # No stage sets it (runs draw from seeds); a loaded file's value round-trips.
     rng_state: dict | None = None
-    version: int = VERSION
 
     def has_scores(self) -> bool:
         return bool(self.scores)
@@ -108,7 +107,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
         arrays.append(arr)
         offset += arr.nbytes
     header = {
-        "version": ckpt.version,
+        "version": VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "site_dims": {k: int(v) for k, v in ckpt.site_dims.items()},
         "step": int(ckpt.step),
@@ -157,7 +156,7 @@ def _checkpoint_from_header(path, header) -> Checkpoint:
     if rng_state is not None and type(rng_state) is not dict:
         raise FormatError(f"{path}: rng_state must be null or an object")
     return Checkpoint(config=config, site_dims=site_dims, step=step, seed=seed,
-                      rng_state=rng_state, version=version)
+                      rng_state=rng_state)
 
 
 def _is_shape(shape) -> bool:
@@ -275,8 +274,8 @@ def load_checkpoint(path, groups=TENSOR_GROUPS) -> Checkpoint:
 
 def checkpoint_from_model(model: Backbone, scored: ScoredModel | None = None,
                           step: int = 0, seed: int = 0,
-                          opt_m: dict | None = None, opt_v: dict | None = None,
-                          rng_state: dict | None = None) -> Checkpoint:
+                          opt_m: dict | None = None,
+                          opt_v: dict | None = None) -> Checkpoint:
     params = {name: t.data for name, t in model.named_parameters()}
     scores = {}
     if scored is not None:
@@ -286,7 +285,7 @@ def checkpoint_from_model(model: Backbone, scored: ScoredModel | None = None,
     return Checkpoint(config=model.config, site_dims=dict(model.site_dims),
                       params=params, scores=scores,
                       opt_m=dict(opt_m or {}), opt_v=dict(opt_v or {}),
-                      step=step, seed=seed, rng_state=rng_state)
+                      step=step, seed=seed)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Backbone:

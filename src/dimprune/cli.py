@@ -19,8 +19,7 @@ import sys
 from .blocks import build_backbone, sites
 from .checkpoint import TENSOR_GROUPS, load_checkpoint, save_checkpoint, write_atomic
 from .config import config_echo, load_config, make_dataset
-from .costmodel import (Convention, calibrate_mac_factor, model_cost,
-                        runtime_convention, swin_t_config)
+from .costmodel import Convention, calibrate_mac_factor, model_cost, swin_t_config
 from .errors import ConfigError, DimensionError, FormatError, NumericError, UsageError
 from .pipeline import evaluate, run_finetune, run_prune, run_search
 
@@ -56,8 +55,7 @@ def _write_summary(output_dir: str, name: str, record: dict):
 def _model_counts(ckpt) -> dict:
     """Parameters and FLOPs of a checkpoint's model, by the formula ``dimprune
     cost`` prints; criterion 5 holds it equal to a counted forward."""
-    rep = model_cost(ckpt.config, conv=runtime_convention(ckpt.config),
-                     site_dims=ckpt.site_dims)
+    rep = model_cost(ckpt.config, site_dims=ckpt.site_dims)
     return {"params": rep.total_params, "flops": rep.total_flops}
 
 

@@ -40,7 +40,6 @@ class Convention:
             raise ConfigError(f"mac_factor must be 1 or 2, got {self.mac_factor}")
 
 
-RUNTIME_CONVENTION = Convention()
 # Published Swin-T accounting: biases and relative-position tables included.
 REFERENCE_CONVENTION = Convention(include_bias=True, include_rpb=True)
 
@@ -60,9 +59,7 @@ class SiteCost:
 
 @dataclass
 class CostReport:
-    config: BackboneConfig
     rho: float
-    convention: Convention
     sites: list = field(default_factory=list)
     overhead_params: int = 0
     overhead_flops: int = 0
@@ -99,7 +96,7 @@ def _mlp_cost(n, d, km, conv: Convention):
     return params, conv.mac_factor * 2 * n * d * km
 
 
-def msa_cost(n, d, h, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
+def msa_cost(n, d, h, rho, conv: Convention = Convention()) -> dict:
     """Global attention over n tokens: params 4*rho*d^2, flops 4*rho*n*d^2 + 2*rho*n^2*d."""
     if d % h:
         raise ConfigError(f"dim {d} not divisible by {h} heads")
@@ -107,7 +104,7 @@ def msa_cost(n, d, h, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
     return {"params": params, "flops": flops}
 
 
-def wmsa_cost(n, d, h, window, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
+def wmsa_cost(n, d, h, window, rho, conv: Convention = Convention()) -> dict:
     """Windowed attention: the n^2 term shrinks to n*M^2."""
     if d % h:
         raise ConfigError(f"dim {d} not divisible by {h} heads")
@@ -118,22 +115,26 @@ def wmsa_cost(n, d, h, window, rho, conv: Convention = RUNTIME_CONVENTION) -> di
     return {"params": params, "flops": flops}
 
 
-def mlp_cost(n, d, d_m, rho, conv: Convention = RUNTIME_CONVENTION) -> dict:
+def mlp_cost(n, d, d_m, rho, conv: Convention = Convention()) -> dict:
     params, flops = _mlp_cost(n, d, keep_count(d_m, rho), conv)
     return {"params": params, "flops": flops}
 
 
 def model_cost(config: BackboneConfig, rho: float = 1.0,
-               conv: Convention = RUNTIME_CONVENTION,
+               conv: Convention | None = None,
                site_dims: dict | None = None) -> CostReport:
-    """Closed-form report over all sites plus non-prunable overhead.
+    """Closed-form report over all sites plus non-prunable overhead, counted
+    by ``conv``; by default the config's ``runtime_convention``, the
+    tensors its model holds.
 
     site_dims (same keys as Backbone.site_dims) overrides the uniform keep
     ratio per site, so reports can be produced for surgically pruned models.
     It may name only some sites; a key that names no site raises ConfigError.
     """
     site_dims = check_site_dims(config, site_dims or {})
-    report = CostReport(config=config, rho=rho, convention=conv)
+    if conv is None:
+        conv = runtime_convention(config)
+    report = CostReport(rho=rho)
     geoms = stage_geometry(config)
     window = config.window
 
@@ -173,8 +174,7 @@ def measured_cost(model: Backbone) -> CostReport:
     forward pass, one FLOP per MAC, split per site by the forward's site
     scopes."""
     cfg = model.config
-    report = CostReport(config=cfg, rho=float("nan"),
-                        convention=runtime_convention(cfg))
+    report = CostReport(rho=float("nan"))
     # A site's weights are named "<site id>.<weight>"; everything else is overhead.
     site_params = {site.id: 0 for site in sites(cfg)}
     for name, t in model.named_parameters():

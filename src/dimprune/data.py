@@ -50,12 +50,16 @@ class Dataset:
         return self.images.shape[0]
 
     def channel_stats(self):
-        """Per-channel (mean, std) for normalization; std floored away from 0."""
-        flat = self.images.astype(np.float64).transpose(1, 0, 2, 3)
-        flat = flat.reshape(flat.shape[0], -1)
-        mean = flat.mean(axis=1)
-        std = np.maximum(flat.std(axis=1), 1e-6)
-        return mean.astype(np.float32), std.astype(np.float32)
+        """Per-channel (mean, std) for normalization; std floored away from 0.
+        One channel is cast to float64 at a time, so the peak is one
+        channel's float64 copy and ``std``'s temporary of it, not two
+        copies of the whole stack."""
+        mean, std = [], []
+        for c in range(self.images.shape[1]):
+            chan = self.images[:, c].astype(np.float64)
+            mean.append(chan.mean())
+            std.append(max(chan.std(), 1e-6))
+        return np.array(mean, dtype=np.float32), np.array(std, dtype=np.float32)
 
 
 def _cifar_files(path, test_name: str, split: str):
@@ -100,7 +104,9 @@ def load_cifar(path, variant: str = "cifar10", split: str = "train") -> Dataset:
         labels.append(rows[:, record - 3072 - 1].astype(np.int64))  # fine label
         pixels = rows[:, record - 3072:]
         images.append(pixels.reshape(-1, 3, 32, 32))
-    imgs = np.concatenate(images).astype(np.float32) / 255.0
+    # one float32 stack, scaled where it lies
+    imgs = np.concatenate(images, dtype=np.float32)
+    imgs /= 255.0
     return Dataset(images=imgs, labels=np.concatenate(labels),
                    num_classes=num_classes)
 

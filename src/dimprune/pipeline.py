@@ -293,31 +293,35 @@ def _train(scored: ScoredModel, start, dataset: Dataset, settings: TrainSettings
     mean, std = _stats(dataset, settings.normalize)
     score_map = scored.score_map()
 
-    for epoch in range(settings.epochs):
-        total = 0.0
-        hits = 0
-        count = 0
-        for images, labels in iterate_batches(dataset, settings.batch_size, rng):
-            batch = preprocess(images, settings.augment, mean, std, rng=rng)
-            scored.zero_grads()
-            with Tape() as tape:
-                logits = forward_batch(model, batch, scores=score_map)
-                loss = total_loss(logits, labels, scored.scores, gamma)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss at epoch {epoch}: {value}")
-            backward(loss, tape)
-            opt.step()
-            total += value * len(labels)
-            hits += int((logits.data.argmax(axis=1) == labels).sum())
-            count += len(labels)
-        record = {"stage": stage, "epoch": epoch, "loss": total / count,
-                  "accuracy": hits / count}
-        if scored.scores:
-            record["score_l1"] = score_l1(scored.scores)
-            record["scores_below_0.1"] = int(sum(
-                row["below_threshold"] for row in score_summary(scored.scores, 0.1)))
-        _append_log(settings.log_path, record)
+    # An overflow to inf or NaN outside the checked forward (a huge gamma's
+    # penalty scale, a huge learning rate's update) warns nothing: the loss
+    # check or the next checked forward raises NumericError for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(settings.epochs):
+            total = 0.0
+            hits = 0
+            count = 0
+            for images, labels in iterate_batches(dataset, settings.batch_size, rng):
+                batch = preprocess(images, settings.augment, mean, std, rng=rng)
+                scored.zero_grads()
+                with Tape() as tape:
+                    logits = forward_batch(model, batch, scores=score_map)
+                    loss = total_loss(logits, labels, scored.scores, gamma)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss at epoch {epoch}: {value}")
+                backward(loss, tape)
+                opt.step()
+                total += value * len(labels)
+                hits += int((logits.data.argmax(axis=1) == labels).sum())
+                count += len(labels)
+            record = {"stage": stage, "epoch": epoch, "loss": total / count,
+                      "accuracy": hits / count}
+            if scored.scores:
+                record["score_l1"] = score_l1(scored.scores)
+                record["scores_below_0.1"] = int(sum(
+                    row["below_threshold"] for row in score_summary(scored.scores, 0.1)))
+            _append_log(settings.log_path, record)
     return checkpoint_from_model(model, scored, step=opt.step_count, seed=settings.seed,
                                  opt_m=opt.m, opt_v=opt.v)
 

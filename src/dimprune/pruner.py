@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import AttentionParams, Backbone, MlpParams, sites
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericError
 from .scoring import ScoredModel
 from .tensor import Tensor
 
@@ -27,7 +27,6 @@ class KeepSet:
     site_id: str
     indices: tuple
     original: int
-    rho: float
 
     def __post_init__(self):
         arr = np.asarray(self.indices, dtype=np.int64)
@@ -81,8 +80,7 @@ def select_keep(score, rho: float) -> KeepSet:
     k = score.alpha.size
     count = keep_count(k, rho)
     order = rank_order(score.alpha.data)
-    return KeepSet(site_id=score.site_id, indices=np.sort(order[:count]),
-                   original=k, rho=rho)
+    return KeepSet(site_id=score.site_id, indices=np.sort(order[:count]), original=k)
 
 
 def _fold(weight: np.ndarray, idx, scale: np.ndarray) -> np.ndarray:
@@ -126,29 +124,38 @@ def prune_mlp(p: MlpParams, keep: KeepSet, alpha: np.ndarray) -> dict:
 
 
 def prune_model(scored: ScoredModel, rho: float):
-    """Apply select_keep and surgery at every site; returns (model, report)."""
+    """Rank each site's scores, keep the select_keep indices and cut the
+    site's weights, in one walk over the sites; returns (model, report).
+
+    A site whose kept scores are not all finite, or whose folded weights
+    overflow float32, raises NumericError naming it: numpy flags no
+    overflow for an inf or NaN operand, so the kept scores are checked
+    before they fold, and the fold runs with overflow raising."""
     src = scored.model
     # Surgery on the source's name table: the weights outside the sites
     # (embed, norms, position tables, merges, head) carry over as they are,
     # and every site's cut weights are written over theirs by name.
     params = {name: t.data for name, t in src.named_parameters()}
     report = PruneReport(rho=rho, pre_params=sum(a.size for a in params.values()))
-
-    keeps = {}
-    for sv in scored.scores:
-        ks = select_keep(sv, rho)
-        keeps[sv.site_id] = ks
-        report.keeps.append(ks)
-        mags = np.abs(sv.alpha.data.astype(np.float64))
-        report.thresholds[sv.site_id] = float(mags[list(ks.indices)].min())
-
     for site in sites(src.config):
+        sv = scored.score(site.id)
+        ks = select_keep(sv, rho)
+        alpha = sv.alpha.data
+        kept = alpha[list(ks.indices)]
+        if not np.isfinite(kept).all():
+            raise NumericError(f"{site.id}: kept scores are not all finite")
         blk = src.stages[site.stage].blocks[site.block]
-        alpha = scored.score(site.id).alpha.data
-        cut = (prune_attention(blk.attn, keeps[site.id], alpha) if site.kind == "attn"
-               else prune_mlp(blk.mlp, keeps[site.id], alpha))
+        try:
+            with np.errstate(over="raise"):
+                cut = (prune_attention(blk.attn, ks, alpha) if site.kind == "attn"
+                       else prune_mlp(blk.mlp, ks, alpha))
+        except FloatingPointError as exc:
+            raise NumericError(f"{site.id}: folding the scores into the weights "
+                               f"overflows float32") from exc
+        report.keeps.append(ks)
+        report.thresholds[site.id] = float(np.abs(kept).min())
         params.update((f"{site.id}.{name}", arr) for name, arr in cut.items())
-    out = Backbone(src.config, site_dims={site: len(ks) for site, ks in keeps.items()},
+    out = Backbone(src.config, site_dims={ks.site_id: len(ks) for ks in report.keeps},
                    params=params)
     report.post_params = sum(a.size for a in params.values())
     return out, report

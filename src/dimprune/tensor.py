@@ -969,10 +969,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
             return grad
 
         def pull_mask(g):
-            ds = logit_grad(g)
-            if not extra:
-                return ds
-            return _column_sums(ds, mask.data.size).reshape(mask.data.shape)
+            return _column_sums(logit_grad(g), mask.data.size).reshape(mask.data.shape)
 
         tape._record(out, [(qkv, pull_qkv)] + ([] if mask is None else [(mask, pull_mask)]))
     return out

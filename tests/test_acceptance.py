@@ -393,7 +393,7 @@ def test_criterion_05_closed_form_equals_measured():
             measured = measured_cost(model)
             closed_form += analytic.total_flops
             assert analytic.total_params == measured.total_params == \
-                model.parameter_count(), label
+                sum(p.size for _, p in model.named_parameters()), label
             assert analytic.total_flops == measured.total_flops, label
             got = {s.site_id: (s.params, s.flops) for s in measured.sites}
             want = {s.site_id: (s.params, s.flops) for s in analytic.sites}

@@ -251,6 +251,52 @@ def test_numeric_failure_names_the_site(capsys, tiny_cfg, tmp_path):
     assert "stage0.block1.mlp" in record["message"]
 
 
+@pytest.mark.parametrize("setting", ["train.gamma=3e38", "train.gamma=1e39",
+                                     "train.lr=1e39", "train.lr=1e30"])
+def test_an_overflowing_setting_exits_4_with_one_record_and_no_warning(
+        capsys, tiny_cfg, tmp_path, setting):
+    """A huge penalty weight or learning rate overflows outside the checked
+    forward; the loss check or the next forward reports it, and no
+    RuntimeWarning reaches stderr ahead of the record."""
+    rc, _, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", setting,
+                                  "--set", f"run.output_dir={tmp_path / 'run'}"])
+    assert rc == 4
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NumericError"
+
+
+def _search_checkpoint_with(path, cfg, score, w1):
+    """A search checkpoint of ``cfg``'s model whose scores all equal
+    ``score`` and whose MLP first-layer weights all equal ``w1``."""
+    model = build_backbone(cfg.model, seed=0)
+    scored = attach_scores(model)
+    for sv in scored.scores:
+        sv.alpha.data = np.full(sv.length, score, dtype=np.float32)
+    ckpt = checkpoint_from_model(model, scored)
+    for name in ckpt.params:
+        if name.endswith(".mlp.w1"):
+            ckpt.params[name] = np.full(ckpt.params[name].shape, w1, dtype=np.float32)
+    save_checkpoint(path, ckpt)
+
+
+@pytest.mark.parametrize("score, w1, message", [
+    (3e38, 10.0, "overflows"), (np.inf, 1.0, "not all finite"),
+    (np.nan, 1.0, "not all finite")])
+def test_prune_with_scores_that_fold_to_non_finite_weights_exits_4(
+        capsys, tiny_cfg, tmp_path, score, w1, message):
+    path = str(tmp_path / "search.ckpt")
+    _search_checkpoint_with(path, load_config(tiny_cfg), score, w1)
+    out = tmp_path / "pruned.ckpt"
+    rc, stdout, err = run_cli(capsys, ["prune", "--checkpoint", path, "--rho", "0.6",
+                                       "--out", str(out)])
+    assert rc == 4 and stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "NumericError"
+    assert "stage0.block0." in record["message"] and message in record["message"]
+    assert not out.exists() and not (tmp_path / "prune_report.txt").exists()
+
+
 def test_report_on_empty_dir_exits_3(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["report", "--dir", str(tmp_path)])
     assert rc == 3

@@ -6,7 +6,6 @@ from dimprune.blocks import (Backbone, BackboneConfig, MlpParams, WindowSpec, bu
 from dimprune.costmodel import (
     Convention,
     REFERENCE_CONVENTION,
-    RUNTIME_CONVENTION,
     calibrate_mac_factor,
     measured_cost,
     mlp_cost,
@@ -185,7 +184,7 @@ def test_swin_t_reference_totals():
 
 
 def test_swin_t_runtime_totals():
-    rep = model_cost(swin_t_config(), 1.0, RUNTIME_CONVENTION)
+    rep = model_cost(swin_t_config(), 1.0, Convention())
     assert rep.total_params == 27_527_424
     assert rep.total_flops == 4_489_875_456
 
@@ -208,12 +207,22 @@ def test_closed_form_equals_measured(label, cfg, rho, dims):
     measured = measured_cost(model)
     assert analytic.total_params == measured.total_params
     assert analytic.total_flops == measured.total_flops
-    assert analytic.total_params == model.parameter_count()
+    assert analytic.total_params == sum(p.size for _, p in model.named_parameters())
     got = {s.site_id: (s.params, s.flops) for s in measured.sites}
     want = {s.site_id: (s.params, s.flops) for s in analytic.sites}
     assert got == want
     assert analytic.overhead_params == measured.overhead_params
     assert analytic.overhead_flops == measured.overhead_flops
+
+
+def test_model_cost_defaults_to_the_config_runtime_convention():
+    """With no convention passed, the closed form counts the tensors the
+    model holds, position tables included."""
+    cfg = BackboneConfig(depths=(2, 1), heads=(2, 4), use_relative_position_bias=True)
+    analytic = model_cost(cfg)
+    measured = measured_cost(Backbone(cfg, rng=np.random.default_rng(0)))
+    assert analytic.total_params == measured.total_params == 15_624
+    assert analytic.total_flops == measured.total_flops
 
 
 def test_measured_cost_agrees_with_instrumented_full_forward():
@@ -236,7 +245,8 @@ def test_surgery_counts_match_closed_form():
     pruned, report = prune_model(scored, 0.6)
     analytic = model_cost(cfg, 0.6, runtime_convention(cfg))
     measured = measured_cost(pruned)
-    assert analytic.total_params == pruned.parameter_count() == report.post_params
+    assert analytic.total_params == report.post_params
+    assert report.post_params == sum(p.size for _, p in pruned.named_parameters())
     assert analytic.total_params == measured.total_params
     assert analytic.total_flops == measured.total_flops
 

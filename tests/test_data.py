@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ def test_cifar_matches_chunked_manual_parse(tmp_path):
     assert np.array_equal(ds.images, want)
 
 
+def peak_bytes(fn, *args):
+    """The tracemalloc peak of ``fn(*args)`` above what was held before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cifar_load_holds_one_float32_stack(tmp_path):
+    """The pixels are converted into one float32 stack and scaled in place:
+    the peak is that stack plus the uint8 records, not two float32 copies."""
+    rng = np.random.default_rng(4)
+    raw = rng.integers(0, 256, size=(2, 150, CIFAR10_RECORD), dtype=np.uint8)
+    raw[:, :, 0] %= 10
+    for i, part in enumerate(raw):
+        part.tofile(tmp_path / f"data_batch_{i}.bin")
+    pixels = 2 * 150 * 3072
+    assert peak_bytes(load_cifar, str(tmp_path), "cifar10") <= 5.5 * pixels
+    want = raw[:, :, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+    got = load_cifar(str(tmp_path), "cifar10").images
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 # ---------------------------------------------------------------- synthetic
 
 
@@ -252,6 +278,21 @@ def test_channel_stats():
     mean, std = ds.channel_stats()
     assert np.allclose(mean, [0.0, 0.5])
     assert std.min() >= 1e-6
+
+
+@pytest.mark.parametrize("shape", [(300, 3, 16, 16), (7, 1, 5, 9)])
+def test_channel_stats_cast_one_channel_at_a_time(shape):
+    """The stats equal the float64 formula over the whole stack, bit for
+    bit, while holding about one channel's float64 copy: not two copies
+    of the whole stack."""
+    imgs = np.random.default_rng(5).random(shape, dtype=np.float32)
+    ds = Dataset(images=imgs, labels=np.zeros(shape[0], dtype=np.int64), num_classes=2)
+    flat = imgs.astype(np.float64).transpose(1, 0, 2, 3).reshape(shape[1], -1)
+    mean, std = ds.channel_stats()
+    assert mean.tobytes() == flat.mean(axis=1).astype(np.float32).tobytes()
+    assert std.tobytes() == np.maximum(flat.std(axis=1), 1e-6).astype(np.float32).tobytes()
+    if shape[1] > 1:
+        assert peak_bytes(ds.channel_stats) <= 1.5 * imgs.nbytes
 
 
 # ------------------------------------------------------------- augmentation

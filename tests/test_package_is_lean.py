@@ -9,7 +9,9 @@ itself, and a dunder name such as ``__all__`` are exempt. Code that only
 tests reach is a second path beside the one the stages run: move its tests
 onto that path and delete it; a constant nothing reads is what a retired
 path leaves behind. This test parses every module of the package, as
-``test_no_inplace_writes.py`` does.
+``test_no_inplace_writes.py`` does. It also holds each module-level import
+to a read in its own module, unless the module's ``__all__`` lists the name
+or the import is marked ``# noqa: F401``.
 """
 
 import ast
@@ -27,7 +29,6 @@ KEEP = {
     "msa_cost": "the paper's per-layer complexity formula for global MSA",
     "wmsa_cost": "the paper's per-layer complexity formula for W-MSA",
     "mlp_cost": "the paper's per-layer complexity formula for the MLP",
-    "Backbone.parameter_count": "criterion 5 compares the closed form with it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -153,6 +154,33 @@ def unreferenced(trees, exported=(), constants=False) -> list:
     return out
 
 
+def unused_imports(source: str) -> list:
+    """Names that a module-level import of ``source`` binds and no code in
+    the module reads, less the names its ``__all__`` lists and those of an
+    import marked ``# noqa: F401``. A read in an annotation counts."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in read and name not in exported:
+                out.append(name)
+    return out
+
+
 def parse(path: Path):
     return ast.parse(path.read_text(), str(path))
 
@@ -215,3 +243,30 @@ def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
 def test_the_lint_flags_exactly_the_unread_constants(source, exported, names):
     found = unreferenced({"m.py": ast.parse(source)}, exported, constants=True)
     assert [name for _, name in found] == names
+
+
+def test_every_module_level_import_is_read():
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in unused_imports(path.read_text())]
+    assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source, names", [
+    ("import os", ["os"]),
+    ("import os\nos.sep", []),
+    ("import os.path\nos.path.join", []),
+    ("import numpy as np\nimport math\nx = np.pi", ["math"]),
+    ("from a import b, c\ny = c", ["b"]),
+    ("from a import b as c\nb = 1\nprint(b)", ["c"]),
+    ("from a import B\ndef f(x: B) -> None: pass", []),      # an annotation reads it
+    ("from a import B\nx: B = 1", []),
+    ("from a import b\ndef f():\n    return b()", []),
+    ("from a import b\nb = 1", ["b"]),                        # a rebinding is no read
+    ("from a import b\n__all__ = ['b']", []),
+    ("from a import b  # noqa: F401", []),
+    ("from a import (b,  # noqa: F401\n               c)", []),
+    ("from __future__ import annotations", []),
+    ("def f():\n    import os\n    return 1", []),             # not module level
+])
+def test_the_lint_flags_exactly_the_unread_imports(source, names):
+    assert unused_imports(source) == names

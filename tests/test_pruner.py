@@ -130,14 +130,14 @@ def test_keep_set_validation():
     for indices, message in cases:
         for given in (indices, list(indices), np.array(indices, dtype=np.int64)):
             with pytest.raises(DimensionError) as err:
-                KeepSet("s", given, 4, 0.5)
+                KeepSet("s", given, 4)
             assert str(err.value) == message
 
 
 def test_keep_set_indices_are_a_tuple_of_python_ints():
     for given in ((), (0, 2, 3), [1], np.array([0, 3], dtype=np.int64),
                   np.array([1, 2], dtype=np.int32)):
-        ks = KeepSet("s", given, 4, 0.5)
+        ks = KeepSet("s", given, 4)
         assert isinstance(ks.indices, tuple)
         assert ks.indices == tuple(int(i) for i in given)
         assert all(type(i) is int for i in ks.indices)
@@ -152,7 +152,7 @@ def test_keep_set_indices_are_a_tuple_of_python_ints():
 
 def test_prune_attention_full_keep_is_bitwise_identity():
     p = make_attn(rng(3), d=4, heads=2, k=2)
-    keep = KeepSet("s", (0, 1), 2, 1.0)
+    keep = KeepSet("s", (0, 1), 2)
     out = prune_attention(p, keep, np.ones(2, dtype=np.float32))
     want = {f"{kind}{j}": t.data
             for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
@@ -166,7 +166,7 @@ def test_prune_attention_full_keep_is_bitwise_identity():
 def test_prune_attention_smallest_case():
     p = make_attn(rng(4), d=2, heads=1, k=2)
     alpha = np.array([0.7, 0.2], dtype=np.float32)
-    out = prune_attention(p, KeepSet("s", (0,), 2, 0.5), alpha)
+    out = prune_attention(p, KeepSet("s", (0,), 2), alpha)
     assert sorted(out) == ["wk0", "wo", "wq0", "wv0"]
     assert out["wq0"].shape == (2, 1)
     assert np.allclose(out["wq0"][:, 0], p.wq[0].data[:, 0] * 0.7, atol=1e-7)
@@ -194,7 +194,7 @@ def test_prune_mlp_shapes_and_equivalence():
     p = MlpParams(w1=Tensor(r.normal(size=(2, 3)).astype(np.float32)),
                   w2=Tensor(r.normal(size=(3, 2)).astype(np.float32)))
     alpha = np.array([0.1, 0.9, -0.5], dtype=np.float32)
-    cut = prune_mlp(p, KeepSet("s", (1,), 3, 1 / 3), alpha)
+    cut = prune_mlp(p, KeepSet("s", (1,), 3), alpha)
     assert sorted(cut) == ["w1", "w2"]
     assert cut["w1"].shape == (2, 1) and cut["w2"].shape == (1, 2)
     assert np.allclose(cut["w1"][:, 0], p.w1.data[:, 1] * 0.9, atol=1e-7)
@@ -211,7 +211,7 @@ def test_prune_mlp_shapes_and_equivalence():
 def test_prune_rejects_mismatched_keep_width():
     p = make_attn(rng(7), d=4, heads=2, k=2)
     with pytest.raises(DimensionError):
-        prune_attention(p, KeepSet("s", (0,), 3, 0.5), np.ones(3))
+        prune_attention(p, KeepSet("s", (0,), 3), np.ones(3))
 
 
 # -------------------------------------------------------------- whole model
@@ -253,8 +253,8 @@ def test_prune_model_report_and_counts():
         sv.alpha.data[:] = r.normal(1.0, 0.3, size=sv.length).astype(np.float32)
     pruned, report = prune_model(scored, 0.5)
     assert report.post_params < report.pre_params
-    assert report.pre_params == model.parameter_count()
-    assert report.post_params == pruned.parameter_count()
+    assert report.pre_params == sum(p.size for _, p in model.named_parameters())
+    assert report.post_params == sum(p.size for _, p in pruned.named_parameters())
     for ks in report.keeps:
         assert len(ks) == keep_count(ks.original, 0.5)
         sv = scored.score(ks.site_id)
