@@ -22,7 +22,7 @@ from .data import Dataset, iterate_batches, preprocess
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .pruner import prune_model
 from .scoring import ScoredModel, attach_scores, score_l1, score_summary, total_loss
-from .tensor import Tape, backward
+from .tensor import Tape, backward, scan_finite
 
 
 def decay_exempt(name: str) -> bool:
@@ -322,6 +322,11 @@ def _train(scored: ScoredModel, start, dataset: Dataset, settings: TrainSettings
                 record["scores_below_0.1"] = int(sum(
                     row["below_threshold"] for row in score_summary(scored.scores, 0.1)))
             _append_log(settings.log_path, record)
+    # The epoch loop checks each loss and each step's gradients, but not the
+    # last update, so a non-finite weight is caught here before it is saved.
+    named = scored.named_parameters()
+    scan_finite([p.data for _, p in named],
+                lambda i: f"{stage} parameter {named[i][0]} after the last step")
     return checkpoint_from_model(model, scored, step=opt.step_count, seed=settings.seed,
                                  opt_m=opt.m, opt_v=opt.v)
 

@@ -25,6 +25,21 @@ and ``test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone``
 check. Every other product casts both operands whole, to C-ordered float64
 arrays, and multiplies once.
 
+Three users follow one chunk rule: no full-size temporary, and work in
+chunks of about ``_CHUNK_BYTES``. ``_product64`` runs its narrow, tall
+products in row chunks (above). ``attention_core`` runs its two float64
+products through ``_stacked_product``, over chunks of the leading (image)
+axis sized so that a chunk's float64 operands and product fit in
+``_CHUNK_BYTES``; a chunk holds at least one image, so a single image
+(Swin-T at B=1) is one chunk. ``gelu`` runs its forward over flat chunks of
+``_CHUNK_BYTES`` of float32, reusing one chunk's buffers. Each keeps its
+operations and their order, so every output bit stays: numpy multiplies
+each slice of a stack alone, and GELU's steps are elementwise. What the
+rule saves is page faults, not arithmetic: glibc trims the top of its heap
+once more than its trim threshold lies free there (about 1.5 MB in a tiny
+run), so a sub-layer whose temporaries pass that threshold faults its pages
+in afresh on every forward.
+
 Softmax reduces its rows with ``_reduce_rows``: a row of up to
 ``_SHORT_ROW`` entries is reduced across a transposed copy, one elementwise
 pass per row position, because numpy charges a short-row reduce per row.
@@ -99,10 +114,11 @@ C-contiguous float32 array of its own wraps it with ``_fresh``, skipping
 both for every op.
 
 Finiteness is checked once per pass, not once per op. Outside a checked
-pass every product (``_product32``, ``_chunked_product``) runs under its
-own ``np.errstate`` and scans its output, and a non-finite entry raises
-NumericError naming the op and the innermost ``mac_scope`` site; so do the
-softmax input and the cross-entropy logits. The forward of
+pass every product (``_product32``, ``_chunked_product``,
+``_stacked_product``) runs under its own ``np.errstate`` and scans its
+output, and a non-finite entry raises NumericError naming the op and the
+innermost ``mac_scope`` site; so do the softmax input and the
+cross-entropy logits. The forward of
 ``blocks.forward_features`` (through ``checked_forward``) and ``backward``
 are checked passes: each runs under one ``np.errstate(over="ignore",
 invalid="ignore")`` with ``deferred`` set, and the products run bare. A
@@ -117,6 +133,8 @@ once every pull has run, scans the gradients of the leaves it filled
 are joined into packs of at most that many, as ``AdamW`` packs them, and
 each pack is scanned once; a larger gradient is scanned alone. Its error
 names a leaf gradient by shape, not a gradient product or a site.
+``scan_finite`` packs and scans; ``pipeline._train`` also runs it once over
+the weights and scores after the last update, which no later check sees.
 
 One scan at the end sees every non-finite value only where no op on the
 way turns one finite again. These ops cannot: a product (every input entry
@@ -156,8 +174,9 @@ without its tiling). Its forward takes the steps of ``matmul``, ``scale``
 and ``add``, the row softmax ``_softmax`` and ``matmul``, in that order and
 at their precision, so it gives the bits they give; its gradient products
 are float32, as ``matmul``'s are. Its products cast the strided q, k^T and
-v views to C-ordered float64 stacks, the layout ``matmul`` casts a
-Tensor's contiguous array to, so both run the same float64 product. numpy
+v views, one chunk of images at a time, to C-ordered float64 stacks, the
+layout ``matmul`` casts a Tensor's contiguous array to, so both run the
+same float64 product. numpy
 multiplies strided stacks several times slower and, at Swin-T's head
 widths, adds some of their float64 sums in another order;
 ``test_attention_core_gives_the_bits_of_the_composed_ops`` holds the
@@ -342,30 +361,30 @@ def backward(loss: Tensor, tape: Tape):
     finally:
         _state.deferred = outer
         nodes.clear()
-    _scan_gradients(leaves.values())
+    grads = [t.grad for t in leaves.values()]
+    scan_finite(grads, lambda i: f"gradient of a {grads[i].shape} leaf")
 
 
-def _scan_gradients(leaves):
-    """Raise NumericError naming the first leaf whose gradient holds a
-    non-finite entry. Gradients smaller than ``_SCAN_PACK`` entries are
-    joined into packs of at most that many and each pack is scanned once; a
-    larger one is scanned alone."""
-    pack, filled = [], 0
-    for leaf in leaves:
-        if pack and filled + leaf.grad.size > _SCAN_PACK:
-            _scan_pack(pack)
-            pack, filled = [], 0
-        pack.append(leaf)
-        filled += leaf.grad.size
-    if pack:
-        _scan_pack(pack)
+def scan_finite(arrays, name):
+    """Raise NumericError for the first of ``arrays`` that holds a non-finite
+    entry, naming it ``name(i)`` by its index. Arrays smaller than
+    ``_SCAN_PACK`` entries are joined into packs of at most that many and
+    each pack is scanned once; a larger one is scanned alone."""
+    lo, filled = 0, 0
+    for i, arr in enumerate(arrays):
+        if i > lo and filled + arr.size > _SCAN_PACK:
+            _scan_pack(arrays, lo, i, name)
+            lo, filled = i, 0
+        filled += arr.size
+    if lo < len(arrays):
+        _scan_pack(arrays, lo, len(arrays), name)
 
 
-def _scan_pack(pack):
-    grads = [t.grad for t in pack]
-    if not np.isfinite(grads[0] if len(grads) == 1 else np.concatenate(grads, axis=None)).all():
-        for t in pack:
-            _finite_or_raise(t.grad, f"gradient of a {t.grad.shape} leaf")
+def _scan_pack(arrays, lo, hi, name):
+    pack = arrays[lo] if hi == lo + 1 else np.concatenate(arrays[lo:hi], axis=None)
+    if not np.isfinite(pack).all():
+        for i in range(lo, hi):
+            _finite_or_raise(arrays[i], name(i))
 
 
 def checked_forward(what: str, forward, *args):
@@ -527,6 +546,24 @@ def _chunked_product(a, b, chunks: int, what: str):
             rows_in[...] = a[lo:hi]
             np.matmul(rows_in, b64, out=rows_out)
             out[lo:hi] = rows_out
+    if not deferred:
+        _finite_or_raise(out, what)
+    return out
+
+
+def _stacked_product(a, b, what: str, out):
+    """``_product64`` of two stacks into ``out``, a float32 view, over chunks
+    of their leading axis: each chunk's float64 operands and product take
+    about ``_CHUNK_BYTES`` (at least one slice), and numpy multiplies each
+    slice alone, so the chunks give the one-shot product's bits."""
+    step = max(1, _CHUNK_BYTES // (8 * (a[0].size + b[0].size + out[0].size)))
+    if step >= len(a):
+        return _product64(a, b, what, out)
+    deferred = _state.deferred
+    with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(a), step):
+            np.matmul(a[lo:lo + step].astype(np.float64, order="C"),
+                      b[lo:lo + step].astype(np.float64, order="C"), out=out[lo:lo + step])
     if not deferred:
         _finite_or_raise(out, what)
     return out
@@ -911,7 +948,9 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     The forward takes the steps of ``matmul``, ``scale``, ``add``,
     ``_softmax`` and ``matmul`` in that order and at their precision:
     float64 products rounded to float32, a float32 scale and mask add, and
-    float64 row sums. It counts the two products' MACs as ``matmul`` does.
+    float64 row sums. The two products run over chunks of the leading axis
+    (module docstring); the scale, mask add and softmax run once, over the
+    whole float32 logits. It counts the two products' MACs as ``matmul`` does.
     One tape record pulls q/k/v, as one stacked gradient, and the mask,
     summed over the axes it was repeated along; the gradient products run
     in float32 over the forward's own arrays.
@@ -929,12 +968,12 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     macs = 2 * math.prod(lead) * h * m * m * k
     for c in _state.mac_counters:
         c.macs += macs
-    # [*lead, heads, m, k] views of q, k and v; each is cast to a C-ordered
-    # float64 stack just before its product, so at most two of the casts
-    # are alive at once
+    # [*lead, heads, m, k] views of q, k and v; each product casts them to
+    # C-ordered float64 stacks one chunk of the leading axis at a time
     qd, kd, vd = (qkv.data[..., i, :, :].swapaxes(-3, -2) for i in range(3))
     f = np.float32(factor)
-    logits = _product64(qd, kd.swapaxes(-1, -2), "attention logits")
+    logits = np.empty(logit_shape, dtype=np.float32)
+    _stacked_product(qd, kd.swapaxes(-1, -2), "attention logits", logits)
     logits *= f
     if mask is not None:
         logits += mask.data
@@ -943,7 +982,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     # the output is rounded through its [*lead, heads, m, k] view straight
     # into the [*lead, m, heads, k] rows it is returned as
     rows = np.empty((*lead, m, h, k), dtype=np.float32)
-    _product64(probs, vd, "attention output", out=rows.swapaxes(-3, -2))
+    _stacked_product(probs, vd, "attention output", rows.swapaxes(-3, -2))
     tape = _grad_tape(qkv) if mask is None else _grad_tape(qkv, mask)
     out = _fresh(rows.reshape(-1, h * k), tape is not None)
     if tape is not None:
@@ -1034,21 +1073,38 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation, in float32.
 
     Both directions work in place on fresh float32 buffers: a temporary per
-    term would cost more than the arithmetic on large hidden layers."""
+    term would cost more than the arithmetic on large hidden layers. The
+    forward runs over flat chunks of ``_CHUNK_BYTES`` and writes each into
+    its one output, so its temporaries are one chunk in size, made once
+    per call; under a tape the tanh it keeps for the pull is one full
+    array. Each entry takes the same float32 steps either way."""
     xd = x.data
-    t = np.clip(xd, -_GELU_SATURATED, _GELU_SATURATED)
-    cubic = t * t
-    cubic *= t
-    cubic *= _GELU_CUBIC
-    t += cubic
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
-    y = t + 1.0
-    y *= 0.5                        # before x: x * 2 overflows near float32 max
-    y *= xd
+    xf = xd.reshape(-1)
+    n = xf.size
+    size = min(n, _CHUNK_BYTES // 4)
     tape = _grad_tape(x)
+    y = np.empty(xd.shape, dtype=np.float32)
+    yf = y.reshape(-1)
+    tf = np.empty(n if tape is not None else size, dtype=np.float32)
+    cubic = np.empty(size, dtype=np.float32)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        t = tf[lo:hi] if tape is not None else tf[:hi - lo]
+        c, yc = cubic[:hi - lo], yf[lo:hi]
+        np.clip(xf[lo:hi], -_GELU_SATURATED, _GELU_SATURATED, out=t)
+        np.multiply(t, t, out=c)
+        c *= t
+        c *= _GELU_CUBIC
+        t += c
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+        np.add(t, 1.0, out=yc)
+        yc *= 0.5                   # before x: x * 2 overflows near float32 max
+        yc *= xf[lo:hi]
     out = _fresh(y, tape is not None)
     if tape is not None:
+        t = tf.reshape(xd.shape)
+
         def pull(g):
             du = np.clip(xd, -_GELU_SATURATED, _GELU_SATURATED)
             np.square(du, out=du)

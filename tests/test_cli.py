@@ -265,6 +265,30 @@ def test_an_overflowing_setting_exits_4_with_one_record_and_no_warning(
     assert json.loads(err)["error"] == "NumericError"
 
 
+@pytest.mark.parametrize("stage", ["search", "finetune"])
+def test_a_last_step_that_overflows_writes_no_checkpoint(capsys, tiny_cfg, tmp_path, stage):
+    """One batch in one epoch: the only update overflows every weight, and
+    no loss or forward runs after it to see that; the stage still exits 4
+    with one record naming the stage and a parameter, and saves nothing."""
+    run = ["--config", tiny_cfg, "--set", f"run.output_dir={tmp_path / 'run'}",
+           "--set", "train.epochs=1", "--set", "data.n_per_class=2"]
+    if stage == "finetune":
+        search, pruned = str(tmp_path / "search.ckpt"), str(tmp_path / "pruned.ckpt")
+        assert run_cli(capsys, ["search", *run, "--out", search])[0] == 0
+        assert run_cli(capsys, ["prune", "--checkpoint", search, "--rho", "0.5",
+                                "--out", pruned])[0] == 0
+        run += ["--checkpoint", pruned]
+    out = tmp_path / f"{stage}.out.ckpt"
+    rc, stdout, err = run_cli(capsys, [stage, *run, "--set", "train.lr=1e39",
+                                       "--out", str(out)])
+    assert rc == 4 and stdout == ""
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "NumericError"
+    assert f"{stage} parameter " in record["message"]
+    assert not out.exists()
+
+
 def _search_checkpoint_with(path, cfg, score, w1):
     """A search checkpoint of ``cfg``'s model whose scores all equal
     ``score`` and whose MLP first-layer weights all equal ``w1``."""

@@ -1297,7 +1297,10 @@ ATTENTION_SHAPES = [
     ((8, 16, 4, 3, 2, 8), (16, 2, 4, 4)), ((8, 4, 4, 3, 4, 8), (4, 4, 4, 4)),
     ((3, 4, 9, 3, 2, 5), (2, 9, 9)), ((2, 4, 3, 2, 3), (2, 2, 4, 4)),
     ((1, 4, 49, 3, 3, 32), (4, 3, 49, 49)), ((2, 4, 3, 2, 3), None),
-    ((1, 4, 49, 3, 3, 19), (4, 3, 49, 49))]
+    ((1, 4, 49, 3, 3, 19), (4, 3, 49, 49)),
+    # several chunks of the leading axis: the tiny model's 64-image stage 0,
+    # and a count of images the chunk does not divide
+    ((64, 16, 4, 3, 2, 8), (16, 2, 4, 4)), ((40, 4, 9, 3, 2, 16), (2, 9, 9))]
 
 
 def order_sensitive_qkv(r, shape):
@@ -1390,6 +1393,127 @@ def test_attention_core_pulls_equal_the_stacked_formula_bitwise(shape, mask_shap
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == np.float32 and a.shape == b.shape and np.array_equal(a, b)
+
+
+def image_steps(shape):
+    """The images per chunk of each of attention_core's two products, for
+    q/k/v of ``shape``."""
+    *lead, m, _, h, k = shape
+    per = [q + kt + out for q, kt, out in ((h * m * k, h * k * m, h * m * m),
+                                           (h * m * m, h * m * k, h * m * k))]
+    return [max(1, T._CHUNK_BYTES // (8 * math.prod(lead[1:]) * n)) for n in per]
+
+
+@pytest.mark.parametrize("mask_kind", [None, "shift", "position"])
+def test_chunked_attention_core_equals_the_op_on_one_image_at_a_time(mask_kind):
+    """Forward and pulls over several chunks of images equal the op run on
+    each image alone, bit for bit. The image's op takes the mask repeated to
+    its own [windows, heads, m, m] logits, so its mask pull is that image's
+    logit gradient; the batch's mask pull is their float64 sum."""
+    shape = (37, 4, 9, 3, 2, 16)
+    n, windows, m, _, h, k = shape
+    r = rng(7)
+    qkv = r.normal(size=shape).astype(np.float32)
+    assert all(step < n for step in image_steps(shape))
+    mask = None
+    if mask_kind is not None:
+        mask_shape = (windows, h, m, m) if mask_kind == "shift" else (h, m, m)
+        mask = np.where(r.random(mask_shape) < 0.3, -100.0, r.normal(size=mask_shape))
+        mask = mask.astype(np.float32)
+    g = r.normal(size=(n * windows * m, h * k)).astype(np.float32)
+
+    def run(q, mk, gi):
+        with Tape() as tape:
+            out = T.attention_core(leaf(q), 0.35, None if mk is None else leaf(mk))
+        (_, pulls), = tape._nodes
+        return out.data, [pull(gi) for _, pull in pulls]
+
+    got, got_pulls = run(qkv, mask, g)
+    rows = windows * m
+    alone = [run(qkv[i:i + 1], None if mask is None else
+                 np.ascontiguousarray(np.broadcast_to(mask, (windows, h, m, m))),
+                 g[i * rows:(i + 1) * rows]) for i in range(n)]
+    assert np.array_equal(got, np.concatenate([out for out, _ in alone]))
+    assert np.array_equal(got_pulls[0], np.concatenate([p[0] for _, p in alone]))
+    if mask is not None:
+        ds = np.stack([p[1] for _, p in alone]).astype(np.float64)
+        want = ds.reshape(-1, mask.size).sum(axis=0).astype(np.float32)
+        assert np.array_equal(got_pulls[1], want.reshape(mask.shape))
+
+
+def parent_gelu(x):
+    """GELU's forward and pull as whole-array float32 steps, in the order
+    the op takes them."""
+    t = np.clip(x, -T._GELU_SATURATED, T._GELU_SATURATED)
+    cubic = t * t
+    cubic *= t
+    cubic *= T._GELU_CUBIC
+    t += cubic
+    t *= T._SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= 0.5
+    y *= x
+
+    def pull(g):
+        du = np.clip(x, -T._GELU_SATURATED, T._GELU_SATURATED)
+        np.square(du, out=du)
+        du *= 3.0 * T._GELU_CUBIC * T._SQRT_2_OVER_PI
+        du += T._SQRT_2_OVER_PI
+        local = t * t
+        np.subtract(1.0, local, out=local)
+        local *= x
+        local *= du
+        local += t
+        local += 1.0
+        local *= 0.5
+        local *= g
+        return local
+    return y, pull
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 50001), (65537,)])
+def test_chunked_gelu_gives_the_whole_array_bits(shape):
+    """Over chunks the chunk size does not divide, with saturated, +-inf
+    and NaN entries on and next to the chunk edges."""
+    r = rng(11)
+    x = (r.normal(size=shape) * 4).astype(np.float32)
+    flat = x.reshape(-1)
+    edge = T._CHUNK_BYTES // 4
+    special = np.array([np.inf, -np.inf, np.nan, 3e38, -3e38, 12.0, -12.0], dtype=np.float32)
+    spots = r.choice(flat.size, size=min(flat.size, 40), replace=False)
+    flat[spots] = special[np.arange(spots.size) % special.size]
+    for i, j in enumerate(range(edge - 3, min(edge + 4, flat.size))):
+        flat[j] = special[i]
+    g = r.normal(size=shape).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, want_pull = parent_gelu(x)
+        plain = T.gelu(Tensor(x)).data
+        with Tape() as tape:
+            taped = T.gelu(leaf(x))
+        (_, [(_, pull)]), = tape._nodes
+        got_pull = pull(g)
+        want_grad = want_pull(g)
+    assert np.array_equal(plain, want, equal_nan=True)
+    assert np.array_equal(taped.data, want, equal_nan=True)
+    assert np.array_equal(got_pull, want_grad, equal_nan=True)
+
+
+def test_attention_core_and_gelu_hold_one_chunk_of_temporaries():
+    """At the tiny model's 64-image stage-0 shapes, no full-size temporary:
+    attention holds its output, the float32 logits and probs, the softmax's
+    working copies and one chunk of float64 stacks; the GELU its output
+    and two chunk-sized buffers."""
+    from test_data import peak_bytes
+    r = rng(3)
+    qkv = Tensor(r.normal(size=(64, 16, 4, 3, 2, 8)).astype(np.float32))
+    mask = Tensor(np.where(r.random((16, 2, 4, 4)) < 0.3, -100.0, 0.0).astype(np.float32))
+    out = T.attention_core(qkv, 0.35, mask).data
+    logits = math.prod(mask.shape) * 64 * 4
+    assert peak_bytes(T.attention_core, qkv, 0.35, mask) <= (
+        out.nbytes + 3 * logits + T._CHUNK_BYTES + 32768)
+    x = Tensor(r.normal(size=(4096, 32)).astype(np.float32))
+    assert peak_bytes(T.gelu, x) <= x.data.nbytes + 2 * T._CHUNK_BYTES + 32768
 
 
 # ------------------------------------------------ op outputs and pull results
