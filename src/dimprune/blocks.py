@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -168,10 +169,6 @@ class MlpParams:
     w1: Tensor
     w2: Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
 
 @dataclass
 class BlockParams:
@@ -187,6 +184,39 @@ class BlockParams:
 class StageParams:
     blocks: list
     merge: Tensor | None = None
+
+
+@dataclass(frozen=True)
+class SiteWeight:
+    """One weight of a site kind: its name within the site, whether each
+    head has its own (named with the head index appended), its shape for
+    stage width d, h heads and site width k, and the axis one score entry
+    cuts. Axis 1 holds the columns the score scales, which surgery folds
+    the score into; axis 0 holds the rows paired with them, one run of k
+    rows per head where the weight spans the heads."""
+
+    name: str
+    per_head: bool
+    shape: Callable
+    axis: int
+
+    def names(self, heads: int) -> list:
+        """The weight's names within its site, in build order."""
+        return [f"{self.name}{j}" for j in range(heads)] if self.per_head else [self.name]
+
+
+# Each site kind's weights in build order: the one place a site weight's
+# shape and cut axis are written. The build, surgery, the cost model and the
+# checkpoint's tensor counts read it. Position tables and norms are not cut,
+# so they are not listed.
+SITE_WEIGHTS = {
+    "attn": (SiteWeight("wq", True, lambda d, h, k: (d, k), 1),
+             SiteWeight("wk", True, lambda d, h, k: (d, k), 1),
+             SiteWeight("wv", True, lambda d, h, k: (d, k), 1),
+             SiteWeight("wo", False, lambda d, h, k: (h * k, d), 0)),
+    "mlp": (SiteWeight("w1", False, lambda d, h, k: (d, k), 1),
+            SiteWeight("w2", False, lambda d, h, k: (k, d), 0)),
+}
 
 
 # ----------------------------------------------------------------- operations
@@ -421,8 +451,7 @@ class Site:
 
     id: str
     stage: int
-    block: int
-    kind: str  # "attn" or "mlp"
+    kind: str  # a key of SITE_WEIGHTS: "attn" or "mlp"
     full: int
 
 
@@ -439,8 +468,8 @@ def block_sites(config: BackboneConfig) -> tuple:
     name is derived from it.
     """
     return tuple(
-        tuple((Site(f"{block_id(g.index, b)}.attn", g.index, b, "attn", g.head_dim),
-               Site(f"{block_id(g.index, b)}.mlp", g.index, b, "mlp", g.hidden))
+        tuple((Site(f"{block_id(g.index, b)}.attn", g.index, "attn", g.head_dim),
+               Site(f"{block_id(g.index, b)}.mlp", g.index, "mlp", g.hidden))
               for b in range(config.depths[g.index]))
         for g in stage_geometry(config))
 
@@ -453,13 +482,16 @@ def sites(config: BackboneConfig) -> tuple:
 
 def check_site_dims(config: BackboneConfig, site_dims: dict) -> dict:
     """Validate a partial site-width map against the registry; returns it
-    with int widths. A key that names no site of this config, or a width
-    outside [1, full], raises ConfigError."""
+    with int widths. A key that names no site of this config, a width that
+    is not an integer (a cast would truncate 2.9 to 2), or one outside
+    [1, full], raises ConfigError."""
     full = {site.id: site.full for site in sites(config)}
     for key, width in site_dims.items():
         if key not in full:
             raise ConfigError(f"site_dims key {key!r} names no site of this config")
-        if not 1 <= int(width) <= full[key]:
+        if not isinstance(width, (int, np.integer)):
+            raise ConfigError(f"site {key} width {width!r} is not an integer")
+        if not 1 <= width <= full[key]:
             raise ConfigError(f"site {key} width {int(width)} outside [1, {full[key]}]")
     return {key: int(width) for key, width in site_dims.items()}
 
@@ -479,7 +511,8 @@ class Backbone:
     leaves out keep their full width, so pruned variants of a config need
     only name the sites they cut. The one walk that builds the tensors also
     names them, in build order, in the table ``named_parameters`` returns; a
-    site's weights are named "<site id>.<weight>".
+    site's weights are its ``SITE_WEIGHTS`` entries, named
+    "<site id>.<weight>".
     """
 
     def __init__(self, config: BackboneConfig, site_dims: dict | None = None,
@@ -515,6 +548,15 @@ class Backbone:
             self._table[name] = Tensor(arr, requires_grad=True)
             return self._table[name]
 
+        def site_weights(site, geom):
+            """A site's SITE_WEIGHTS by name; a per-head weight as a list."""
+            made = {}
+            for w in SITE_WEIGHTS[site.kind]:
+                shape = w.shape(geom.dim, geom.heads, self.site_dims[site.id])
+                tensors = [param(f"{site.id}.{name}", shape) for name in w.names(geom.heads)]
+                made[w.name] = tensors if w.per_head else tensors[0]
+            return made
+
         patch_width = config.in_channels * config.patch_size ** 2
         self.patch_embed = param("patch_embed", (patch_width, config.base_dim))
         self.stages = []
@@ -523,29 +565,18 @@ class Backbone:
         for geom, pairs in zip(geoms, block_sites(config)):
             blocks = []
             for b, (attn_site, mlp_site) in enumerate(pairs):
-                base, attn, mlp = block_id(geom.index, b), attn_site.id, mlp_site.id
-                k = self.site_dims[attn]
-                km = self.site_dims[mlp]
-                heads = range(geom.heads)
-                rpb = None
-                if config.use_relative_position_bias:
-                    rpb = [param(f"{attn}.rpb{j}", (span, 1)) for j in heads]
-                attn_params = AttentionParams(
-                    wq=[param(f"{attn}.wq{j}", (geom.dim, k)) for j in heads],
-                    wk=[param(f"{attn}.wk{j}", (geom.dim, k)) for j in heads],
-                    wv=[param(f"{attn}.wv{j}", (geom.dim, k)) for j in heads],
-                    wo=param(f"{attn}.wo", (k * geom.heads, geom.dim)),
-                    scale_dim=geom.head_dim,
-                    rpb=rpb,
-                )
+                base = block_id(geom.index, b)
+                rpb = ([param(f"{attn_site.id}.rpb{j}", (span, 1)) for j in range(geom.heads)]
+                       if config.use_relative_position_bias else None)
+                attn_params = AttentionParams(**site_weights(attn_site, geom),
+                                              scale_dim=geom.head_dim, rpb=rpb)
                 blocks.append(BlockParams(
                     norm1_gain=param(f"{base}.norm1.gain", (geom.dim,), 1.0),
                     norm1_bias=param(f"{base}.norm1.bias", (geom.dim,), 0.0),
                     attn=attn_params,
                     norm2_gain=param(f"{base}.norm2.gain", (geom.dim,), 1.0),
                     norm2_bias=param(f"{base}.norm2.bias", (geom.dim,), 0.0),
-                    mlp=MlpParams(w1=param(f"{mlp}.w1", (geom.dim, km)),
-                                  w2=param(f"{mlp}.w2", (km, geom.dim))),
+                    mlp=MlpParams(**site_weights(mlp_site, geom)),
                 ))
             merge = None
             if geom.index < len(geoms) - 1:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Backbone, BackboneConfig, check_site_dims
+from .blocks import SITE_WEIGHTS, Backbone, BackboneConfig, check_site_dims
 from .errors import ConfigError, DimensionError, FormatError, UsageError
 from .scoring import ScoredModel, attach_scores
 
@@ -211,13 +211,17 @@ def _directory(path, entries, payload: int) -> list:
 
 def _tensor_counts(config: BackboneConfig) -> tuple:
     """(parameter, score) tensor counts of a model of ``config``, worked out
-    per stage: per block two norms of two tensors, wo, w1, w2 and three
-    projections per head (four with a position table), then the patch
-    embedding, the merges, the final norm and the head; two sites a block."""
-    per_head = 4 if config.use_relative_position_bias else 3
+    per stage without expanding heads or sites: per block two norms of two
+    tensors, a position table per head when the model has them, and each
+    site's ``SITE_WEIGHTS``, one per head where the table says so; then the
+    patch embedding, the merges, the final norm and the head. Each block has
+    one site per kind."""
+    weights = [w for kind in SITE_WEIGHTS.values() for w in kind]
+    per_head = sum(w.per_head for w in weights) + config.use_relative_position_bias
+    per_block = 4 + sum(not w.per_head for w in weights)
     blocks = zip(config.depths, config.heads)
-    params = len(config.depths) + 3 + sum(d * (7 + per_head * h) for d, h in blocks)
-    return params, 2 * sum(config.depths)
+    params = len(config.depths) + 3 + sum(d * (per_block + per_head * h) for d, h in blocks)
+    return params, len(SITE_WEIGHTS) * sum(config.depths)
 
 
 def _check_against_config(path, ckpt: Checkpoint, directory: list):

@@ -157,8 +157,9 @@ def cmd_cost(args) -> int:
         mac = calibrate_mac_factor()
     else:
         mac = 1
+    # A config with position tables counts them, as its search record does.
     conv = Convention(mac_factor=mac, include_bias=args.include_bias,
-                      include_rpb=args.include_rpb)
+                      include_rpb=args.include_rpb or model_cfg.use_relative_position_bias)
     try:
         rhos = [float(r) for r in args.rho.split(",") if r.strip()]
     except ValueError as exc:

@@ -14,12 +14,13 @@ The measured cross-check runs the model's real forward once inside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (Backbone, BackboneConfig, check_site_dims, forward_batch, sites,
-                     stage_geometry)
+from .blocks import (SITE_WEIGHTS, Backbone, BackboneConfig, check_site_dims, forward_batch,
+                     sites, stage_geometry)
 # Not used here: benchmarks/spans.py patches these names on this module.
 from .blocks import mlp_forward, patch_embed, patch_merge, wmsa_forward  # noqa: F401
 from .errors import ConfigError
@@ -78,29 +79,29 @@ class CostReport:
         return self.total_params - self.head_params
 
 
-def _attn_cost(n, d, h, kq, attended, table, conv: Convention):
-    """h heads of width kq over n tokens, each query attending to `attended`
-    tokens; `table` relative-position entries per head (0 for none)."""
-    hk = h * kq
-    params = 4 * d * hk
+def _site_cost(kind, n, d, h, k, conv: Convention, attended=0, table=0):
+    """(params, flops) of one site of ``kind`` at width k in a stage of width
+    d with h heads, over n tokens. Its weights are its ``SITE_WEIGHTS``, each
+    one MAC per entry and token, with a bias on each output column under
+    ``conv.include_bias``. Attention adds its core, each of the n queries
+    attending to ``attended`` tokens per head, and ``table`` relative-position
+    entries per head under ``conv.include_rpb``."""
+    weights = [(h if w.per_head else 1, w.shape(d, h, k)) for w in SITE_WEIGHTS[kind]]
+    params = sum(count * math.prod(shape) for count, shape in weights)
+    macs = n * params
     if conv.include_bias:
-        params += 3 * hk + d          # qkv bias on kept columns, proj bias
-    if conv.include_rpb:
-        params += table * h
-    flops = conv.mac_factor * (4 * n * d * hk + 2 * n * attended * hk)
-    return params, flops
-
-
-def _mlp_cost(n, d, km, conv: Convention):
-    params = 2 * d * km + ((km + d) if conv.include_bias else 0)
-    return params, conv.mac_factor * 2 * n * d * km
+        params += sum(count * shape[-1] for count, shape in weights)
+    if kind == "attn":
+        macs += 2 * n * attended * h * k
+        params += table * h if conv.include_rpb else 0
+    return params, conv.mac_factor * macs
 
 
 def msa_cost(n, d, h, rho, conv: Convention = Convention()) -> dict:
     """Global attention over n tokens: params 4*rho*d^2, flops 4*rho*n*d^2 + 2*rho*n^2*d."""
     if d % h:
         raise ConfigError(f"dim {d} not divisible by {h} heads")
-    params, flops = _attn_cost(n, d, h, keep_count(d // h, rho), n, 0, conv)
+    params, flops = _site_cost("attn", n, d, h, keep_count(d // h, rho), conv, attended=n)
     return {"params": params, "flops": flops}
 
 
@@ -110,13 +111,13 @@ def wmsa_cost(n, d, h, window, rho, conv: Convention = Convention()) -> dict:
         raise ConfigError(f"dim {d} not divisible by {h} heads")
     if n % (window * window):
         raise ConfigError(f"{n} tokens do not tile into {window}x{window} windows")
-    params, flops = _attn_cost(n, d, h, keep_count(d // h, rho), window * window,
-                               (2 * window - 1) ** 2, conv)
+    params, flops = _site_cost("attn", n, d, h, keep_count(d // h, rho), conv,
+                               attended=window * window, table=(2 * window - 1) ** 2)
     return {"params": params, "flops": flops}
 
 
 def mlp_cost(n, d, d_m, rho, conv: Convention = Convention()) -> dict:
-    params, flops = _mlp_cost(n, d, keep_count(d_m, rho), conv)
+    params, flops = _site_cost("mlp", n, d, 1, keep_count(d_m, rho), conv)
     return {"params": params, "flops": flops}
 
 
@@ -141,11 +142,8 @@ def model_cost(config: BackboneConfig, rho: float = 1.0,
     for site in sites(config):
         g = geoms[site.stage]
         k = site_dims[site.id] if site.id in site_dims else keep_count(site.full, rho)
-        if site.kind == "attn":
-            p, f = _attn_cost(g.tokens, g.dim, g.heads, k, window * window,
-                              (2 * window - 1) ** 2, conv)
-        else:
-            p, f = _mlp_cost(g.tokens, g.dim, k, conv)
+        p, f = _site_cost(site.kind, g.tokens, g.dim, g.heads, k, conv,
+                          attended=window * window, table=(2 * window - 1) ** 2)
         report.sites.append(SiteCost(site.id, p, f))
 
     patch_width = config.in_channels * config.patch_size ** 2

@@ -1,10 +1,13 @@
 """Rank scores, pick surviving dimensions, and cut the weight matrices.
 
-Surgery folds each surviving score into its weight column, so the pruned
-model reproduces the scored model with dropped scores set to zero (masked
-equivalence) without carrying scores into fine-tuning. The attention logit
-scale keeps using the original per-head width, which is what makes the
-equivalence exact rather than approximate.
+Surgery cuts every site with one generic cut, reading which weights a
+site's score cuts, and along which axis, from ``blocks.SITE_WEIGHTS``. It
+folds each surviving score into its weight column, so the pruned model
+reproduces the scored model with dropped scores set to zero (masked
+equivalence) without carrying scores into fine-tuning, and takes the rows
+paired with the kept columns. The attention logit scale keeps using the
+original per-head width, which is what makes the equivalence exact rather
+than approximate.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import AttentionParams, Backbone, MlpParams, sites
+from .blocks import SITE_WEIGHTS, Backbone, sites
 from .errors import ConfigError, DimensionError, NumericError
 from .scoring import ScoredModel
-from .tensor import Tensor
+from .tensor import Tensor, _indices
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,8 @@ class KeepSet:
     original: int
 
     def __post_init__(self):
-        arr = np.asarray(self.indices, dtype=np.int64)
+        # Non-integer entries raise, where a cast would truncate 2.9 to 2.
+        arr = _indices(self.indices, f"keep set for {self.site_id}")
         idx = tuple(arr.tolist())
         object.__setattr__(self, "indices", idx)
         ascending = bool(np.all(arr[1:] > arr[:-1]))
@@ -83,78 +87,65 @@ def select_keep(score, rho: float) -> KeepSet:
     return KeepSet(site_id=score.site_id, indices=np.sort(order[:count]), original=k)
 
 
-def _fold(weight: np.ndarray, idx, scale: np.ndarray) -> np.ndarray:
-    """Columns ``idx`` of a float32 weight, each times its score, as one new
-    C-contiguous array that the pruned model takes as it is. ``np.take``
+def _cut(weight: np.ndarray, axis: int, idx: np.ndarray, width: int,
+         scale: np.ndarray) -> np.ndarray:
+    """The part of a site weight that the kept score entries ``idx`` (of a
+    score ``width`` entries long) leave, cut along ``axis`` as
+    ``blocks.SITE_WEIGHTS`` declares, as one new C-contiguous array that the
+    pruned model takes as it is.
+
+    Axis 1: the kept columns, each times its score in ``scale``. ``np.take``
     gathers in C order (``weight[:, idx]`` comes back in Fortran order, so
     the fold would stride and ``Tensor`` would copy it again), and the score
     is folded into it in place. The product of two float32 values is exact
     in float64, so one float32 multiply gives the bits of the product taken
-    in float64 and rounded to float32."""
-    cols = np.take(weight, idx, axis=1)
-    cols *= scale
-    return cols
-
-
-def prune_attention(p: AttentionParams, keep: KeepSet, alpha: np.ndarray) -> dict:
-    """Cut per-head Q/K/V columns and the matching W_O rows, folding scores;
-    the cut arrays keyed by their name within the site ("wq0", ..., "wo")."""
-    idx = np.array(keep.indices, dtype=np.int64)
-    if keep.original != p.head_dim:
-        raise DimensionError(
-            f"keep set built for width {keep.original}, site has {p.head_dim}")
-    scale = alpha[idx]
-    rows = np.concatenate([j * p.head_dim + idx for j in range(p.heads)])
-    cut = {f"{kind}{j}": _fold(t.data, idx, scale)
-           for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
-           for j, t in enumerate(heads)}
-    cut["wo"] = p.wo.data[rows]
-    return cut
-
-
-def prune_mlp(p: MlpParams, keep: KeepSet, alpha: np.ndarray) -> dict:
-    """Cut hidden columns of W_1 (folding scores) and matching W_2 rows; the
-    cut arrays keyed "w1" and "w2"."""
-    idx = np.array(keep.indices, dtype=np.int64)
-    if keep.original != p.hidden:
-        raise DimensionError(
-            f"keep set built for width {keep.original}, site has {p.hidden}")
-    return {"w1": _fold(p.w1.data, idx, alpha[idx]),
-            "w2": p.w2.data[idx]}
+    in float64 and rounded to float32. Axis 0: the kept rows of each run of
+    ``width`` rows, taken over a [-1, width, cols] view."""
+    if axis == 1:
+        cols = np.take(weight, idx, axis=1)
+        cols *= scale
+        return cols
+    cols = weight.shape[1]
+    return np.take(weight.reshape(-1, width, cols), idx, axis=1).reshape(-1, cols)
 
 
 def prune_model(scored: ScoredModel, rho: float):
     """Rank each site's scores, keep the select_keep indices and cut the
     site's weights, in one walk over the sites; returns (model, report).
 
-    A site whose kept scores are not all finite, or whose folded weights
+    A score whose length is not its site's width raises DimensionError. A
+    site whose kept scores are not all finite, or whose folded weights
     overflow float32, raises NumericError naming it: numpy flags no
     overflow for an inf or NaN operand, so the kept scores are checked
     before they fold, and the fold runs with overflow raising."""
     src = scored.model
     # Surgery on the source's name table: the weights outside the sites
     # (embed, norms, position tables, merges, head) carry over as they are,
-    # and every site's cut weights are written over theirs by name.
+    # and every site weight is replaced by its cut, by name.
     params = {name: t.data for name, t in src.named_parameters()}
     report = PruneReport(rho=rho, pre_params=sum(a.size for a in params.values()))
     for site in sites(src.config):
         sv = scored.score(site.id)
+        width = src.site_dims[site.id]
+        if sv.length != width:
+            raise DimensionError(f"{site.id}: score has {sv.length} entries, "
+                                 f"the site is {width} wide")
         ks = select_keep(sv, rho)
-        alpha = sv.alpha.data
-        kept = alpha[list(ks.indices)]
+        idx = np.array(ks.indices, dtype=np.int64)
+        kept = sv.alpha.data[idx]
         if not np.isfinite(kept).all():
             raise NumericError(f"{site.id}: kept scores are not all finite")
-        blk = src.stages[site.stage].blocks[site.block]
         try:
             with np.errstate(over="raise"):
-                cut = (prune_attention(blk.attn, ks, alpha) if site.kind == "attn"
-                       else prune_mlp(blk.mlp, ks, alpha))
+                for w in SITE_WEIGHTS[site.kind]:
+                    for name in w.names(src.config.heads[site.stage]):
+                        key = f"{site.id}.{name}"
+                        params[key] = _cut(params[key], w.axis, idx, width, kept)
         except FloatingPointError as exc:
             raise NumericError(f"{site.id}: folding the scores into the weights "
                                f"overflows float32") from exc
         report.keeps.append(ks)
         report.thresholds[site.id] = float(np.abs(kept).min())
-        params.update((f"{site.id}.{name}", arr) for name, arr in cut.items())
     out = Backbone(src.config, site_dims={ks.site_id: len(ks) for ks in report.keeps},
                    params=params)
     report.post_params = sum(a.size for a in params.values())

@@ -71,7 +71,7 @@ same way, with ``np.einsum("ij,ij->j")``;
 holds it.
 
 A scored product, ``matmul(a, b, scale)``, applies the score to the weight,
-as surgery (``pruner._fold``) does, not to the product's [rows, p] output:
+as surgery (``pruner._cut``) does, not to the product's [rows, p] output:
 a [d, p] weight is smaller than a batch's activations wherever the rows
 outnumber d. The forward multiplies b by the scale inside b's float64
 cast, one pass writing the float64 array the product reads, which is not

@@ -626,7 +626,7 @@ def test_scores_of_ones_leave_model_output_bitwise():
     for s, stage in enumerate(model.stages):
         for b, blk in enumerate(stage.blocks):
             ones[f"stage{s}.block{b}.attn"] = Tensor(np.ones(blk.attn.head_dim))
-            ones[f"stage{s}.block{b}.mlp"] = Tensor(np.ones(blk.mlp.hidden))
+            ones[f"stage{s}.block{b}.mlp"] = Tensor(np.ones(blk.mlp.w1.shape[1]))
     img = rng(33).random((3, 32, 32)).astype(np.float32)
     plain = forward_batch(model, img[None])
     scored = forward_batch(model, img[None], scores=ones)

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import json
 import os
+import resource
 import tempfile
 import tracemalloc
 
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimprune import checkpoint as checkpoint_module
-from dimprune.blocks import Backbone, BackboneConfig, MlpParams, build_backbone, forward_batch, sites
+from dimprune.blocks import Backbone, BackboneConfig, build_backbone, forward_batch, sites
 from dimprune.checkpoint import (
     checkpoint_from_model,
     load_checkpoint,
@@ -20,9 +22,9 @@ from dimprune.checkpoint import (
     scored_from_checkpoint,
 )
 from dimprune.errors import FormatError, UsageError
-from dimprune.pruner import KeepSet, prune_mlp, prune_model
+from dimprune import pruner
+from dimprune.pruner import KeepSet, prune_model
 from dimprune.scoring import attach_scores
-from dimprune.tensor import Tensor
 
 from test_costmodel import CONFIG_MATRIX
 
@@ -248,6 +250,39 @@ def test_a_directory_unlike_the_header_config_fails_on_load_naming_both_counts(t
     ckpt.scores.pop("stage0.block0.attn")     # a score table is all or nothing
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match="the directory holds 37 and 3"):
+        load_checkpoint(path)
+
+
+@contextlib.contextmanager
+def address_space_capped():
+    """Cap the process's address space at its mapped size plus 1 GiB while
+    the block runs, so a probe that asks for TiB fails before it touches a
+    page, even on a system that would grant it."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    cap = mapped + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_a_huge_head_count_fails_on_the_tensor_counts_without_expanding_heads(tmp_path):
+    """The counts are worked out per stage: 2^40 heads a stage fail at once.
+    The address-space cap turns a count that built a list per head into a
+    MemoryError, not a machine out of memory."""
+    _, _, ckpt = fixture_checkpoint(seed=14)
+    path = tmp_path / "heads.ckpt"
+    save_checkpoint(path, ckpt)
+    path.write_bytes(rewrite_header(path.read_bytes(), lambda h: h["config"].update(
+        base_dim=2 ** 40, heads=[2 ** 40, 2 ** 40])))
+    with address_space_capped(), pytest.raises(
+            FormatError, match="implies 6597069766675 parameter and 0 or 4 score "
+                               "tensors, the directory holds 37 and 4"):
         load_checkpoint(path)
 
 
@@ -477,9 +512,8 @@ def test_folded_columns_equal_the_float64_formula_bitwise(w_scale, a_scale):
     keep = KeepSet("s", tuple(range(0, 40, 3)), 40)
     idx = list(keep.indices)
     want = (w1[:, idx].astype(np.float64) * alpha.astype(np.float64)[idx]).astype(np.float32)
-    out = prune_mlp(MlpParams(w1=Tensor(w1), w2=Tensor(np.ones((40, 6), np.float32))),
-                    keep, alpha)
-    assert np.array_equal(out["w1"].view(np.uint32), want.view(np.uint32))
+    out = pruner._cut(w1, 1, np.array(idx), 40, alpha[idx])
+    assert np.array_equal(out.view(np.uint32), want.view(np.uint32))
 
 
 def test_folded_attention_columns_equal_the_float64_formula_bitwise():

@@ -2,7 +2,6 @@
 
 import json
 import os
-import resource
 import subprocess
 import sys
 
@@ -19,7 +18,7 @@ from dimprune.costmodel import (Convention, REFERENCE_CONVENTION, measured_cost,
                                 model_cost, swin_t_config)
 from dimprune.pipeline import evaluate
 from dimprune.scoring import attach_scores
-from test_checkpoint import HEADER_PROBES, rewrite_header
+from test_checkpoint import HEADER_PROBES, address_space_capped, rewrite_header
 
 TINY = """
 model.image_size = 8
@@ -394,18 +393,9 @@ def test_a_setting_too_large_for_memory_exits_2_with_one_record(
     # Each memory probe asks for TiB, so its allocation fails before a page
     # is touched; the address-space cap keeps that so on a system that
     # would grant it.
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as fh:
-        mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-    cap = mapped + (1 << 30)
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
+    with address_space_capped():
         rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, "--set", setting,
                                         "--set", f"run.output_dir={tmp_path / 'run'}"])
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     assert rc == 2 and out == "" and "Traceback" not in err
     (record,) = json_lines(err)
     assert record["error"] == error
@@ -667,6 +657,25 @@ def test_rpb_search_and_prune_records_match_measured_cost(capsys, tiny_cfg, tmp_
         assert model.stages[0].blocks[0].attn.rpb is not None
         rep = measured_cost(model)
         assert (rec["params"], rec["flops"]) == (rep.total_params, rep.total_flops)
+
+
+def test_cost_of_an_rpb_config_counts_its_tables_as_the_search_record_does(
+        capsys, tiny_cfg, tmp_path):
+    """``cost --config`` on a config with position tables totals the params
+    its search record prints, with or without ``--include-rpb``."""
+    rpb = ["--set", "model.use_relative_position_bias=true"]
+    rc, out, err = run_cli(capsys, ["search", "--config", tiny_cfg, *rpb,
+                                    "--set", f"run.output_dir={tmp_path / 'rpb'}"])
+    assert rc == 0 and err == ""
+    search_rec = json_lines(out)[-1]
+    totals = []
+    for extra in ([], ["--include-rpb"]):
+        rc, out, err = run_cli(capsys, ["cost", "--config", tiny_cfg, *rpb, "--json", *extra])
+        assert rc == 0 and err == ""
+        totals.append(json_lines(out)[-1])
+    assert totals[0] == totals[1]
+    assert (totals[0]["params"], totals[0]["flops"]) == (search_rec["params"],
+                                                         search_rec["flops"])
 
 
 def search_and_prune(capsys, tiny_cfg, setting, rho="0.6"):

@@ -265,7 +265,14 @@ def test_pruning_halves_prunable_flops():
     lambda cfg, dims: Backbone(cfg, site_dims=dims),
 ], ids=["model_cost", "Backbone"])
 def test_site_dims_key_naming_no_site_rejected(build):
+    """A key naming no site raises, and so does a width that is not an
+    integer, which a cast would truncate; numpy integers are widths."""
     cfg = BackboneConfig()
     build(cfg, {"stage0.block0.attn": 3})  # a partial map is fine
+    build(cfg, {"stage0.block0.attn": np.int64(3), "stage1.block0.mlp": np.int32(5)})
     with pytest.raises(ConfigError, match="stage0.blok0.mlp"):
         build(cfg, {"stage0.block0.attn": 3, "stage0.blok0.mlp": 5})
+    for width in (2.9, 2.0, np.float32(2.0), "2"):
+        with pytest.raises(ConfigError, match="site stage0.block0.attn width .* is not "
+                                              "an integer"):
+            build(cfg, {"stage0.block0.attn": width})

@@ -1,14 +1,15 @@
 """The package holds only what a stage runs.
 
 Every top-level function, class and assigned name (a constant) under
-``src/dimprune/``, and every method and property of such a class, must be
-referenced somewhere in the package outside its own definition, be exported
-in ``dimprune.__all__``, or be named in ``KEEP`` with the reason it stays. A
-method is named ``Class.method``; a dunder method, which Python calls
-itself, and a dunder name such as ``__all__`` are exempt. Code that only
-tests reach is a second path beside the one the stages run: move its tests
-onto that path and delete it; a constant nothing reads is what a retired
-path leaves behind. This test parses every module of the package, as
+``src/dimprune/``, every method and property of such a class, and every
+field of such a class that is a dataclass, must be referenced somewhere in
+the package outside its own definition, be exported in ``dimprune.__all__``,
+or be named in ``KEEP`` with the reason it stays. A method or field is
+named ``Class.name``, and counts as read where any attribute of its name
+is; a dunder method, which Python calls itself, and a dunder name such as
+``__all__`` are exempt. Code that only tests reach is a second path beside
+the one the stages run: move its tests onto that path and delete it; a
+constant nothing reads is what a retired path leaves behind. This test parses every module of the package, as
 ``test_no_inplace_writes.py`` does. It also holds each module-level import
 to a read in its own module, unless the module's ``__all__`` lists the name
 or the import is marked ``# noqa: F401``.
@@ -114,10 +115,21 @@ def dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def is_dataclass(node) -> bool:
+    """Whether a class is decorated with ``dataclass``, called or not, by
+    name or as ``dataclasses.dataclass``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
 def definitions(tree):
     """(name, node) of each top-level definition of a module, of each name a
-    top-level assignment binds, and of each method or property of a
-    top-level class as "Class.method", less the dunders."""
+    top-level assignment binds, of each method or property of a top-level
+    class as "Class.method", and of each field of a top-level dataclass as
+    "Class.field", less the dunders."""
     for node in tree.body:
         if isinstance(node, ASSIGNMENTS):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -133,20 +145,25 @@ def definitions(tree):
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not dunder(
                         sub.name):
                     yield f"{node.name}.{sub.name}", sub
+                elif (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                      and is_dataclass(node)):
+                    yield f"{node.name}.{sub.target.id}", sub
 
 
 def unreferenced(trees, exported=(), constants=False) -> list:
     """(module, name) of every definition that nothing outside its own body
-    refers to and that ``exported`` does not list; assigned names count as
-    definitions only with ``constants``. A method counts as used where any
-    attribute of its name is read."""
+    refers to and that ``exported`` does not list; names a module-level
+    assignment binds count as definitions only with ``constants``. A method
+    or a dataclass field counts as used where any attribute of its name is
+    read."""
     total = Counter()
     for tree in trees.values():
         total += referenced_names(tree)
     out = []
     for module, tree in trees.items():
         for name, node in definitions(tree):
-            if not constants and isinstance(node, ASSIGNMENTS):
+            # A module-level constant has a bare name; a field is "Class.field".
+            if not constants and isinstance(node, ASSIGNMENTS) and "." not in name:
                 continue
             short = name.rpartition(".")[2]
             if name not in exported and total[short] - referenced_names(node)[short] <= 0:
@@ -241,6 +258,24 @@ def test_the_lint_flags_exactly_the_unused_definitions(source, exported, names):
     ("X = 1\nclass C:\n    Y = X", ("C",), []),              # a class body reads it
 ])
 def test_the_lint_flags_exactly_the_unread_constants(source, exported, names):
+    found = unreferenced({"m.py": ast.parse(source)}, exported, constants=True)
+    assert [name for _, name in found] == names
+
+
+# A field set only when its dataclass is built is written and never read.
+@pytest.mark.parametrize("source, exported, names", [
+    ("@dataclass\nclass C:\n    a: int\n    b: int\nx = C(1, 2).a", ("x",), ["C.b"]),
+    ("@dataclass(frozen=True)\nclass C:\n    a: int\nx = C(a=1)", ("x",), ["C.a"]),
+    ("@dataclasses.dataclass\nclass C:\n    a: int = 0\nx = C()", ("x",), ["C.a"]),
+    ("@dataclass\nclass C:\n    a: int\n    def m(self): return self.a\nx = C(1).m()",
+     ("x",), []),
+    ("@dataclass\nclass C:\n    a: int\nclass D:\n    b: int\nx = (C, D)", ("x",), ["C.a"]),
+    ("@dataclass\nclass C:\n    a: int\n    b: list = field(default_factory=list)\n"
+     "x = C(1).b", ("x",), ["C.a"]),
+    ("@dataclass\nclass C:\n    a: int\n", ("C",), ["C.a"]),   # exporting C keeps no field
+    ("class C:\n    a: int\nx = C()", ("x",), []),           # not a dataclass: no fields
+])
+def test_the_lint_flags_exactly_the_unread_dataclass_fields(source, exported, names):
     found = unreferenced({"m.py": ast.parse(source)}, exported, constants=True)
     assert [name for _, name in found] == names
 

@@ -3,13 +3,14 @@ import pytest
 
 from dimprune import pruner
 from dimprune.blocks import (
-    AttentionParams,
+    SITE_WEIGHTS,
+    Backbone,
     BackboneConfig,
-    MlpParams,
     WindowSpec,
     build_backbone,
     forward_batch,
     mlp_forward,
+    sites,
     wmsa_forward,
 )
 from dimprune.errors import ConfigError, DimensionError
@@ -17,13 +18,11 @@ from dimprune.pruner import (
     KeepSet,
     keep_count,
     masked_scores,
-    prune_attention,
-    prune_mlp,
     prune_model,
     rank_order,
     select_keep,
 )
-from dimprune.scoring import attach_scores
+from dimprune.scoring import ScoredModel, ScoreVector, attach_scores
 from dimprune.tensor import Tensor
 
 
@@ -31,24 +30,21 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_attn(r, d, heads, k):
-    t = lambda *s: Tensor(r.normal(0.0, 0.5, size=s).astype(np.float32),
-                          requires_grad=True)
-    return AttentionParams(
-        wq=[t(d, k) for _ in range(heads)],
-        wk=[t(d, k) for _ in range(heads)],
-        wv=[t(d, k) for _ in range(heads)],
-        wo=t(k * heads, d),
-        scale_dim=k)
+def one_block(r, base_dim, heads, mlp_ratio=2.0, grid=1):
+    """A one-block model over a grid x grid token grid in one window, its
+    weights drawn from N(0, 0.5), and its score table (all ones)."""
+    cfg = BackboneConfig(image_size=4 * grid, base_dim=base_dim, depths=(1,),
+                         heads=(heads,), window=grid, mlp_ratio=mlp_ratio)
+    model = Backbone(cfg, params={
+        name: r.normal(0.0, 0.5, size=t.shape).astype(np.float32)
+        for name, t in Backbone(cfg).named_parameters()})
+    return model, attach_scores(model)
 
 
-def attn_from(cut, heads, scale_dim):
-    """The attention site that ``prune_attention``'s arrays make."""
-    return AttentionParams(
-        wq=[Tensor(cut[f"wq{j}"]) for j in range(heads)],
-        wk=[Tensor(cut[f"wk{j}"]) for j in range(heads)],
-        wv=[Tensor(cut[f"wv{j}"]) for j in range(heads)],
-        wo=Tensor(cut["wo"]), scale_dim=scale_dim)
+def site_arrays(model, site_id):
+    """A site's weights by their name within the site, in build order."""
+    return {name.rpartition(".")[2]: t.data for name, t in model.named_parameters()
+            if name.startswith(f"{site_id}.")}
 
 
 class FakeScore:
@@ -115,7 +111,8 @@ def test_keep_sets_grow_monotonically_with_rho():
 
 def test_keep_set_validation():
     """Duplicates are named before the range and the range before the
-    order; the same for a tuple, a list and an int64 array."""
+    order; the same for a tuple, a list and an int64 array. Entries that
+    are not integers raise."""
     cases = [
         ((0, 0), "duplicate keep indices for s: (0, 0)"),
         ((2, 1, 2), "duplicate keep indices for s: (2, 1, 2)"),
@@ -132,11 +129,15 @@ def test_keep_set_validation():
             with pytest.raises(DimensionError) as err:
                 KeepSet("s", given, 4)
             assert str(err.value) == message
+    # A non-integer entry raises where a cast would truncate it: 2.9 to 2.
+    for given in ((0.7, 2.9), (0.0, 2.0), np.array([1.0]), (True, False)):
+        with pytest.raises(DimensionError, match="keep set for s needs integer indices"):
+            KeepSet("s", given, 4)
 
 
 def test_keep_set_indices_are_a_tuple_of_python_ints():
     for given in ((), (0, 2, 3), [1], np.array([0, 3], dtype=np.int64),
-                  np.array([1, 2], dtype=np.int32)):
+                  np.array([1, 2], dtype=np.int32), (np.int64(0), np.int32(2))):
         ks = KeepSet("s", given, 4)
         assert isinstance(ks.indices, tuple)
         assert ks.indices == tuple(int(i) for i in given)
@@ -151,67 +152,77 @@ def test_keep_set_indices_are_a_tuple_of_python_ints():
 
 
 def test_prune_attention_full_keep_is_bitwise_identity():
-    p = make_attn(rng(3), d=4, heads=2, k=2)
-    keep = KeepSet("s", (0, 1), 2)
-    out = prune_attention(p, keep, np.ones(2, dtype=np.float32))
-    want = {f"{kind}{j}": t.data
-            for kind, heads in (("wq", p.wq), ("wk", p.wk), ("wv", p.wv))
-            for j, t in enumerate(heads)}
-    want["wo"] = p.wo.data
-    assert list(out) == list(want)
+    model, scored = one_block(rng(3), base_dim=4, heads=2)
+    pruned, _ = prune_model(scored, 1.0)
+    src = site_arrays(model, "stage0.block0.attn")
+    out = site_arrays(pruned, "stage0.block0.attn")
+    assert list(out) == [name for w in SITE_WEIGHTS["attn"] for name in w.names(2)]
+    assert list(out) == list(src)
     for name, arr in out.items():
-        assert np.array_equal(arr, want[name]), name
+        assert np.array_equal(arr, src[name]), name
 
 
 def test_prune_attention_smallest_case():
-    p = make_attn(rng(4), d=2, heads=1, k=2)
+    model, scored = one_block(rng(4), base_dim=2, heads=1)
     alpha = np.array([0.7, 0.2], dtype=np.float32)
-    out = prune_attention(p, KeepSet("s", (0,), 2), alpha)
+    scored.score("stage0.block0.attn").alpha.data = alpha
+    pruned, _ = prune_model(scored, 0.5)
+    src = site_arrays(model, "stage0.block0.attn")
+    out = site_arrays(pruned, "stage0.block0.attn")
     assert sorted(out) == ["wk0", "wo", "wq0", "wv0"]
     assert out["wq0"].shape == (2, 1)
-    assert np.allclose(out["wq0"][:, 0], p.wq[0].data[:, 0] * 0.7, atol=1e-7)
-    assert np.allclose(out["wv0"][:, 0], p.wv[0].data[:, 0] * 0.7, atol=1e-7)
-    assert np.array_equal(out["wo"], p.wo.data[0:1])
+    assert np.allclose(out["wq0"][:, 0], src["wq0"][:, 0] * 0.7, atol=1e-7)
+    assert np.allclose(out["wv0"][:, 0], src["wv0"][:, 0] * 0.7, atol=1e-7)
+    assert np.array_equal(out["wo"], src["wo"][0:1])
 
 
 def test_pruned_attention_equals_zero_masked_scores():
     r = rng(5)
-    p = make_attn(r, d=4, heads=2, k=4)
+    model, scored = one_block(r, base_dim=8, heads=2, grid=3)
     alpha = r.normal(1.0, 0.4, size=4).astype(np.float32)
-    keep = select_keep(FakeScore("s", alpha), 0.5)
-    pruned = attn_from(prune_attention(p, keep, alpha), heads=2, scale_dim=4)
-    x = Tensor(r.normal(size=(9, 4)).astype(np.float32))
+    scored.score("stage0.block0.attn").alpha.data = alpha
+    pruned, report = prune_model(scored, 0.5)
+    keep = list(report.keep_for("stage0.block0.attn").indices)
+    src, out = model.stages[0].blocks[0].attn, pruned.stages[0].blocks[0].attn
+    assert out.head_dim == 2 and out.scale_dim == 4
+    x = Tensor(r.normal(size=(9, 8)).astype(np.float32))
     spec = WindowSpec(3, 3, 3)    # one window: attention over all nine rows
     masked = np.zeros(4, dtype=np.float32)
-    masked[list(keep.indices)] = alpha[list(keep.indices)]
-    want = wmsa_forward(x, p, spec, alpha=Tensor(masked)).data
-    got = wmsa_forward(x, pruned, spec).data
+    masked[keep] = alpha[keep]
+    want = wmsa_forward(x, src, spec, alpha=Tensor(masked)).data
+    got = wmsa_forward(x, out, spec).data
     assert np.abs(got - want).max() < 1e-5
 
 
 def test_prune_mlp_shapes_and_equivalence():
     r = rng(6)
-    p = MlpParams(w1=Tensor(r.normal(size=(2, 3)).astype(np.float32)),
-                  w2=Tensor(r.normal(size=(3, 2)).astype(np.float32)))
+    model, scored = one_block(r, base_dim=2, heads=1, mlp_ratio=1.5)
     alpha = np.array([0.1, 0.9, -0.5], dtype=np.float32)
-    cut = prune_mlp(p, KeepSet("s", (1,), 3), alpha)
-    assert sorted(cut) == ["w1", "w2"]
-    assert cut["w1"].shape == (2, 1) and cut["w2"].shape == (1, 2)
-    assert np.allclose(cut["w1"][:, 0], p.w1.data[:, 1] * 0.9, atol=1e-7)
-    assert np.array_equal(cut["w2"], p.w2.data[1:2])
-    out = MlpParams(w1=Tensor(cut["w1"]), w2=Tensor(cut["w2"]))
+    scored.score("stage0.block0.mlp").alpha.data = alpha
+    pruned, report = prune_model(scored, 0.34)
+    assert report.keep_for("stage0.block0.mlp").indices == (1,)
+    src = model.stages[0].blocks[0].mlp
+    out = pruned.stages[0].blocks[0].mlp
+    assert out.w1.shape == (2, 1) and out.w2.shape == (1, 2)
+    assert np.allclose(out.w1.data[:, 0], src.w1.data[:, 1] * 0.9, atol=1e-7)
+    assert np.array_equal(out.w2.data, src.w2.data[1:2])
 
     x = Tensor(r.normal(size=(4, 2)).astype(np.float32))
     masked = np.array([0.0, 0.9, 0.0], dtype=np.float32)
-    want = mlp_forward(x, p, Tensor(masked)).data
+    want = mlp_forward(x, src, Tensor(masked)).data
     got = mlp_forward(x, out).data
     assert np.abs(got - want).max() < 1e-5
 
 
 def test_prune_rejects_mismatched_keep_width():
-    p = make_attn(rng(7), d=4, heads=2, k=2)
-    with pytest.raises(DimensionError):
-        prune_attention(p, KeepSet("s", (0,), 3), np.ones(3))
+    """A score whose length is not its site's width raises, naming the site."""
+    model, scored = one_block(rng(7), base_dim=4, heads=2)
+    for site in ("stage0.block0.attn", "stage0.block0.mlp"):
+        scores = [sv if sv.site_id != site else
+                  ScoreVector(site, Tensor(np.ones(sv.length + 1, dtype=np.float32)))
+                  for sv in scored.scores]
+        with pytest.raises(DimensionError, match=f"{site}: score has"):
+            prune_model(ScoredModel(model, scores), 0.5)
 
 
 # -------------------------------------------------------------- whole model
@@ -273,10 +284,10 @@ def test_prune_model_halves_site_dims():
     pruned, _ = prune_model(scored, 0.5)
     blk0 = pruned.stages[0].blocks[0]
     assert blk0.attn.head_dim == 4 and blk0.attn.scale_dim == 8
-    assert blk0.mlp.hidden == 16
+    assert blk0.mlp.w1.shape[1] == 16
     blk1 = pruned.stages[1].blocks[0]
     assert blk1.attn.head_dim == 4 and blk1.attn.scale_dim == 8
-    assert blk1.mlp.hidden == 32
+    assert blk1.mlp.w1.shape[1] == 32
     assert not pruned.scores_attached
 
 
@@ -292,20 +303,22 @@ def test_surgery_writes_each_pruned_weight_once(cfg, monkeypatch):
     r = rng(13)
     for sv in scored.scores:
         sv.alpha.data[:] = r.normal(1.0, 0.5, size=sv.length).astype(np.float32)
-    cuts = {}
+    cuts = []
+    cut = pruner._cut
 
-    def recorded(cut_site):
-        def cut(p, keep, alpha):
-            out = cut_site(p, keep, alpha)
-            cuts.update((f"{keep.site_id}.{name}", arr) for name, arr in out.items())
-            return out
-        return cut
+    def recorded(*args):
+        cuts.append(cut(*args))
+        return cuts[-1]
 
-    monkeypatch.setattr(pruner, "prune_attention", recorded(prune_attention))
-    monkeypatch.setattr(pruner, "prune_mlp", recorded(prune_mlp))
+    monkeypatch.setattr(pruner, "_cut", recorded)
     pruned, report = prune_model(scored, 0.6)
     parent = dict(model.named_parameters())
     folded = ("wq", "wk", "wv", "w1")
+    # Surgery cuts the sites in order, each site's weights in table order.
+    names = [f"{site.id}.{name}" for site in sites(cfg) for w in SITE_WEIGHTS[site.kind]
+             for name in w.names(cfg.heads[site.stage])]
+    assert len(cuts) == len(names)
+    cuts = dict(zip(names, cuts))
     assert set(cuts) < set(parent)
     for name, t in pruned.named_parameters():
         arr = t.data
