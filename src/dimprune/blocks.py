@@ -58,7 +58,6 @@ class WindowSpec:
         return self.tokens // (self.window * self.window)
 
 
-@functools.lru_cache(maxsize=None)
 def _partition_permutation(height, width, window, shift):
     """Row order that groups shifted M x M windows contiguously."""
     order = np.empty(height * width, dtype=np.int64)
@@ -74,7 +73,6 @@ def _partition_permutation(height, width, window, shift):
     return order
 
 
-@functools.lru_cache(maxsize=None)
 def _window_masks(height, width, window, shift):
     """Per-window additive masks blocking pairs from disjoint pre-shift regions.
 
@@ -109,18 +107,12 @@ def _shift_mask(height, width, window, shift, heads):
     return Tensor(np.repeat(masks[:, None], heads, axis=1))
 
 
-def _stack(order, images) -> T.Permutation:
-    """One image's row order repeated for ``images`` stacked images, each
-    offset by the image's row count, checked and inverted once."""
-    n = order.shape[0]
-    return T.Permutation((np.arange(images, dtype=np.int64)[:, None] * n + order).reshape(-1))
-
-
 @functools.lru_cache(maxsize=None)
-def _stacked_partition(images, height, width, window, shift):
-    """The permutation grouping the shifted windows of stacked grids, and
-    its inverse."""
-    perm = _stack(_partition_permutation(height, width, window, shift), images)
+def _window_order(height, width, window, shift):
+    """The permutation grouping one grid's shifted windows, checked and
+    inverted once, and its inverse; ``permute_rows`` applies it to each
+    image of a stack."""
+    perm = T.Permutation(_partition_permutation(height, width, window, shift))
     return perm, perm.inverted()
 
 
@@ -257,8 +249,7 @@ def wmsa_forward(x: Tensor, p: AttentionParams, spec: WindowSpec,
     images, extra = divmod(x.shape[0], spec.tokens)
     if images < 1 or extra:
         raise DimensionError(f"expected a multiple of {spec.tokens} token rows, got {x.shape}")
-    perm, inverse = _stacked_partition(images, spec.height, spec.width, spec.window,
-                                       spec.shift)
+    perm, inverse = _window_order(spec.height, spec.width, spec.window, spec.shift)
     mask = None
     if spec.shift:
         mask = _shift_mask(spec.height, spec.width, spec.window, spec.shift, p.heads)
@@ -322,7 +313,9 @@ def patch_embed(images: np.ndarray, patch_size: int, weight: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _merge_permutation(height, width):
+def _merge_permutation(height, width) -> T.Permutation:
+    """The permutation that lines up each 2x2 cell of one grid, checked
+    once; ``permute_rows`` applies it to each image of a stack."""
     order = []
     for i in range(height // 2):
         for j in range(width // 2):
@@ -332,12 +325,7 @@ def _merge_permutation(height, width):
                 (2 * i) * width + 2 * j + 1,    # top-right
                 (2 * i + 1) * width + 2 * j + 1,  # bottom-right
             ])
-    return np.array(order, dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=None)
-def _stacked_merge(images, height, width):
-    return _stack(_merge_permutation(height, width), images)
+    return T.Permutation(order)
 
 
 def patch_merge(x: Tensor, height: int, width: int, weight: Tensor) -> Tensor:
@@ -349,7 +337,7 @@ def patch_merge(x: Tensor, height: int, width: int, weight: Tensor) -> Tensor:
             f"cannot merge {rows} rows as even {height}x{width} grids")
     if weight.shape[0] != 4 * d:
         raise DimensionError(f"merge weight {weight.shape} does not match 4*{d} inputs")
-    grouped = T.permute_rows(x, _stacked_merge(rows // (height * width), height, width))
+    grouped = T.permute_rows(x, _merge_permutation(height, width))
     stacked = T.reshape(grouped, (rows // 4, 4 * d))
     return T.matmul(stacked, weight)
 

@@ -29,17 +29,17 @@ def decay_exempt(name: str) -> bool:
     return name.startswith("score.") or "norm" in name
 
 
-# Entries per block of an AdamW step: the temporaries of one block stay in
-# cache, and parameters smaller than a block are updated together.
-_BLOCK = 1 << 16
+# Entries per block of an AdamW step: one pack (``tensor.packs``), so the
+# temporaries of one block stay in cache.
+_BLOCK = T.PACK
 _BETA1, _BETA2 = 0.9, 0.999
 _EPS = 1e-8
 
 
 class _Block:
-    """A run of consecutive parameters updated as one flat array: several
-    smaller than ``_BLOCK`` packed together, or one of at least ``_BLOCK``
-    entries, updated in ``_BLOCK``-sized slices.
+    """A run of consecutive parameters updated as one flat array: a pack of
+    at most ``_BLOCK`` entries, or one larger parameter, updated in
+    ``_BLOCK``-sized slices.
 
     ``m`` and ``v`` are the block's flat moments, and ``p`` is the flat
     array whose views (``held``) the parameters were given at the last step,
@@ -63,9 +63,9 @@ class _Block:
             self.factor = np.concatenate([np.full(p.size, shrink if d else 1.0,
                                                   dtype=np.float32)
                                           for (_, p), d in zip(run, decayed)])
-        self.m, self.v = (_flat([np.asarray(given[name], dtype=np.float32) if name in given
-                                 else np.zeros(p.shape, dtype=np.float32)
-                                 for name, p in run])
+        self.m, self.v = (T._flat([np.asarray(given[name], dtype=np.float32)
+                                   if name in given else np.zeros(p.shape, dtype=np.float32)
+                                   for name, p in run])
                           for given in (m, v))
         self.p = None
         self.held = [None] * len(run)
@@ -75,7 +75,7 @@ class _Block:
         them is not the view handed out at the last step."""
         for (_, p, _, _), held in zip(self.members, self.held):
             if p.data is not held:
-                return _flat([p.data for _, p, _, _ in self.members])
+                return T._flat([p.data for _, p, _, _ in self.members])
         return self.p
 
     def views(self, flat) -> list:
@@ -83,36 +83,14 @@ class _Block:
         return [flat[start:stop].reshape(p.shape) for _, p, start, stop in self.members]
 
 
-def _flat(arrays):
-    """One flat array of ``arrays`` in order; a single contiguous array is
-    not copied."""
-    return arrays[0].reshape(-1) if len(arrays) == 1 else np.concatenate(arrays, axis=None)
-
-
-def _blocks(params, shrink, m: dict, v: dict) -> list:
-    """``params`` in order as blocks; ``shrink`` is the factor of a decayed
-    entry, None without weight decay; ``m`` and ``v`` map a name to its
-    starting moment, zero for a name they leave out."""
-    blocks, run, filled = [], [], 0
-    for name, p in params:
-        if run and (p.size >= _BLOCK or filled + p.size > _BLOCK):
-            blocks.append(_Block(run, shrink, m, v))
-            run, filled = [], 0
-        run.append((name, p))
-        filled += p.size
-    if run:
-        blocks.append(_Block(run, shrink, m, v))
-    return blocks
-
-
 class AdamW:
     """Adaptive moments with decoupled weight decay, beta = (0.9, 0.999) and
     eps = 1e-8.
 
-    A step runs over blocks of at most ``_BLOCK`` entries, so its
-    temporaries stay in cache: consecutive parameters smaller than a block
-    are packed into one flat array, and a larger parameter is updated in
-    block-sized slices. Every entry goes through the same float32
+    A step runs over blocks, one per ``tensor.packs`` run of the parameters'
+    sizes, so its temporaries stay in cache: consecutive parameters of at
+    most ``_BLOCK`` entries together share one flat array, and a larger
+    parameter is updated in block-sized slices. Every entry goes through the same float32
     operations in the same order whatever its block, so the result does
     not depend on the blocking. Each block keeps its moments as two flat
     arrays, which a step replaces and never writes into; ``m`` and ``v``
@@ -139,7 +117,8 @@ class AdamW:
                         f"optimizer moment for parameter {name} has shape "
                         f"{np.shape(arr)}, the parameter has {shapes[name]}")
         shrink = (1.0 - self.lr * self.weight_decay) if self.weight_decay else None
-        self._blocks = _blocks(self.params, shrink, m or {}, v or {})
+        self._blocks = [_Block(self.params[lo:hi], shrink, m or {}, v or {})
+                        for lo, hi in T.packs(p.size for _, p in self.params)]
         largest = max((b.size for b in self._blocks), default=0)
         self._scratch = np.empty(min(largest, _BLOCK), dtype=np.float32)
         self._grads = np.empty(min(largest, _BLOCK), dtype=np.float32)

@@ -9,7 +9,8 @@ ops (GELU among them) and the optimizer do;
 ``test_block_gradients_match_finite_differences`` and acceptance criteria
 3, 4 and 8 hold the gradients to that precision.
 
-Every forward product goes through ``_product64``. A 2-D product [m, k] @
+Every forward product goes through ``_product64``, the one guarded
+product (below). A 2-D product [m, k] @
 [k, p] that is narrow (k*p/(k+p) <= ``_NARROW``) and tall (m at least two
 chunks) runs in row chunks of about ``_CHUNK_BYTES`` of float64: a chunk's
 rows are cast into one float64 buffer, multiplied into a second and rounded
@@ -25,12 +26,12 @@ and ``test_tiny_batch_of_64_chunks_and_each_row_equals_its_image_alone``
 check. Every other product casts both operands whole, to C-ordered float64
 arrays, and multiplies once.
 
-Three users follow one chunk rule: no full-size temporary, and work in
-chunks of about ``_CHUNK_BYTES``. ``_product64`` runs its narrow, tall
-products in row chunks (above). ``attention_core`` runs its two float64
-products through ``_stacked_product``, over chunks of the leading (image)
-axis sized so that a chunk's float64 operands and product fit in
-``_CHUNK_BYTES``; a chunk holds at least one image, so a single image
+Two ops follow one chunk rule: no full-size temporary, and work in chunks
+of about ``_CHUNK_BYTES``. ``_product64`` runs its narrow, tall 2-D
+products in row chunks (above), and ``attention_core``'s two float64
+products, whose stacks it rounds into a given output, over chunks of the
+leading (image) axis sized so that a chunk's float64 operands and product
+fit in ``_CHUNK_BYTES``; a chunk holds at least one image, so a single image
 (Swin-T at B=1) is one chunk. ``gelu`` runs its forward over flat chunks of
 ``_CHUNK_BYTES`` of float32, reusing one chunk's buffers. Each keeps its
 operations and their order, so every output bit stays: numpy multiplies
@@ -101,7 +102,8 @@ writes into a ``.grad`` in place.
 
 A thread's op state lives in ``_state``, a ``threading.local`` holding its
 active tape, the site its innermost ``mac_scope`` names, its list of
-active MAC counters and ``deferred``, set while a checked pass runs (below).
+active MAC counters and ``deferred``, set while ``checked_forward`` runs
+(below).
 ``tape`` and ``site`` default to None and ``deferred`` to False at class level,
 so an op reads its tape once, in one attribute lookup, in a thread that
 never entered a ``Tape`` too. An op whose output is a non-empty
@@ -113,28 +115,30 @@ C-contiguous float32 array of its own wraps it with ``_fresh``, skipping
 ``test_every_op_returns_c_contiguous_float32_and_pulls_float32`` holds
 both for every op.
 
-Finiteness is checked once per pass, not once per op. Outside a checked
-pass every product (``_product32``, ``_chunked_product``,
-``_stacked_product``) runs under its own ``np.errstate`` and scans its
-output, and a non-finite entry raises NumericError naming the op and the
-innermost ``mac_scope`` site; so do the softmax input and the
-cross-entropy logits. The forward of
-``blocks.forward_features`` (through ``checked_forward``) and ``backward``
-are checked passes: each runs under one ``np.errstate(over="ignore",
-invalid="ignore")`` with ``deferred`` set, and the products run bare. A
-forward then scans its output, the logits, once. If that scan fails, or a
-check kept inside the pass raises, the same forward runs again with
-``deferred`` off and no tape or MAC counter, and the first op whose check
-fails raises its usual NumericError, naming the op and the site where the
-value appeared; the forward is deterministic and nothing writes into a
-Tensor's array, so the replay sees the first pass's values. A backward,
-once every pull has run, scans the gradients of the leaves it filled
-(inputs no record produced): gradients smaller than ``_SCAN_PACK`` entries
-are joined into packs of at most that many, as ``AdamW`` packs them, and
-each pack is scanned once; a larger gradient is scanned alone. Its error
-names a leaf gradient by shape, not a gradient product or a site.
-``scan_finite`` packs and scans; ``pipeline._train`` also runs it once over
-the weights and scores after the last update, which no later check sees.
+Finiteness is checked once per pass, not once per op. The forward
+products are the guarded ones: outside a checked forward ``_product64``
+runs each under its own ``np.errstate`` and scans its output (a scored
+product's fold too), and a non-finite entry raises
+NumericError naming the op and the innermost ``mac_scope`` site; so do the
+softmax input and the cross-entropy logits. The forward of
+``blocks.forward_features`` runs through ``checked_forward``, under one
+``np.errstate(over="ignore", invalid="ignore")`` with ``deferred`` set, so
+the products run bare, and it scans its output, the logits, once. If that
+scan fails, or a check kept inside the pass raises, the same forward runs
+again with ``deferred`` off and no tape or MAC counter, and the first op
+whose check fails raises its usual NumericError, naming the op and the site
+where the value appeared; the forward is deterministic and nothing writes
+into a Tensor's array, so the replay sees the first pass's values.
+
+A backward has one check. Every pull, gradient products included, is bare
+numpy (``tests/test_pulls_are_unguarded.py`` keeps it so), and ``backward``
+runs them all under the same one error state. Once every pull has run, it
+scans the gradients of the leaves it filled (inputs no record produced)
+with ``scan_finite``, which joins each of their ``packs`` (consecutive
+arrays, up to ``PACK`` entries together, as ``AdamW`` groups its blocks)
+and scans it once. Its error names a leaf gradient by shape, not a site.
+``pipeline._train`` also runs ``scan_finite`` once over the weights and
+scores after the last update, which no later check sees.
 
 One scan at the end sees every non-finite value only where no op on the
 way turns one finite again. These ops cannot: a product (every input entry
@@ -156,15 +160,17 @@ error names the site where the value first appeared, not a later
 attention site that saw it.
 
 ``permute_rows`` reorders rows by a ``Permutation``, a checked row order
-and its inverse, both read-only; raw indices become one at its top.
-``blocks`` caches its window and merge permutations as Permutations, so a
-forward neither checks nor inverts them again.
+and its inverse, both read-only; raw indices become one at its top. A
+permutation of n rows reorders each run of n rows alike, so one image's
+order serves a stack of images. ``blocks`` caches one window order per
+(grid, window, shift) and one merge order per grid as Permutations,
+whatever the batch size, so a forward neither checks nor inverts them
+again.
 
 Shapes are explicit: there is no general broadcasting. The only shape-mixing
 allowed is ``add`` of a tensor equal to the other's trailing axes (a row
 bias is the 1-D case). Ops that act on rows act on the last axis of any
-rank, and ``matmul`` multiplies the last two axes of stacks with equal
-leading axes.
+rank; ``matmul`` multiplies 2-D tensors.
 
 ``attention_core`` is the one fused op: softmax(q k^T * s [+ mask]) v over
 every group and head of an attention site (Swin's W-MSA, arXiv
@@ -205,8 +211,7 @@ _GELU_SATURATED = 10.0
 
 class _ThreadState(threading.local):
     """One thread's active tape, ``mac_scope`` site, MAC counters and
-    whether a checked pass (``checked_forward`` or ``backward``) is running
-    (see the module docstring)."""
+    whether ``checked_forward`` is running (see the module docstring)."""
 
     tape = None
     site = None
@@ -320,9 +325,34 @@ def _accumulate(t: Tensor, delta):
     t.grad = delta if t.grad is None else t.grad + delta
 
 
-# Entries per scan of the leaf gradients at the end of ``backward``: smaller
-# gradients are packed together up to this many, as ``AdamW`` packs them.
-_SCAN_PACK = 1 << 16
+# Entries per pack: ``packs`` joins consecutive arrays while their sizes sum
+# to at most this. ``AdamW`` updates a pack as one flat array, whose
+# temporaries stay in cache, and ``scan_finite`` scans one in one pass.
+PACK = 1 << 16
+
+
+def packs(sizes):
+    """Yield the (lo, hi) index ranges that split ``sizes``, entry counts of
+    at least 1, in order into runs: consecutive entries are joined while
+    their sum stays at most ``PACK``, so an entry of more than ``PACK`` is
+    alone. It builds no list, so a backward's leaf scan allocates no more
+    than its pack: a list of sizes built per backward moved glibc's heap
+    enough to double the page faults of the benchmark's 64-image tiny eval
+    (2-core Xeon, numpy 2.4.6)."""
+    lo = hi = filled = 0
+    for hi, size in enumerate(sizes):
+        if filled and filled + size > PACK:
+            yield lo, hi
+            lo, filled = hi, 0
+        filled += size
+    if filled:
+        yield lo, hi + 1
+
+
+def _flat(arrays):
+    """One flat array of ``arrays`` in order, as a pack is joined; a single
+    contiguous array is not copied."""
+    return arrays[0].reshape(-1) if len(arrays) == 1 else np.concatenate(arrays, axis=None)
 
 
 def backward(loss: Tensor, tape: Tape):
@@ -330,10 +360,10 @@ def backward(loss: Tensor, tape: Tape):
 
     Each record is dropped once its pulls have run, with the gradient of its
     output (the loss keeps its own), so what the forward saved is freed as
-    the pass goes; leaf gradients are kept. The pulls run as one checked
-    pass: one error state and no per-product scans, then one scan of the
-    gradients of the leaves (inputs no record produced) the pass filled
-    (see the module docstring)."""
+    the pass goes; leaf gradients are kept. The pulls run bare under one
+    error state; then one scan of the gradients of the leaves (inputs no
+    record produced) the pass filled checks them (see the module
+    docstring)."""
     if tape._consumed:
         raise UsageError("tape was already consumed by backward")
     if loss.size != 1:
@@ -343,7 +373,6 @@ def backward(loss: Tensor, tape: Tape):
     nodes = tape._nodes
     produced = {id(out) for out, _ in nodes}
     leaves = {}
-    outer, _state.deferred = _state.deferred, True
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             while nodes:
@@ -359,7 +388,6 @@ def backward(loss: Tensor, tape: Tape):
                 if out is not loss:
                     out.grad = None
     finally:
-        _state.deferred = outer
         nodes.clear()
     grads = [t.grad for t in leaves.values()]
     scan_finite(grads, lambda i: f"gradient of a {grads[i].shape} leaf")
@@ -367,24 +395,12 @@ def backward(loss: Tensor, tape: Tape):
 
 def scan_finite(arrays, name):
     """Raise NumericError for the first of ``arrays`` that holds a non-finite
-    entry, naming it ``name(i)`` by its index. Arrays smaller than
-    ``_SCAN_PACK`` entries are joined into packs of at most that many and
-    each pack is scanned once; a larger one is scanned alone."""
-    lo, filled = 0, 0
-    for i, arr in enumerate(arrays):
-        if i > lo and filled + arr.size > _SCAN_PACK:
-            _scan_pack(arrays, lo, i, name)
-            lo, filled = i, 0
-        filled += arr.size
-    if lo < len(arrays):
-        _scan_pack(arrays, lo, len(arrays), name)
-
-
-def _scan_pack(arrays, lo, hi, name):
-    pack = arrays[lo] if hi == lo + 1 else np.concatenate(arrays[lo:hi], axis=None)
-    if not np.isfinite(pack).all():
-        for i in range(lo, hi):
-            _finite_or_raise(arrays[i], name(i))
+    entry, naming it ``name(i)`` by its index. Each of their ``packs`` is
+    joined and scanned once."""
+    for lo, hi in packs(a.size for a in arrays):
+        if not np.isfinite(_flat(arrays[lo:hi])).all():
+            for i in range(lo, hi):
+                _finite_or_raise(arrays[i], name(i))
 
 
 def checked_forward(what: str, forward, *args):
@@ -476,29 +492,6 @@ def _check_2d(t: Tensor, name: str):
 # ---------------------------------------------------------------- arithmetic
 
 
-def _product32(a, b, what: str, out=None):
-    """Product of two arrays rounded to float32, rejecting non-finite entries;
-    ``out``, a float32 view, takes the rounded product in place of a fresh
-    array.
-
-    The product and the cast run with overflow and invalid-value warnings
-    off: an inf input or an overflow becomes inf or NaN, which the check
-    turns into NumericError without a stray RuntimeWarning. Inside a checked
-    pass the pass holds that error state and checks later, so the product
-    runs bare."""
-    if _state.deferred:
-        if out is None:
-            return (a @ b).astype(np.float32, copy=False)
-        return np.matmul(a, b, out=out)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if out is None:
-            out = (a @ b).astype(np.float32, copy=False)
-        else:
-            np.matmul(a, b, out=out)
-    _finite_or_raise(out, what)
-    return out
-
-
 # A 2-D forward product does k*p MACs for the k + p float64 entries a row
 # casts and writes; at most _NARROW it is bound by that traffic, and the
 # allocator maps, faults in and trims its full-size float64 temporaries on
@@ -511,26 +504,47 @@ _CHUNK_BYTES = 256 * 1024
 _NARROW = 24
 
 
-def _product64(a, b, what: str, out=None):
-    """``a @ b`` of two float32 arrays, accumulated in float64 and rounded to
-    float32 (into ``out``, a float32 view, if given), rejecting non-finite
-    entries as ``_product32`` does. The operands are cast to C-ordered
-    float64 arrays, whatever the order of the views passed in; a b already
-    in C-ordered float64 (a scored product's folded weight) is used as it
-    is. A narrow, tall 2-D product with no ``out`` runs in row chunks (see
-    the module docstring)."""
-    if a.ndim == 2 and out is None:
-        m, k = a.shape
-        p = b.shape[1]
-        rows = max(2, _CHUNK_BYTES // (8 * (k + p)))
-        if k * p <= _NARROW * (k + p) and m >= 2 * rows:
-            return _chunked_product(a, b, m // rows, what)
-    return _product32(a.astype(np.float64, order="C", copy=False),
-                      b.astype(np.float64, order="C", copy=False), what, out)
+def _product64(a, b, what: str, out=None, scale=None):
+    """``a @ b`` of float32 arrays, accumulated in float64 and rounded to
+    float32: the one guarded product. A 2-D product returns a fresh array,
+    in row chunks when it is narrow and tall; ``scale``, a row of b's width,
+    multiplies b's rows inside b's float64 cast (a scored product's fold: a
+    product of two float32 values is exact in float64, so the fold rounds
+    nothing). A product of two stacks is rounded into ``out``, a float32
+    view, over chunks of their leading axis. The operands are cast to
+    C-ordered float64 arrays, whatever the order of the views passed in (see
+    the module docstring).
+
+    Outside a checked forward the product and the cast run with overflow and
+    invalid-value warnings off, and a non-finite entry of the result raises
+    NumericError naming ``what``: an inf input or an overflow becomes inf or
+    NaN, which the check sees, without a stray RuntimeWarning. Inside one,
+    the pass holds that error state and checks later, so the product runs
+    bare."""
+    deferred = _state.deferred
+    with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
+        if out is not None:
+            _stacked_product(a, b, out)
+        else:
+            if scale is not None:
+                b = np.multiply(b, scale, dtype=np.float64)
+            m, k = a.shape
+            p = b.shape[1]
+            rows = max(2, _CHUNK_BYTES // (8 * (k + p)))
+            if k * p <= _NARROW * (k + p) and m >= 2 * rows:
+                out = _chunked_product(a, b, m // rows)
+            else:
+                a64 = a.astype(np.float64, order="C", copy=False)
+                b64 = b.astype(np.float64, order="C", copy=False)
+                out = (a64 @ b64).astype(np.float32)
+    if not deferred:
+        _finite_or_raise(out, what)
+    return out
 
 
-def _chunked_product(a, b, chunks: int, what: str):
-    """``_product64`` of a 2-D product in ``chunks`` near-equal row chunks."""
+def _chunked_product(a, b, chunks: int):
+    """The float32 rounding of a 2-D float64 product in ``chunks``
+    near-equal row chunks, through one float64 buffer per operand."""
     m, k = a.shape
     p = b.shape[1]
     size = -(-m // chunks)
@@ -538,60 +552,46 @@ def _chunked_product(a, b, chunks: int, what: str):
     o64 = np.empty((size, p))
     b64 = b.astype(np.float64, copy=False)
     out = np.empty((m, p), dtype=np.float32)
-    deferred = _state.deferred
-    with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
-        for i in range(chunks):
-            lo, hi = i * m // chunks, (i + 1) * m // chunks
-            rows_in, rows_out = a64[:hi - lo], o64[:hi - lo]
-            rows_in[...] = a[lo:hi]
-            np.matmul(rows_in, b64, out=rows_out)
-            out[lo:hi] = rows_out
-    if not deferred:
-        _finite_or_raise(out, what)
+    for i in range(chunks):
+        lo, hi = i * m // chunks, (i + 1) * m // chunks
+        rows_in, rows_out = a64[:hi - lo], o64[:hi - lo]
+        rows_in[...] = a[lo:hi]
+        np.matmul(rows_in, b64, out=rows_out)
+        out[lo:hi] = rows_out
     return out
 
 
-def _stacked_product(a, b, what: str, out):
-    """``_product64`` of two stacks into ``out``, a float32 view, over chunks
-    of their leading axis: each chunk's float64 operands and product take
-    about ``_CHUNK_BYTES`` (at least one slice), and numpy multiplies each
-    slice alone, so the chunks give the one-shot product's bits."""
+def _stacked_product(a, b, out):
+    """The float64 product of two stacks rounded into ``out``, over chunks of
+    their leading axis: each chunk's float64 operands and product take about
+    ``_CHUNK_BYTES`` (at least one slice), and numpy multiplies each slice
+    alone, so the chunks give the one-shot product's bits."""
     step = max(1, _CHUNK_BYTES // (8 * (a[0].size + b[0].size + out[0].size)))
-    if step >= len(a):
-        return _product64(a, b, what, out)
-    deferred = _state.deferred
-    with nullcontext() if deferred else np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(a), step):
-            np.matmul(a[lo:lo + step].astype(np.float64, order="C"),
-                      b[lo:lo + step].astype(np.float64, order="C"), out=out[lo:lo + step])
-    if not deferred:
-        _finite_or_raise(out, what)
-    return out
+    for lo in range(0, len(a), step):
+        np.matmul(a[lo:lo + step].astype(np.float64, order="C"),
+                  b[lo:lo + step].astype(np.float64, order="C"), out=out[lo:lo + step])
 
 
 def matmul(a: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
-    """Product over the last two axes; leading axes must be equal (no
-    broadcasting). Counts batch*m*k*p MACs. The forward accumulates in
-    float64; the gradient products run in float32 over the operands' own
-    arrays, which must not change before backward.
+    """Product [m, k] @ [k, p] of two 2-D tensors; counts m*k*p MACs. The
+    forward accumulates in float64; the gradient products are bare float32
+    products over the operands' own arrays, which must not change before
+    backward.
 
-    ``scale``, a 1-D tensor whose length n divides the p columns of a 2-D
-    b, gives a @ (b diag(s)): column j of b is scaled by scale[j % n]. The
-    scale is applied in b's float64 cast, so the scored product is rounded
-    once (see the module docstring)."""
+    ``scale``, a 1-D tensor whose length n divides the p columns, gives
+    a @ (b diag(s)): column j of b is scaled by scale[j % n]. The scale is
+    applied in b's float64 cast, so the scored product is rounded once (see
+    the module docstring)."""
     ad, bd = a.data, b.data
     ashape, bshape = ad.shape, bd.shape
-    if len(ashape) < 2 or len(ashape) != len(bshape) or ashape[:-2] != bshape[:-2]:
-        raise DimensionError(f"matmul needs equal leading axes: {ashape} x {bshape}")
-    if ashape[-1] != bshape[-2]:
-        raise DimensionError(f"matmul inner dims differ: {ashape} x {bshape}")
-    *lead, m, k = ashape
-    p = bshape[-1]
-    if scale is not None and (len(bshape) != 2 or scale.data.ndim != 1
-                              or p % scale.data.shape[0]):
-        raise DimensionError(f"matmul scale {scale.shape} needs a 2-D product whose "
-                             f"column count its length divides: {ashape} x {bshape}")
-    macs = math.prod(lead) * m * k * p
+    if len(ashape) != 2 or len(bshape) != 2 or ashape[1] != bshape[0]:
+        raise DimensionError(f"matmul needs 2-D [m, k] x [k, p] operands: {ashape} x {bshape}")
+    m, k = ashape
+    p = bshape[1]
+    if scale is not None and (scale.data.ndim != 1 or p % scale.data.shape[0]):
+        raise DimensionError(f"matmul scale {scale.shape} needs a length that divides "
+                             f"the product's column count: {ashape} x {bshape}")
+    macs = m * k * p
     for c in _state.mac_counters:
         c.macs += macs
     # Every input entry reaches some output entry (inf * 0 is NaN), so one
@@ -600,15 +600,12 @@ def matmul(a: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
         tape = _grad_tape(a, b)
         out = _fresh(_product64(ad, bd, "matmul output"), tape is not None)
         if tape is not None:
-            tape._record(out, [
-                (a, lambda g: _product32(g, bd.swapaxes(-1, -2), "matmul lhs gradient")),
-                (b, lambda g: _product32(ad.swapaxes(-1, -2), g, "matmul rhs gradient")),
-            ])
+            tape._record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
         return out
     n = scale.data.shape[0]
     row = _repeated(scale.data, p)
     tape = _grad_tape(a, b, scale)
-    out = _fresh(_product64(ad, _folded(bd, row), "matmul output"), tape is not None)
+    out = _fresh(_product64(ad, bd, "matmul output", scale=row), tape is not None)
     if tape is not None:
         shared = []     # b's and the scale's gradients, made by the first pull
 
@@ -617,14 +614,14 @@ def matmul(a: Tensor, b: Tensor, scale: Tensor | None = None) -> Tensor:
             sums of G * b over the rows of their [-1, n] views, then G,
             scaled in place, as b's gradient."""
             if not shared:
-                rhs = _product32(ad.T, g, "matmul rhs gradient")
+                rhs = ad.T @ g
                 shared.append(_product_column_sums(rhs.reshape(-1, n), bd.reshape(-1, n)))
                 rhs *= row
                 shared.append(rhs)
             return shared
 
         tape._record(out, [
-            (a, lambda g: _product32(g * row, bd.T, "matmul lhs gradient")),
+            (a, lambda g: (g * row) @ bd.T),
             (b, lambda g: rhs_grads(g)[1]),
             (scale, lambda g: rhs_grads(g)[0]),
         ])
@@ -639,17 +636,6 @@ def _repeated(s, p):
     row = np.empty(p, dtype=np.float32)
     row.reshape(-1, s.shape[0])[...] = s
     return row
-
-
-def _folded(b, row):
-    """A 2-D float32 weight b cast to a C-ordered float64 array with each row
-    multiplied by ``row``, in one pass. A product of two float32 values is
-    exact in float64, so the fold rounds nothing."""
-    w64 = np.empty(b.shape)
-    # inf * 0 gives NaN, which the product's own check then sees
-    with nullcontext() if _state.deferred else np.errstate(invalid="ignore"):
-        np.multiply(b, row, out=w64, dtype=np.float64)
-    return w64
 
 
 def _column_sums(a, n):
@@ -801,21 +787,32 @@ class Permutation:
 
 
 def permute_rows(x: Tensor, perm) -> Tensor:
-    """Reorder rows by a permutation: out[i] = x[perm[i]]. ``perm`` is a
-    ``Permutation`` or the indices of one."""
+    """Reorder each run of n rows by a permutation of n: out[r*n + i] =
+    x[r*n + perm[i]], so one image's row order serves a stack of images.
+    ``perm`` is a ``Permutation`` or the indices of one; a row count that is
+    not a multiple of n raises DimensionError."""
     _check_2d(x, "permute_rows input")
     if type(perm) is not Permutation:
         perm = Permutation(perm)
-    n = x.data.shape[0]
-    if perm.order.shape[0] != n:
-        raise DimensionError(f"permute_rows needs a permutation of {n} rows, "
-                             f"got one of {perm.order.shape[0]}")
+    rows = x.data.shape[0]
+    n = perm.order.shape[0]
+    if rows % n:
+        raise DimensionError(f"permute_rows needs a multiple of {n} rows for a permutation "
+                             f"of {n}, got {rows}")
     tape = _grad_tape(x)
-    out = _fresh(np.take(x.data, perm.order, axis=0), tape is not None)
+    out = _fresh(_take_runs(x.data, perm.order), tape is not None)
     if tape is not None:
         inverse = perm.inverse
-        tape._record(out, [(x, lambda g: np.take(g, inverse, axis=0))])
+        tape._record(out, [(x, lambda g: _take_runs(g, inverse))])
     return out
+
+
+def _take_runs(a, order):
+    """The rows of each run of ``len(order)`` rows of ``a`` taken in
+    ``order``, as one fresh C-ordered array."""
+    rows, d = a.shape
+    n = order.shape[0]
+    return np.take(a.reshape(rows // n, n, d), order, axis=1).reshape(rows, d)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -973,7 +970,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     qd, kd, vd = (qkv.data[..., i, :, :].swapaxes(-3, -2) for i in range(3))
     f = np.float32(factor)
     logits = np.empty(logit_shape, dtype=np.float32)
-    _stacked_product(qd, kd.swapaxes(-1, -2), "attention logits", logits)
+    _product64(qd, kd.swapaxes(-1, -2), "attention logits", logits)
     logits *= f
     if mask is not None:
         logits += mask.data
@@ -982,7 +979,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
     # the output is rounded through its [*lead, heads, m, k] view straight
     # into the [*lead, m, heads, k] rows it is returned as
     rows = np.empty((*lead, m, h, k), dtype=np.float32)
-    _stacked_product(probs, vd, "attention output", rows.swapaxes(-3, -2))
+    _product64(probs, vd, "attention output", rows.swapaxes(-3, -2))
     tape = _grad_tape(qkv) if mask is None else _grad_tape(qkv, mask)
     out = _fresh(rows.reshape(-1, h * k), tape is not None)
     if tape is not None:
@@ -991,8 +988,7 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
         def logit_grad(g):
             if not shared:
                 go = g.reshape(*lead, m, h, k).swapaxes(-3, -2)
-                dprobs = _product32(go, vd.swapaxes(-1, -2), "attention probs gradient")
-                shared.append(_softmax_grad(dprobs, probs))
+                shared.append(_softmax_grad(go @ vd.swapaxes(-1, -2), probs))
             return shared[0]
 
         def pull_qkv(g):
@@ -1001,10 +997,10 @@ def attention_core(qkv: Tensor, factor: float, mask: Tensor | None = None) -> Te
             # stacked gradient, so no per-gradient array is made and copied
             grad = np.empty(qkv_shape, dtype=np.float32)
             dq, dk, dv = (grad[..., i, :, :].swapaxes(-3, -2) for i in range(3))
-            _product32(ds, kd, "attention q gradient", out=dq)
-            _product32(ds.swapaxes(-1, -2), qd, "attention k gradient", out=dk)
-            _product32(probs.swapaxes(-1, -2), g.reshape(*lead, m, h, k).swapaxes(-3, -2),
-                       "attention v gradient", out=dv)
+            np.matmul(ds, kd, out=dq)
+            np.matmul(ds.swapaxes(-1, -2), qd, out=dk)
+            np.matmul(probs.swapaxes(-1, -2), g.reshape(*lead, m, h, k).swapaxes(-3, -2),
+                      out=dv)
             return grad
 
         def pull_mask(g):

@@ -104,14 +104,14 @@ def test_window_spec_validation():
 
 
 def test_single_window_partition_is_input():
-    perm, inverse = B._stacked_partition(1, 2, 2, 2, 0)
+    perm, inverse = B._window_order(2, 2, 2, 0)
     assert perm.order.tolist() == inverse.order.tolist() == [0, 1, 2, 3]
 
 
 def test_partition_reverse_roundtrip_bitwise():
     for shift in (0, 1):
         for images in (1, 3):
-            order, inverse = B._stacked_partition(images, 4, 4, 2, shift)
+            order, inverse = B._window_order(4, 4, 2, shift)
             x = Tensor(rng(2).normal(size=(images * 16, 5)))
             back = T.permute_rows(T.permute_rows(x, order), inverse)
             assert np.array_equal(back.data, x.data)
@@ -137,21 +137,54 @@ def test_a_tiny_search_step_checks_and_inverts_no_cached_permutation(monkeypatch
     images = rng(40).random((8, 3, 32, 32)).astype(np.float32)
     labels = np.arange(8) % 4
 
-    def search_step():
+    def search_step(count):
         scored.zero_grads()
         with Tape() as tape:
-            logits = forward_batch(scored.model, images, scores=scored.score_map())
-            loss = total_loss(logits, labels, scored.scores, 1e-3)
+            logits = forward_batch(scored.model, images[:count], scores=scored.score_map())
+            loss = total_loss(logits, labels[:count], scored.scores, 1e-3)
         backward(loss, tape)
-        return loss.item()
+        return logits.data
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cached permutation was checked or inverted again")
 
-    first = search_step()                   # builds the cached permutations
+    first = search_step(8)                  # builds the cached permutations
     monkeypatch.setattr(T.Permutation, "__init__", refuse)
     monkeypatch.setattr(np, "bincount", refuse)
-    assert search_step() == first
+    # a new batch size reuses each grid's orders; each row is its image's
+    assert np.array_equal(search_step(3), first[:3])
+    assert np.array_equal(forward_batch(scored.model, images[:5],
+                                        scores=scored.score_map()).data, first[:5])
+
+
+def stacked_order(order, images):
+    """One image's row order repeated for ``images`` stacked images, each
+    run offset by the image's first row."""
+    n = len(order)
+    return np.concatenate([np.asarray(order) + i * n for i in range(images)])
+
+
+@pytest.mark.parametrize("images", [1, 3])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_permute_rows_applies_one_image_order_to_each_image(images, shift):
+    r = rng(41 + images + shift)
+    x = Tensor(r.normal(size=(images * 16, 3)), requires_grad=True)
+    g = r.normal(size=(images * 16, 3)).astype(np.float32)
+    merge = [i for cell in ref_merge_order(4, 4) for i in cell]
+    for perm, want in [(B._window_order(4, 4, 2, shift)[0], ref_partition_order(4, 4, 2, shift)),
+                       (B._window_order(4, 4, 2, shift)[1],
+                        np.argsort(ref_partition_order(4, 4, 2, shift))),
+                       (B._merge_permutation(4, 4), merge)]:
+        order = stacked_order(want, images)
+        with Tape() as tape:
+            out = T.permute_rows(x, perm)
+        (_, [(_, pull)]), = tape._nodes
+        scattered = np.zeros_like(g)
+        scattered[order] = g
+        assert np.array_equal(out.data, x.data[order]) and out.data.flags.c_contiguous
+        assert np.array_equal(pull(g), scattered) and pull(g).flags.c_contiguous
+    with pytest.raises(DimensionError, match="multiple of 16 rows"):
+        T.permute_rows(Tensor(np.ones((images * 16 + 4, 3))), B._merge_permutation(4, 4))
 
 
 def test_logit_factor_has_the_bits_of_the_numpy_square_root():
